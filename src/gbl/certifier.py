@@ -8,9 +8,10 @@ fundamental form h, the Laplacian of v = prod sqrt(1 + lambda_a^2) reads
                     + sum_{a!=b,j} lambda_a lambda_b (h_{a,aj} h_{b,bj}
                                                       + h_{a,bj} h_{b,aj}) ].
 
-This module evaluates that form, regroups it into index-typed blocks,
-verifies the block lower bounds by eigenvalue analysis and brute-force
-sampling, and estimates the strong-subharmonicity constant
+In the flattened coordinates of h the form is block diagonal.  This module
+writes those index-typed blocks once (`block_catalogue`), evaluates the term
+decomposition, the block lemmas and eps0 from them, solves the form
+blockwise, and estimates the strong-subharmonicity constant
 
     K0(beta0) = min { Delta v / |h|^2 : prod(1 + lambda^2) <= beta0^2 }
 
@@ -157,6 +158,154 @@ def laplacian_v_batch(lams: np.ndarray, hs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the typed-block catalogue of the form
+
+# profiles per batched eigensolve, which bounds the memory of one batch
+CHUNK = 20_000
+
+# v^{-1} Delta v is block diagonal in the flattened coordinates of h.  Each
+# block collects the h_{a,ij} of one index group, and its matrix is
+#     B(lambda) = sum_f features(lambda)_f coeffs[f],
+# with features (1; lambda_a^2; lambda_a lambda_b for a < b).  The sqrt(2)
+# weights of `flatten_h` turn the h-coordinate couplings into 1/2 and 1/sqrt(2).
+_SQRT_HALF = 1.0 / _SQRT2
+
+
+@dataclass(frozen=True)
+class FormBlock:
+    """One index-typed block of the Delta-v form in flattened coordinates."""
+    kind: str                # "pure", "I", "II", "III" or "IV"
+    key: tuple               # (a, i, j), (j,), (j, a, b), (a, b, c) or (a,)
+    slots: tuple             # positions in flatten_h coordinates
+    coeffs: np.ndarray       # (F, s, s), one matrix per feature
+
+
+def _features(lams: np.ndarray) -> np.ndarray:
+    """(1, lambda_a^2, lambda_a lambda_b for a < b) of profiles (..., m); shape (..., F)."""
+    lams = np.asarray(lams, dtype=float)
+    a, b = np.triu_indices(lams.shape[-1], 1)
+    ones = np.ones(lams.shape[:-1] + (1,))
+    return np.concatenate([ones, lams**2, lams[..., a] * lams[..., b]], axis=-1)
+
+
+@lru_cache(maxsize=None)
+def block_catalogue(n: int, m: int) -> tuple[FormBlock, ...]:
+    """Every block of the form, written from the index groups of h_{a,ij}.
+
+    pure     h_{a,ij} with i <= j both beyond m
+    I_j      h_{a,aj} for every a, j beyond m
+    II_j,ab  h_{a,bj}, h_{b,aj} for a < b, j beyond m
+    III_abc  h_{a,bc}, h_{b,ca}, h_{c,ab} for a < b < c
+    IV_a     h_{a,aa}; h_{a,bb} for b != a; h_{b,ba} for b != a
+
+    Within a kind the blocks follow the index order of `TermDecomposition`.
+    """
+    _, slot, _ = _pair_table(n)
+    T = n * (n + 1) // 2
+    duos = list(itertools.combinations(range(m), 2))
+    pair_feature = {duo: 1 + m + k for k, duo in enumerate(duos)}
+    high = range(m, n)
+
+    def flat(a: int, i: int, j: int) -> int:
+        return a * T + slot[(i, j)]
+
+    def block(kind, key, slots, squares=(), couplings=()):
+        """squares: (a, p, w) adds w lambda_a^2 at (p, p); couplings: (a, b, p, q, w)
+        adds w lambda_a lambda_b at (p, q) and (q, p)."""
+        C = np.zeros((1 + m + len(duos), len(slots), len(slots)))
+        C[0] = np.eye(len(slots))
+        for a, p, w in squares:
+            C[1 + a, p, p] += w
+        for a, b, p, q, w in couplings:
+            f = pair_feature[(min(a, b), max(a, b))]
+            C[f, p, q] += w
+            C[f, q, p] += w
+        C.flags.writeable = False
+        return FormBlock(kind, key, tuple(slots), C)
+
+    out = [
+        block("pure", (a, i, j), [flat(a, i, j)])
+        for a in range(m) for i in high for j in range(i, n)
+    ]
+    for j in high:
+        out.append(block(
+            "I", (j,), [flat(a, a, j) for a in range(m)],
+            squares=[(a, a, 1.0) for a in range(m)],
+            couplings=[(a, b, a, b, 0.5) for a, b in duos],
+        ))
+    for j in high:
+        for a, b in duos:
+            out.append(block("II", (j, a, b), [flat(a, b, j), flat(b, a, j)], couplings=[(a, b, 0, 1, 0.5)]))
+    for a, b, c in itertools.combinations(range(m), 3):
+        out.append(block(
+            "III", (a, b, c), [flat(a, b, c), flat(b, c, a), flat(c, a, b)],
+            couplings=[(a, b, 0, 1, 0.5), (b, c, 1, 2, 0.5), (c, a, 2, 0, 0.5)],
+        ))
+    for a in range(m):
+        others = [b for b in range(m) if b != a]
+        y = {b: 1 + k for k, b in enumerate(others)}      # h_{a,bb}
+        z = {b: m + k for k, b in enumerate(others)}      # h_{b,ba}
+        z[a] = 0                                          # h_{a,aa} closes the z family
+        out.append(block(
+            "IV", (a,),
+            [flat(a, a, a)] + [flat(a, b, b) for b in others] + [flat(b, b, a) for b in others],
+            squares=[(a, 0, 2.0)] + [(b, z[b], 1.0) for b in others],
+            couplings=[(a, b, y[b], z[b], _SQRT_HALF) for b in others]
+            + [(b, c, z[b], z[c], _SQRT_HALF if a in (b, c) else 0.5) for b, c in duos],
+        ))
+    return tuple(out)
+
+
+def _stack(blocks) -> np.ndarray:
+    """Coefficients of same-size blocks as one (F, nb, s, s) array."""
+    return np.stack([blk.coeffs for blk in blocks], axis=1)
+
+
+def _block_matrices(coeffs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """B(lambda) at profiles (..., m) from coefficients (F, ...) of one block or a stack."""
+    return np.tensordot(_features(lams), coeffs, axes=1)
+
+
+@lru_cache(maxsize=None)
+def _kind_stacks(n: int, m: int) -> dict:
+    """kind -> (slots (nb, s), coefficient stack) over every block of that kind."""
+    kinds: dict = {}
+    for blk in block_catalogue(n, m):
+        kinds.setdefault(blk.kind, []).append(blk)
+    return {kind: (np.array([blk.slots for blk in blks]), _stack(blks)) for kind, blks in kinds.items()}
+
+
+@lru_cache(maxsize=None)
+def _distinct_stacks(n: int, m: int) -> tuple:
+    """Coefficient stacks of the distinct blocks, one per block size.
+
+    I_j and II_{j,ab} repeat for every high index j and the pure blocks are
+    all the identity, so the distinct blocks do not depend on n beyond n > m.
+    """
+    distinct = {(blk.coeffs.shape, blk.coeffs.tobytes()): blk for blk in block_catalogue(n, m)}
+    sizes: dict = {}
+    for blk in distinct.values():
+        sizes.setdefault(len(blk.slots), []).append(blk)
+    return tuple(_stack(blks) for _, blks in sorted(sizes.items()))
+
+
+def _catalogue_block(m: int, kind: str, key: tuple) -> FormBlock:
+    """The block of the given kind and key; III and IV blocks do not depend on n."""
+    return next(blk for blk in block_catalogue(m, m) if (blk.kind, blk.key) == (kind, key))
+
+
+def _min_eigs(block: FormBlock, lams: np.ndarray, shift: float) -> np.ndarray:
+    """lambda_min(B(lambda) - shift I) of one block at profiles (K, m)."""
+    lams = np.asarray(lams, dtype=float)
+    identity = np.eye(len(block.slots))
+    out = np.empty(lams.shape[0])
+    for start in range(0, lams.shape[0], CHUNK):
+        B = _block_matrices(block.coeffs, lams[start : start + CHUNK])
+        out[start : start + CHUNK] = np.linalg.eigvalsh(B - shift * identity)[:, 0]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # grouped decomposition
 
 @dataclass(frozen=True)
@@ -179,95 +328,31 @@ class TermDecomposition:
 
 
 def decompose_terms(lam: LambdaProfile, h: HTensor) -> TermDecomposition:
-    """Evaluate each named group exactly; their sum is v^{-1} Delta v."""
+    """Evaluate each named group exactly as u_B^T B(lambda) u_B; their sum is v^{-1} Delta v."""
     if (lam.n, lam.m) != (h.n, h.m):
         raise DimensionMismatch(f"profile ({lam.n},{lam.m}) vs tensor ({h.n},{h.m})")
     n, m = h.n, h.m
-    lams = lam.lambdas
-    H = h.h
-    high = range(m, n)
+    u = h.flatten()
+    stacks = _kind_stacks(n, m)
 
-    pure_high = float(np.sum(H[:, m:, m:] ** 2))
+    def values(kind: str) -> np.ndarray:
+        if kind not in stacks:
+            return np.zeros(0)
+        slots, stack = stacks[kind]
+        x = u[slots]
+        return np.einsum("bi,bij,bj->b", x, _block_matrices(stack, lam.lambdas), x)
 
-    I_terms = np.zeros(n - m)
-    for jx, j in enumerate(high):
-        col = H[np.arange(m), np.arange(m), j]
-        lam_col = lams * col
-        I_terms[jx] = np.sum((2.0 + 2.0 * lams**2) * col**2) + (np.sum(lam_col) ** 2 - np.sum(lam_col**2))
-
-    pairs = list(itertools.combinations(range(m), 2))
-    II_terms = np.zeros((n - m, len(pairs)))
-    for jx, j in enumerate(high):
-        for px, (a, b) in enumerate(pairs):
-            II_terms[jx, px] = (
-                2.0 * H[a, b, j] ** 2
-                + 2.0 * H[b, a, j] ** 2
-                + 2.0 * lams[a] * lams[b] * H[a, b, j] * H[b, a, j]
-            )
-
-    triples = list(itertools.combinations(range(m), 3))
-    III_terms = np.zeros(len(triples))
-    for tx, (a, b, c) in enumerate(triples):
-        x, y, z = H[a, b, c], H[b, c, a], H[c, a, b]
-        III_terms[tx] = (
-            2.0 * (x * x + y * y + z * z)
-            + 2.0 * lams[a] * lams[b] * x * y
-            + 2.0 * lams[b] * lams[c] * y * z
-            + 2.0 * lams[c] * lams[a] * z * x
-        )
-
-    IV_terms = np.zeros(m)
-    for a in range(m):
-        others = [b for b in range(m) if b != a]
-        val = (1.0 + 2.0 * lams[a] ** 2) * H[a, a, a] ** 2
-        for b in others:
-            val += H[a, b, b] ** 2 + (2.0 + 2.0 * lams[b] ** 2) * H[b, b, a] ** 2
-            val += 2.0 * lams[a] * lams[b] * H[a, b, b] * H[b, b, a]
-        ztilde = H[np.arange(m), np.arange(m), a]        # h_{b,ba} including b = a
-        lz = lams * ztilde
-        val += np.sum(lz) ** 2 - np.sum(lz**2)
-        IV_terms[a] = val
-
-    return TermDecomposition(pure_high, I_terms, II_terms, III_terms, IV_terms)
+    return TermDecomposition(
+        float(values("pure").sum()),
+        values("I"),
+        values("II").reshape(n - m, m * (m - 1) // 2),
+        values("III"),
+        values("IV"),
+    )
 
 
 # ---------------------------------------------------------------------------
-# the full quadratic form in flattened coordinates
-
-@lru_cache(maxsize=None)
-def _form_basis(n: int, m: int):
-    """Constant matrices A_a and B_{ab} with M = v (I + sum la^2 A_a + sum lalb B_ab)."""
-    pairs, slot, weights = _pair_table(n)
-    T = len(pairs)
-    D = m * T
-
-    def flat(a: int, i: int, j: int) -> int:
-        return a * T + slot[(i, j)]
-
-    A = np.zeros((m, D, D))
-    for a in range(m):
-        for j in range(n):
-            k = flat(a, a, j)
-            A[a, k, k] += 2.0 if j == a else 1.0
-
-    duos = list(itertools.combinations(range(m), 2))
-    B = np.zeros((len(duos), D, D))
-    for px, (r, s) in enumerate(duos):
-        for j in range(n):
-            wr = weights[slot[(r, j)]]
-            ws = weights[slot[(s, j)]]
-            a_idx = flat(r, r, j)
-            b_idx = flat(s, s, j)
-            B[px, a_idx, b_idx] += 1.0 / (wr * ws)
-            B[px, b_idx, a_idx] += 1.0 / (wr * ws)
-            wa = weights[slot[(s, j)]]
-            wb = weights[slot[(r, j)]]
-            a_idx = flat(r, s, j)
-            b_idx = flat(s, r, j)
-            B[px, a_idx, b_idx] += 1.0 / (wa * wb)
-            B[px, b_idx, a_idx] += 1.0 / (wa * wb)
-    return A, B, duos
-
+# the full quadratic form
 
 def quadratic_form_matrix(lam: LambdaProfile) -> np.ndarray:
     """Symmetric matrix M with u^T M u = Delta v for u = flatten_h(h)."""
@@ -275,26 +360,35 @@ def quadratic_form_matrix(lam: LambdaProfile) -> np.ndarray:
 
 
 def quadratic_form_batch(n: int, m: int, lams: np.ndarray) -> np.ndarray:
-    """Batched form matrices, shape (K, D, D)."""
+    """Dense form matrices (K, D, D), scattered from the block catalogue.
+
+    This is the test oracle for the catalogue: no certificate is computed
+    from the dense matrix.
+    """
     lams = np.asarray(lams, dtype=float)
-    A, B, duos = _form_basis(n, m)
-    D = A.shape[1]
+    D = form_dimension(n, m)
+    M = np.zeros((lams.shape[0], D, D))
+    for slots, stack in _kind_stacks(n, m).values():
+        M[:, slots[:, :, None], slots[:, None, :]] = _block_matrices(stack, lams)
     v = np.prod(np.sqrt(1.0 + lams**2), axis=-1)
-    M = np.tile(np.eye(D), (lams.shape[0], 1, 1))
-    M += np.einsum("ka,aij->kij", lams**2, A)
-    if duos:
-        prods = np.stack([lams[:, r] * lams[:, s] for (r, s) in duos], axis=1)
-        M += np.einsum("kp,pij->kij", prods, B)
     return v[:, None, None] * M
 
 
-def min_form_eigenvalue(n: int, m: int, lams: np.ndarray, chunk: int = 2000) -> np.ndarray:
-    """Smallest eigenvalue of the Delta-v form at each profile (K, m)."""
+def min_form_eigenvalue(n: int, m: int, lams: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Delta-v form at each profile (K, m).
+
+    v times the smallest eigenvalue over the distinct blocks; blocks of one
+    size share a batched eigensolve.
+    """
     lams = np.asarray(lams, dtype=float)
     out = np.empty(lams.shape[0])
-    for start in range(0, lams.shape[0], chunk):
-        block = lams[start : start + chunk]
-        out[start : start + chunk] = np.linalg.eigvalsh(quadratic_form_batch(n, m, block))[:, 0]
+    for start in range(0, lams.shape[0], CHUNK):
+        part = lams[start : start + CHUNK]
+        low = np.full(part.shape[0], np.inf)
+        for stack in _distinct_stacks(n, m):
+            eigs = np.linalg.eigvalsh(_block_matrices(stack, part))[..., 0]
+            low = np.minimum(low, eigs.min(axis=1))
+        out[start : start + CHUNK] = np.prod(np.sqrt(1.0 + part**2), axis=-1) * low
     return out
 
 
@@ -348,19 +442,6 @@ def lambda_pair_bound_check(v_bound: float, samples: int, m: int = 2, seed: int 
 # ---------------------------------------------------------------------------
 # three-index block (triple bound)
 
-def iii_form_matrix(lams3, v: float) -> np.ndarray:
-    """Matrix of the triple block minus its (3 - v) diagonal threshold."""
-    la, lb, lc = (float(x) for x in lams3)
-    A = np.array(
-        [
-            [2.0, la * lb, lc * la],
-            [la * lb, 2.0, lb * lc],
-            [lc * la, lb * lc, 2.0],
-        ]
-    )
-    return A - (3.0 - v) * np.eye(3)
-
-
 def verify_III(lams3, v: float) -> float:
     """Smallest eigenvalue of the triple block minus (3 - v) I.
 
@@ -370,20 +451,17 @@ def verify_III(lams3, v: float) -> float:
     prod = float(np.prod(1.0 + lams3**2))
     if prod > v * v * (1.0 + 1e-12) or v * v > 9.0 * (1.0 + 1e-12):
         raise PreconditionViolated(f"need prod(1+lambda^2) <= v^2 <= 9, got {prod:.6f} vs {v * v:.6f}")
-    return float(np.linalg.eigvalsh(iii_form_matrix(lams3, v))[0])
+    return float(verify_III_batch(lams3[None, :], np.array([v]))[0])
 
 
 def verify_III_batch(lams: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Batched smallest eigenvalues for (K, 3) profiles with their own v."""
-    lams = np.asarray(lams, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    K = lams.shape[0]
-    A = np.zeros((K, 3, 3))
-    A[:, 0, 0] = A[:, 1, 1] = A[:, 2, 2] = 2.0 - (3.0 - vs)
-    A[:, 0, 1] = A[:, 1, 0] = lams[:, 0] * lams[:, 1]
-    A[:, 1, 2] = A[:, 2, 1] = lams[:, 1] * lams[:, 2]
-    A[:, 0, 2] = A[:, 2, 0] = lams[:, 2] * lams[:, 0]
-    return np.linalg.eigvalsh(A)[:, 0]
+    """lambda_min(2 B_III) - (3 - v) for (K, 3) profiles with their own v.
+
+    The factor 2 turns the flattened block back into h coordinates, where
+    the triple block has diagonal 2 and couplings lambda_a lambda_b.
+    """
+    low = _min_eigs(_catalogue_block(3, "III", (0, 1, 2)), lams, 0.0)
+    return 2.0 * low - (3.0 - np.asarray(vs, dtype=float))
 
 
 def verify_omega_sup(v: float, C: float, grid: int = 256, polish: bool = True) -> float:
@@ -433,50 +511,14 @@ def verify_omega_sup(v: float, C: float, grid: int = 256, polish: bool = True) -
 
 # ---------------------------------------------------------------------------
 # diagonal block (the 2m-1 dimensional reduced form)
-
-@lru_cache(maxsize=None)
-def _iv_weight_matrix(m: int) -> np.ndarray:
-    """Diagonal weights of the subtracted term: (1; 1 x (m-1); 2 x (m-1))."""
-    return np.diag(np.concatenate([[1.0], np.ones(m - 1), 2.0 * np.ones(m - 1)]))
-
-
-def iv_form_batch(lams: np.ndarray, eps0: float, alpha: int = 0) -> np.ndarray:
-    """Batched matrices of the diagonal block minus eps0 times its weights.
-
-    Variables are ordered (h_{a,aa}; h_{a,bb} for b != a; h_{b,ba} for b != a),
-    dimension 2m - 1.  Sampling with exchangeable random profiles makes
-    alpha = 0 fully general.
-    """
-    lams = np.asarray(lams, dtype=float)
-    K, m = lams.shape
-    if not (0 <= alpha < m):
-        raise PreconditionViolated("alpha out of range")
-    others = [b for b in range(m) if b != alpha]
-    d = 2 * m - 1
-    A = np.zeros((K, d, d))
-    la = lams[:, alpha]
-    A[:, 0, 0] = 1.0 + 2.0 * la**2
-    for k, b in enumerate(others):
-        yi = 1 + k
-        zi = m + k
-        lb = lams[:, b]
-        A[:, yi, yi] = 1.0
-        A[:, zi, zi] = 2.0 + 2.0 * lb**2
-        A[:, yi, zi] += la * lb
-        A[:, zi, yi] += la * lb
-    # sum_{b != c} lambda_b lambda_c ztilde_b ztilde_c with ztilde_alpha = h_{a,aa}
-    zslot = {alpha: 0}
-    for k, b in enumerate(others):
-        zslot[b] = m + k
-    for b in range(m):
-        for c in range(b + 1, m):
-            A[:, zslot[b], zslot[c]] += lams[:, b] * lams[:, c]
-            A[:, zslot[c], zslot[b]] += lams[:, b] * lams[:, c]
-    return A - eps0 * _iv_weight_matrix(m)
-
+#
+# In h coordinates the subtracted term weighs h_{a,aa} and h_{a,bb} by 1 and
+# h_{b,ba} by 2.  In flattened coordinates those weights are the identity, so
+# the IV block B_IV = E^{-1/2} A E^{-1/2} carries eps0 as a plain shift.
+# Sampling with exchangeable random profiles makes alpha = 0 fully general.
 
 def verify_IV(lam: LambdaProfile, eps0: float, alpha: int = 0) -> float:
-    """Smallest eigenvalue of the reduced diagonal block minus eps0 weights.
+    """Smallest eigenvalue of the diagonal block IV_alpha minus eps0 I.
 
     Precondition: prod(1 + lambda^2) <= 9 and 0 <= eps0 < 1.
     """
@@ -484,46 +526,24 @@ def verify_IV(lam: LambdaProfile, eps0: float, alpha: int = 0) -> float:
         raise PreconditionViolated("need 0 <= eps0 < 1")
     if float(np.prod(1.0 + lam.lambdas**2)) > 9.0 * (1.0 + 1e-12):
         raise PreconditionViolated("profile exceeds v <= 3")
-    return float(np.linalg.eigvalsh(iv_form_batch(lam.lambdas[None, :], eps0, alpha))[0, 0])
+    if not (0 <= alpha < lam.m):
+        raise PreconditionViolated("alpha out of range")
+    return float(_min_eigs(_catalogue_block(lam.m, "IV", (alpha,)), lam.lambdas[None, :], eps0)[0])
 
 
-def iv_min_eigs(lams: np.ndarray, eps0: float, chunk: int = 200_000) -> np.ndarray:
+def iv_min_eigs(lams: np.ndarray, eps0: float) -> np.ndarray:
+    """lambda_min(B_IV - eps0 I) per profile (K, m)."""
     lams = np.asarray(lams, dtype=float)
-    out = np.empty(lams.shape[0])
-    for start in range(0, lams.shape[0], chunk):
-        block = lams[start : start + chunk]
-        out[start : start + chunk] = np.linalg.eigvalsh(iv_form_batch(block, eps0))[:, 0]
-    return out
+    return _min_eigs(_catalogue_block(lams.shape[1], "IV", (0,)), lams, eps0)
 
 
-def _iv_all_psd(lams: np.ndarray, eps0: float, tol: float, chunk: int = 100_000) -> bool:
-    """Chunked Cholesky test of A(lambda) - eps0 E + tol I >= 0; fails fast."""
-    d = 2 * lams.shape[1] - 1
-    shift = tol * np.eye(d)
-    for start in range(0, lams.shape[0], chunk):
-        block = iv_form_batch(lams[start : start + chunk], eps0) + shift
-        try:
-            np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            return False
-    return True
+def iv_eps0_bound(lams: np.ndarray) -> np.ndarray:
+    """Per-sample supremum of feasible eps0: lambda_min(B_IV).
 
-
-def iv_eps0_bound(lams: np.ndarray, chunk: int = 200_000) -> np.ndarray:
-    """Per-sample supremum of feasible eps0: min eig of E^{-1/2} A E^{-1/2}.
-
-    A - eps E >= 0 iff eps <= lambda_min(E^{-1/2} A E^{-1/2}); this is the
-    value the eps0 bisection converges to on a sample set.
+    A - eps E >= 0 in h coordinates iff eps <= lambda_min(E^{-1/2} A E^{-1/2}),
+    which is the flattened block.
     """
-    lams = np.asarray(lams, dtype=float)
-    m = lams.shape[1]
-    d_half = 1.0 / np.sqrt(np.diag(_iv_weight_matrix(m)))
-    out = np.empty(lams.shape[0])
-    for start in range(0, lams.shape[0], chunk):
-        A = iv_form_batch(lams[start : start + chunk], 0.0)
-        B = A * d_half[None, :, None] * d_half[None, None, :]
-        out[start : start + chunk] = np.linalg.eigvalsh(B)[:, 0]
-    return out
+    return iv_min_eigs(lams, 0.0)
 
 
 @dataclass
@@ -532,56 +552,25 @@ class Eps0Result:
     m: int
     v_bound: float
     samples: int
-    pilot_samples: int
-    bisection_iterations: int
     verified_margin: float
 
     def __float__(self) -> float:
         return self.eps0
 
 
-def find_eps0(
-    m: int,
-    v_bound: float = 3.0,
-    samples: int = 1_000_000,
-    pilot: int = 100_000,
-    seed: int = 0,
-    tol: float = PSD_TOL,
-    iterations: int = 28,
-) -> Eps0Result:
+def find_eps0(m: int, v_bound: float = 3.0, samples: int = 1_000_000, seed: int = 0) -> Eps0Result:
     """Largest eps0 keeping the diagonal block PSD on sampled admissible profiles.
 
-    Bisection on [0, 1) against a pilot subsample, then a full-sample
-    verification pass that steps eps0 down if any margin dips below -tol.
+    The minimum per-sample bound, clipped to [0, 1 - 1e-9]; a block that is
+    not PSD on the sample reports eps0 = 0 with a negative margin.  The
+    margin is its own eigensolve of B_IV - eps0 I over the same sample.
     """
     if m < 2:
         raise PreconditionViolated("need m >= 2")
-    pilot_lams = sample_admissible_lambdas(m, v_bound, pilot, substream(seed, 1))
-
-    lo, hi = 0.0, 1.0 - 1e-9
-    if not _iv_all_psd(pilot_lams, lo, tol):
-        return Eps0Result(0.0, m, v_bound, samples, pilot, 0, float(np.min(iv_min_eigs(pilot_lams, 0.0))))
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if _iv_all_psd(pilot_lams, mid, tol):
-            lo = mid
-        else:
-            hi = mid
-    eps0 = lo
-
-    # tighten against the full sample set: the per-sample feasibility bound is
-    # the value the bisection converges to, so one batched pass replaces the
-    # step-down loop
-    full_lams = sample_admissible_lambdas(m, v_bound, samples, substream(seed, 2))
-    full_bound = float(np.min(iv_eps0_bound(full_lams)))
-    eps0 = min(eps0, full_bound)
-    margin = float(np.min(iv_min_eigs(full_lams, eps0)))
-    steps = 0
-    while margin < -tol and steps < 60:  # defensive; the bound makes this a no-op
-        eps0 *= 0.98
-        margin = float(np.min(iv_min_eigs(full_lams, eps0)))
-        steps += 1
-    return Eps0Result(eps0, m, v_bound, samples, pilot, iterations, margin)
+    lams = sample_admissible_lambdas(m, v_bound, samples, substream(seed, 2))
+    eps0 = min(max(float(np.min(iv_eps0_bound(lams))), 0.0), 1.0 - 1e-9)
+    margin = float(np.min(iv_min_eigs(lams, eps0)))
+    return Eps0Result(eps0, m, v_bound, samples, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +690,8 @@ def compute_K0(
     evaluations = 0
     budget_exhausted = False
 
-    axes = np.linspace(0.0, lam_max, grid_points)
+    # at beta0 = 1 every axis point is 0, and the mesh is the single profile 0
+    axes = np.unique(np.linspace(0.0, lam_max, grid_points))
     mesh = np.stack(np.meshgrid(*([axes] * m), indexing="ij"), axis=-1).reshape(-1, m)
     mesh = mesh[np.prod(1.0 + mesh**2, axis=1) <= bound2]
     if mesh.shape[0] > budget:

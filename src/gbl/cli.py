@@ -219,9 +219,7 @@ def _cmd_lemmas(args, report) -> None:
         )
 
     if which in ("iv", "all"):
-        res = certifier.find_eps0(
-            3, samples=samples, pilot=max(samples // 10, 1000), seed=args.seed
-        )
+        res = certifier.find_eps0(3, samples=samples, seed=args.seed)
         report.payload["eps0"] = {
             "m": res.m,
             "eps0": res.eps0,

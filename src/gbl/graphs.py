@@ -268,7 +268,6 @@ class PointGeometry:
     x: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
-    sqrt_det_g: float
     slope: float
     gauss: grassmann.GrassmannPoint
     lambdas: np.ndarray            # (m,) singular values of Df, descending
@@ -335,7 +334,6 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
         x=x,
         g=g,
         g_inv=g_inv,
-        sqrt_det_g=slope,
         slope=slope,
         gauss=gauss,
         lambdas=lambdas,

@@ -6,8 +6,6 @@ work is chunked or parallelised.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -22,23 +20,3 @@ def substream(seed: int, stream: int = 0) -> np.random.Generator:
     key = np.uint64(seed & _MASK64)
     counter = [np.uint64(0)] * 3 + [np.uint64(stream & _MASK64)]
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
-def chunks(total: int, chunk: int = 1 << 16):
-    """Yield (start, size, stream_index) triples covering range(total)."""
-    index = 0
-    start = 0
-    while start < total:
-        size = min(chunk, total - start)
-        yield start, size, index
-        index += 1
-        start += size
-
-
-def thread_cap() -> int:
-    """Upper bound on worker threads, from the GBL_THREADS environment variable."""
-    raw = os.environ.get("GBL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

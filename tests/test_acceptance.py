@@ -97,7 +97,7 @@ def test_criterion_04_eps0_bisection():
     with Budget("4 diagonal-block eps0", 120.0):
         baselines = {2: 0.00715866, 3: 0.00932702, 4: 0.01227844}
         for m in (2, 3, 4):
-            res = ct.find_eps0(m, samples=1_000_000, pilot=100_000, seed=0)
+            res = ct.find_eps0(m, samples=1_000_000, seed=0)
             assert res.eps0 > 0.0
             assert res.verified_margin >= -1e-9
             assert res.eps0 == pytest.approx(baselines[m], abs=1e-6)

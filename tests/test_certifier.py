@@ -105,6 +105,26 @@ class TestDecomposition:
         )
 
 
+class TestBlockCatalogue:
+    @pytest.mark.parametrize("n,m", [(1, 1), (3, 1), (3, 3), (4, 3), (4, 4), (6, 4)])
+    def test_blockwise_matches_dense(self, n, m):
+        lams = ct.sample_admissible_lambdas(m, 3.0, 500, substream(17, n * 10 + m))
+        dense = np.linalg.eigvalsh(ct.quadratic_form_batch(n, m, lams))[:, 0]
+        assert np.abs(ct.min_form_eigenvalue(n, m, lams) - dense).max() < 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_independent_of_n(self, m):
+        lams = ct.sample_admissible_lambdas(m, 3.0, 2_000, substream(17, 100 + m))
+        assert np.array_equal(ct.min_form_eigenvalue(m + 1, m, lams), ct.min_form_eigenvalue(m + 4, m, lams))
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (4, 3), (6, 4)])
+    @pytest.mark.parametrize("beta0", [1.5, 2.5, 2.9])
+    def test_k0_closed_form(self, n, m, beta0):
+        # the II block v (1 - lambda_a lambda_b / 2) with lambda_a lambda_b <= v - 1
+        cert = ct.compute_K0(n, m, beta0, audit_samples=2_000, seed=8)
+        assert cert.k0 == pytest.approx(min(1.0, beta0 * (3.0 - beta0) / 2.0), abs=1e-6)
+
+
 class TestPairBound:
     def test_worst_margin_nonnegative(self):
         assert ct.lambda_pair_bound_check(3.0, 100_000, seed=0) >= -1e-12
@@ -191,29 +211,22 @@ class TestDiagonalBlock:
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_find_eps0_positive(self, m):
-        res = ct.find_eps0(m, samples=50_000, pilot=10_000, seed=0)
+        res = ct.find_eps0(m, samples=50_000, seed=0)
         assert res.eps0 > 1e-3
         assert res.verified_margin >= -1e-9
 
-    def test_bisection_matches_geneig_bound(self):
-        # the bisection limit on a fixed sample set equals the per-sample bound
-        rng = substream(15, 1)
-        lams = ct.sample_admissible_lambdas(3, 3.0, 2_000, rng)
-        bound = float(ct.iv_eps0_bound(lams).min())
-        lo, hi = 0.0, 1.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if ct._iv_all_psd(lams, mid, 0.0):
-                lo = mid
-            else:
-                hi = mid
-        assert lo == pytest.approx(bound, abs=1e-10)
+    def test_eps0_is_min_sample_bound(self):
+        # eps0 is the smallest per-sample bound over the sample it draws
+        res = ct.find_eps0(3, samples=2_000, seed=7)
+        lams = ct.sample_admissible_lambdas(3, 3.0, 2_000, substream(7, 2))
+        assert res.eps0 == float(ct.iv_eps0_bound(lams).min())
+        assert res.verified_margin >= -1e-12
 
     def test_eps0_regression_baselines(self):
-        # values recorded from this tool at samples=1e6, pilot=1e5, seed=0
+        # values recorded from this tool at samples=1e6, seed=0
         expected = {2: 0.00715866, 3: 0.00932702, 4: 0.01227844}
         for m, value in expected.items():
-            res = ct.find_eps0(m, samples=100_000, pilot=20_000, seed=0)
+            res = ct.find_eps0(m, samples=100_000, seed=0)
             # smaller sample runs may sit slightly above the 1e6 baseline
             assert res.eps0 >= value - 1e-6
             assert res.eps0 < 0.1
