@@ -648,11 +648,14 @@ class CertificateReport:
     evaluations: int = 0
 
     def to_dict(self) -> dict:
+        closed = k0_closed_form(self.m, self.beta0)
         return {
             "n": self.n,
             "m": self.m,
             "beta0": self.beta0,
             "k0": self.k0,
+            "k0_closed_form": closed,
+            "closed_form_gap": self.k0 - closed,
             "argmin_lambda": [float(x) for x in self.argmin_lambda.lambdas],
             "v_at_argmin": self.argmin_lambda.v,
             "min_eigenvalue_trace": self.min_eigenvalue_trace,
@@ -661,6 +664,17 @@ class CertificateReport:
             "budget_exhausted": self.budget_exhausted,
             "evaluations": self.evaluations,
         }
+
+
+def k0_closed_form(m: int, beta0: float) -> float:
+    """K0 in closed form: min(1, beta0 (3 - beta0) / 2) for m >= 2, and 1 for m = 1.
+
+    For m >= 2 it is the II-block eigenvalue v (1 - lambda_a lambda_b / 2)
+    at v = beta0 with the pair bound lambda_a lambda_b <= v - 1.  With m = 1
+    there is no II block, and the search returns exactly 1 at every beta0.
+    Reports carry it beside the searched k0 as information, not as a check.
+    """
+    return 1.0 if m == 1 else min(1.0, beta0 * (3.0 - beta0) / 2.0)
 
 
 def compute_K0(

@@ -465,10 +465,13 @@ def _cmd_sweep_k0(args, report) -> None:
         cert = certifier.compute_K0(
             args.n, args.m, beta0, audit_samples=min(args.samples, 20_000), seed=args.seed
         )
+        closed = certifier.k0_closed_form(args.m, beta0)
         rows.append(
             {
                 "beta0": beta0,
                 "k0": cert.k0,
+                "k0_closed_form": closed,
+                "closed_form_gap": cert.k0 - closed,
                 "argmin_lambda": [float(x) for x in cert.argmin_lambda.lambdas],
                 "eigen_margin": cert.worst_violation,
             }

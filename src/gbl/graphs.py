@@ -7,6 +7,7 @@ against an independent divergence-form finite-difference operator.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -19,14 +20,21 @@ from .errors import DimensionMismatch, OutOfChart, OutOfDomain, UnknownName
 
 @dataclass(frozen=True)
 class GraphImmersion:
-    """Explicit map f: R^n -> R^m with exact first and second derivatives."""
+    """Explicit map f: R^n -> R^m with exact first and second derivatives.
+
+    Every callable works on stacks of points: for x of shape (..., n),
+    eval_fn returns (..., m), jac_fn (..., m, n), hess_fn (..., m, n, n) and
+    excluded(x, margin) a boolean array of shape (...).  One point is the
+    stack of shape (n,).  An immersion written for a single point must be
+    rewritten to broadcast; there is no per-point fallback.
+    """
     n: int
     m: int
     eval_fn: Callable[[np.ndarray], np.ndarray]
     jac_fn: Callable[[np.ndarray], np.ndarray]
     hess_fn: Callable[[np.ndarray], np.ndarray]
     domain_radius: float = math.inf
-    excluded: Callable[[np.ndarray, float], bool] | None = None  # (x, margin) -> bool
+    excluded: Callable[[np.ndarray, float], np.ndarray] | None = None  # (x, margin) -> bool (...)
     name: str = "custom"
 
     def __post_init__(self):
@@ -42,39 +50,46 @@ class GraphImmersion:
     def hess(self, x) -> np.ndarray:
         return np.asarray(self.hess_fn(np.asarray(x, dtype=float)), dtype=float)
 
-    def contains(self, x, margin: float = 0.0) -> bool:
+    def contains(self, x, margin: float = 0.0):
+        """Domain membership: a bool for one point, a bool array (...) for a stack."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
+        if x.ndim == 0 or x.shape[-1] != self.n:
             return False
-        if np.linalg.norm(x) + margin > self.domain_radius:
-            return False
-        if self.excluded is not None and self.excluded(x, margin):
-            return False
-        return True
+        inside = np.linalg.norm(x, axis=-1) + margin <= self.domain_radius
+        if self.excluded is not None:
+            inside &= ~np.asarray(self.excluded(x, margin))
+        return bool(inside) if inside.ndim == 0 else inside
 
     def require(self, x, margin: float = 0.0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if not self.contains(x, margin):
-            raise OutOfDomain(f"{self.name}: point {x} outside domain (margin {margin})")
+        inside = np.asarray(self.contains(x, margin))
+        if not inside.all():
+            bad = x if inside.ndim == 0 else x[~inside][0]
+            raise OutOfDomain(f"{self.name}: point {bad} outside domain (margin {margin})")
         return x
 
 
 def _validate_derivatives(G: GraphImmersion, points, rtol: float = 1e-6) -> None:
-    """Central-difference sanity check that jac/hess really differentiate eval."""
+    """Central-difference sanity check that jac/hess really differentiate eval.
+
+    The 2n displaced copies of a point go through G as one stack, so this
+    also checks that the immersion broadcasts.
+    """
     h = 1e-5
+    steps = h * np.eye(G.n)
     for x in points:
         x = np.asarray(x, dtype=float)
         J = G.jac(x)
         Hf = G.hess(x)
         scale = max(1.0, np.abs(J).max(), np.abs(Hf).max())
+        dj = (G.f(x + steps) - G.f(x - steps)) / (2 * h)            # (n, m): row i is d/dx_i
+        dh = (G.jac(x + steps) - G.jac(x - steps)) / (2 * h)        # (n, m, n)
+        jac_err = np.abs(dj - J.T).max(axis=1)
+        hess_err = np.abs(dh - np.moveaxis(Hf, -1, 0)).max(axis=(1, 2))
         for i in range(G.n):
-            e = np.zeros(G.n)
-            e[i] = h
-            dj = (G.f(x + e) - G.f(x - e)) / (2 * h)
-            if np.abs(dj - J[:, i]).max() > rtol * scale:
+            if jac_err[i] > rtol * scale:
                 raise DimensionMismatch(f"{G.name}: jac mismatch at {x} axis {i}")
-            dh = (G.jac(x + e) - G.jac(x - e)) / (2 * h)
-            if np.abs(dh - Hf[:, :, i]).max() > 50 * rtol * scale:
+            if hess_err[i] > 50 * rtol * scale:
                 raise DimensionMismatch(f"{G.name}: hess mismatch at {x} axis {i}")
 
 
@@ -85,9 +100,9 @@ def affine_graph(A: np.ndarray, b: np.ndarray | None = None) -> GraphImmersion:
     return GraphImmersion(
         n=n,
         m=m,
-        eval_fn=lambda x: A @ x + b,
-        jac_fn=lambda x: A,
-        hess_fn=lambda x: np.zeros((m, n, n)),
+        eval_fn=lambda x: x @ A.T + b,
+        jac_fn=lambda x: np.broadcast_to(A, x.shape[:-1] + A.shape),
+        hess_fn=lambda x: np.zeros(x.shape[:-1] + (m, n, n)),
         name="affine",
     )
 
@@ -99,12 +114,18 @@ def holomorphic_pair() -> GraphImmersion:
     H[1, 0, 1] = H[1, 1, 0] = 2.0
 
     def f(x):
-        return np.array([x[0] ** 2 - x[1] ** 2, 2.0 * x[0] * x[1]])
+        return np.stack([x[..., 0] ** 2 - x[..., 1] ** 2, 2.0 * x[..., 0] * x[..., 1]], axis=-1)
 
     def jac(x):
-        return np.array([[2.0 * x[0], -2.0 * x[1], 0.0], [2.0 * x[1], 2.0 * x[0], 0.0]])
+        out = np.zeros(x.shape[:-1] + (2, 3))
+        out[..., 0, 0] = out[..., 1, 1] = 2.0 * x[..., 0]
+        out[..., 0, 1] = -2.0 * x[..., 1]
+        out[..., 1, 0] = 2.0 * x[..., 1]
+        return out
 
-    return GraphImmersion(3, 2, f, jac, lambda x: H, name="holomorphic_pair")
+    return GraphImmersion(
+        3, 2, f, jac, lambda x: np.broadcast_to(H, x.shape[:-1] + H.shape), name="holomorphic_pair"
+    )
 
 
 # quadratic forms of the unit-sphere Hopf fibration S^3 -> S^2
@@ -124,29 +145,34 @@ def lawson_osserman() -> GraphImmersion:
     """
     c = math.sqrt(5.0) / 2.0
 
+    def radius(x):
+        return np.linalg.norm(x, axis=-1)
+
+    def eta(x):
+        return np.einsum("aij,...i,...j->...a", _HOPF_Q, x, x)
+
+    def deta(x):
+        return 2.0 * np.einsum("aij,...j->...ai", _HOPF_Q, x)
+
     def f(x):
-        r = np.linalg.norm(x)
-        return c * np.einsum("aij,i,j->a", _HOPF_Q, x, x) / r
+        return c * eta(x) / radius(x)[..., None]
 
     def jac(x):
-        r = np.linalg.norm(x)
-        eta = np.einsum("aij,i,j->a", _HOPF_Q, x, x)
-        deta = 2.0 * np.einsum("aij,j->ai", _HOPF_Q, x)
-        return c * (deta / r - np.outer(eta, x) / r**3)
+        r = radius(x)[..., None, None]
+        return c * (deta(x) / r - np.einsum("...a,...i->...ai", eta(x), x) / r**3)
 
     def hess(x):
-        r = np.linalg.norm(x)
-        eta = np.einsum("aij,i,j->a", _HOPF_Q, x, x)
-        deta = 2.0 * np.einsum("aij,j->ai", _HOPF_Q, x)
+        r = radius(x)[..., None, None, None]
+        e, de = eta(x), deta(x)
         out = 2.0 * _HOPF_Q / r
-        out = out - (np.einsum("ai,j->aij", deta, x) + np.einsum("aj,i->aij", deta, x)) / r**3
-        out = out - np.einsum("a,ij->aij", eta, np.eye(4)) / r**3
-        out = out + 3.0 * np.einsum("a,i,j->aij", eta, x, x) / r**5
+        out = out - (np.einsum("...ai,...j->...aij", de, x) + np.einsum("...aj,...i->...aij", de, x)) / r**3
+        out = out - np.einsum("...a,ij->...aij", e, np.eye(4)) / r**3
+        out = out + 3.0 * np.einsum("...a,...i,...j->...aij", e, x, x) / r**5
         return c * out
 
     return GraphImmersion(
         4, 3, f, jac, hess,
-        excluded=lambda x, margin: float(np.linalg.norm(x)) < 1e-6 + margin,
+        excluded=lambda x, margin: radius(x) < 1e-6 + margin,
         name="lawson_osserman",
     )
 
@@ -194,20 +220,20 @@ def polynomial_graph(n: int, m: int, components) -> GraphImmersion:
         comps.append(rows)
 
     def mono(x, coeff, exps):
-        val = coeff
-        for xi, e in zip(x, exps):
+        val = np.full(x.shape[:-1], coeff)
+        for i, e in enumerate(exps):
             if e:
-                val *= xi**e
+                val = val * x[..., i] ** e
         return val
 
     def f(x):
-        out = np.zeros(m)
+        out = np.zeros(x.shape[:-1] + (m,))
         for a, rows in enumerate(comps):
-            out[a] = sum(mono(x, c, e) for c, e in rows)
+            out[..., a] = sum(mono(x, c, e) for c, e in rows)
         return out
 
     def jac(x):
-        out = np.zeros((m, n))
+        out = np.zeros(x.shape[:-1] + (m, n))
         for a, rows in enumerate(comps):
             for c, e in rows:
                 for i in range(n):
@@ -215,11 +241,11 @@ def polynomial_graph(n: int, m: int, components) -> GraphImmersion:
                         continue
                     shifted = list(e)
                     shifted[i] -= 1
-                    out[a, i] += mono(x, c * e[i], tuple(shifted))
+                    out[..., a, i] += mono(x, c * e[i], tuple(shifted))
         return out
 
     def hess(x):
-        out = np.zeros((m, n, n))
+        out = np.zeros(x.shape[:-1] + (m, n, n))
         for a, rows in enumerate(comps):
             for c, e in rows:
                 for i in range(n):
@@ -234,7 +260,7 @@ def polynomial_graph(n: int, m: int, components) -> GraphImmersion:
                         shifted[j] -= 1
                         if min(shifted) < 0:
                             continue
-                        out[a, i, j] += mono(x, c * factor, tuple(shifted))
+                        out[..., a, i, j] += mono(x, c * factor, tuple(shifted))
         return out
 
     G = GraphImmersion(n, m, f, jac, hess, name="polynomial")
@@ -290,7 +316,7 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
     n, m = G.n, G.m
     J = G.jac(x)
     Hf = G.hess(x)
-    g = np.eye(n) + J.T @ J
+    g = _metric(J)
     det_g = float(np.linalg.det(g))
     slope = math.sqrt(det_g)
     g_inv = np.linalg.inv(g)
@@ -329,7 +355,8 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
     h = certifier.HTensor(h_raw)
 
     mean_h = np.einsum("aii->a", h.h)
-    gauss = grassmann.make_point(np.hstack([np.eye(n), J.T]))
+    # (I | Df^T) has singular values >= 1, so it needs no rank check
+    gauss = grassmann.GrassmannPoint(grassmann._orthonormalize_rows(_tangent_rows(J)))
     return PointGeometry(
         x=x,
         g=g,
@@ -345,22 +372,48 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
     )
 
 
-def graph_v(G: GraphImmersion, x, P0: grassmann.GrassmannPoint | None = None) -> float:
-    """v(gauss(x), P0) without building frames; P0 = None means the base plane.
+def _metric(J: np.ndarray) -> np.ndarray:
+    """Induced metric g = I + Df^T Df of an (..., m, n) stack of Jacobians."""
+    return np.eye(J.shape[-1]) + np.swapaxes(J, -1, -2) @ J
 
-    Uses w(P, P0) = det((I | Df^T) P0^T) / sqrt(det(I + Df^T Df)).
+
+def _flux_coefficients(g: np.ndarray) -> np.ndarray:
+    """sqrt(det g) g^{-1} over a stack of metrics: the divergence-form coefficients."""
+    return np.sqrt(np.linalg.det(g))[..., None, None] * np.linalg.inv(g)
+
+
+def _tangent_rows(J: np.ndarray) -> np.ndarray:
+    """(I | Df^T), shape (..., n, n+m): rows spanning each Gauss plane of the stack."""
+    n = J.shape[-1]
+    eye = np.broadcast_to(np.eye(n), J.shape[:-2] + (n, n))
+    return np.concatenate([eye, np.swapaxes(J, -1, -2)], axis=-1)
+
+
+def _chart_pairing(J: np.ndarray, P0: grassmann.GrassmannPoint):
+    """R P0^T, sqrt(det(R R^T)) and w(gauss, P0) for R = (I | Df^T) over a stack of Jacobians.
+
+    w = det(R P0^T) / sqrt(det(R R^T)); raises OutOfChart unless it is
+    positive at every point of the stack.
+    """
+    A = _tangent_rows(J) @ P0.frame.T
+    vol = np.sqrt(np.linalg.det(_metric(J)))
+    w = np.linalg.det(A) / vol
+    if np.any(w <= grassmann.CHART_TOL):
+        raise OutOfChart(f"{int(np.sum(w <= grassmann.CHART_TOL))} Gauss plane(s) outside the chart of P0")
+    return A, vol, w
+
+
+def graph_v(G: GraphImmersion, x, P0: grassmann.GrassmannPoint | None = None) -> np.ndarray:
+    """v(gauss(x), P0) at each point of an (..., n) stack, shape (...), without frames.
+
+    P0 = None means the base plane.  Uses
+    w(P, P0) = det((I | Df^T) P0^T) / sqrt(det(I + Df^T Df)).
     """
     x = G.require(x)
     J = G.jac(x)
-    Z = J.T
-    det_gram = float(np.linalg.det(np.eye(G.n) + Z @ Z.T))
     if P0 is None:
-        return math.sqrt(det_gram)
-    rows = np.hstack([np.eye(G.n), Z])
-    w = float(np.linalg.det(rows @ P0.frame.T)) / math.sqrt(det_gram)
-    if w <= grassmann.CHART_TOL:
-        raise OutOfChart(f"gauss({x}) is outside the chart of P0")
-    return 1.0 / w
+        return np.sqrt(np.linalg.det(_metric(J)))
+    return 1.0 / _chart_pairing(J, P0)[2]
 
 
 def laplacian_v_closed_form(
@@ -388,6 +441,41 @@ def laplacian_v_closed_form(
     return certifier.laplacian_v(lam, h)
 
 
+@functools.lru_cache(maxsize=None)
+def _fd_stencil(n: int):
+    """Index bookkeeping of the divergence-form stencil in dimension n.
+
+    Returns the 2n^2 + 1 distinct integer offsets (row 0 the centre), the
+    index arrays a, b, c, d of shape (2, n, n) and the diagonal mask.  For
+    the half-step x + s (step/2) e_i, s = +1 then -1, the gradient component
+    j is (u[a] - u[b]) / step when j == i and (u[a] - u[b] + u[c] - u[d]) /
+    (4 step) otherwise, u being the values at x + step * offsets.
+    """
+    eye = np.eye(n, dtype=int)
+    zero = np.zeros(n, dtype=int)
+    offsets = {tuple(zero): 0}
+
+    def index(offset) -> int:
+        return offsets.setdefault(tuple(offset), len(offsets))
+
+    abcd = np.zeros((4, 2, n, n), dtype=np.intp)
+    for s, side in enumerate((1, -1)):
+        for i in range(n):
+            base = side * eye[i]
+            for j in range(n):
+                if j == i:
+                    pair = (base, zero) if side > 0 else (zero, base)
+                    abcd[:, s, i, j] = [index(pair[0]), index(pair[1]), 0, 0]
+                else:
+                    abcd[:, s, i, j] = [index(base + eye[j]), index(base - eye[j]),
+                                        index(eye[j]), index(-eye[j])]
+    table = np.array(list(offsets), dtype=float)
+    diag = np.eye(n, dtype=bool)
+    for arr in (table, abcd, diag):
+        arr.flags.writeable = False    # shared by every call through the cache
+    return table, abcd, diag
+
+
 def laplacian_v_finite_difference(
     G: GraphImmersion,
     x,
@@ -398,50 +486,24 @@ def laplacian_v_finite_difference(
 
     Conservative second-order scheme: fluxes sqrt(det g) g^{ij} du/dx^j are
     evaluated at half-steps, cross derivatives by averaged central
-    differences.
+    differences.  The 2n^2 + 1 stencil values take one batched `graph_v`,
+    the 2n flux coefficients and the centre's volume element one batched
+    Jacobian.
     """
     x = G.require(x, margin=2.0 * step)
     n = G.n
-    cache: dict[tuple, float] = {}
+    offsets, (a, b, c, d), diag = _fd_stencil(n)
+    u = graph_v(G, x + step * offsets, P0)
+    first = u[a] - u[b]
+    grad = np.where(diag, first / step, (first + u[c] - u[d]) / (4.0 * step))   # (2, n, n)
 
-    def u(offset: tuple) -> float:
-        if offset not in cache:
-            cache[offset] = graph_v(G, x + step * np.asarray(offset, dtype=float), P0)
-        return cache[offset]
-
-    def coeff(y: np.ndarray) -> np.ndarray:
-        J = G.jac(y)
-        g = np.eye(n) + J.T @ J
-        return math.sqrt(float(np.linalg.det(g))) * np.linalg.inv(g)
-
-    def grad_at_half(i: int, side: int) -> np.ndarray:
-        """Gradient of u at x + side*(step/2) e_i, second order."""
-        grad = np.zeros(n)
-        base = np.zeros(n, dtype=int)
-        base[i] = side
-        for j in range(n):
-            if j == i:
-                if side > 0:
-                    grad[j] = (u(tuple(base)) - u(tuple(np.zeros(n, dtype=int)))) / step
-                else:
-                    grad[j] = (u(tuple(np.zeros(n, dtype=int))) - u(tuple(base))) / step
-            else:
-                ej = np.zeros(n, dtype=int)
-                ej[j] = 1
-                grad[j] = (
-                    u(tuple(base + ej)) - u(tuple(base - ej)) + u(tuple(ej)) - u(tuple(-ej))
-                ) / (4.0 * step)
-        return grad
-
-    total = 0.0
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = 1.0
-        flux_plus = coeff(x + 0.5 * step * ei)[i] @ grad_at_half(i, +1)
-        flux_minus = coeff(x - 0.5 * step * ei)[i] @ grad_at_half(i, -1)
-        total += (flux_plus - flux_minus) / step
-    sqrt_g = math.sqrt(float(np.linalg.det(np.eye(n) + G.jac(x).T @ G.jac(x))))
-    return total / sqrt_g
+    half = (0.5 * step) * np.concatenate([np.eye(n), -np.eye(n)])
+    g = _metric(G.jac(x + np.vstack([half, np.zeros(n)])))
+    coeff = _flux_coefficients(g[:-1]).reshape(2, n, n, n)
+    rows = coeff[:, np.arange(n), np.arange(n)]                                  # row i at half-step (s, i)
+    flux = (rows[..., None, :] @ grad[..., :, None])[..., 0, 0]                  # (2, n)
+    total = np.sum((flux[0] - flux[1]) / step)
+    return float(total / np.sqrt(np.linalg.det(g[-1])))
 
 
 def ellipticity_check(
@@ -455,28 +517,24 @@ def ellipticity_check(
 
     When the slope stays below beta0 on the region, the ratios lie in
     [1/beta0, beta0]; slope <= 3 gives the universal window [1/3, 3].
+    Points are drawn one at a time (the draw order fixes the sample); the
+    linear algebra runs once on the whole sample.
     """
     from .rng import substream
 
     center = np.asarray(center, dtype=float)
     rng = substream(seed, 11)
-    lo, hi = math.inf, -math.inf
-    accepted = 0
-    while accepted < samples:
+    ys = []
+    while len(ys) < samples:
         direction = rng.standard_normal(G.n)
         direction /= np.linalg.norm(direction)
         r = radius * rng.uniform() ** (1.0 / G.n)
         y = center + r * direction
-        if not G.contains(y):
-            continue
-        accepted += 1
-        J = G.jac(y)
-        g = np.eye(G.n) + J.T @ J
-        A = math.sqrt(float(np.linalg.det(g))) * np.linalg.inv(g)
-        eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
-        lo = min(lo, float(eigs[0]))
-        hi = max(hi, float(eigs[-1]))
-    return lo, hi
+        if G.contains(y):
+            ys.append(y)
+    A = _flux_coefficients(_metric(G.jac(np.reshape(ys, (-1, G.n)))))
+    eigs = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))
+    return float(eigs[:, 0].min(initial=math.inf)), float(eigs[:, -1].max(initial=-math.inf))
 
 
 def mean_gauss_image(
@@ -491,7 +549,10 @@ def mean_gauss_image(
     Tensor-product Gauss-Legendre nodes on the bounding cube restricted to
     the ball, weighted by the volume element sqrt(det g); the embedded mean
     is pulled back through the inverse embedding.  Convexity of balls under
-    the embedding guarantees v(mean, P0) <= sup v over the nodes.
+    the embedding guarantees v(mean, P0) <= sup v over the nodes.  All nodes
+    go through one batched Jacobian; the chart matrix of the Gauss plane at
+    a node is Z = (R P0^T)^{-1} R N0^T with R = (I | Df^T) and N0 the normal
+    frame of P0.
     """
     center = np.asarray(center, dtype=float)
     if P0 is None:
@@ -502,18 +563,18 @@ def mean_gauss_image(
     wgrids = np.meshgrid(*([weights1d] * G.n), indexing="ij")
     wts = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
     inside = np.linalg.norm(pts, axis=1) <= radius
-    total_w = 0.0
-    total_y = np.zeros(G.n * G.m)
-    for offset, w in zip(pts[inside], wts[inside]):
-        y = center + offset
-        if not G.contains(y):
-            continue
-        J = G.jac(y)
-        Z = grassmann.to_chart(grassmann.make_point(np.hstack([np.eye(G.n), J.T])), P0)
-        vol = math.sqrt(float(np.linalg.det(np.eye(G.n) + J.T @ J)))
-        total_y += w * vol * grassmann.t_embedding(Z)
-        total_w += w * vol
+    ys = center + pts[inside]
+    in_domain = G.contains(ys)
+    ys, wts = ys[in_domain], wts[inside][in_domain]
+    J = G.jac(ys)
+    A, vol, _ = _chart_pairing(J, P0)
+    Z = np.linalg.solve(A, _tangent_rows(J) @ P0.normal_frame.T)
+    wv = wts * vol
+    # the weights ride as one more column so that both totals add the nodes
+    # in the same order (a 1-D sum would pair its terms instead)
+    totals = np.sum(np.concatenate([wv[:, None] * grassmann.t_embedding(Z), wv[:, None]], axis=1), axis=0)
+    total_w = totals[-1]
     if total_w <= 0.0:
         raise OutOfDomain("no quadrature nodes inside the domain ball")
-    Zbar = grassmann.t_embedding_inverse(total_y / total_w, G.n, G.m)
+    Zbar = grassmann.t_embedding_inverse(totals[:-1] / total_w, G.n, G.m)
     return grassmann.from_chart(Zbar, P0)

@@ -349,13 +349,15 @@ def in_bjx(P: GrassmannPoint, P0: GrassmannPoint) -> bool:
 
 
 def t_embedding(Z: np.ndarray) -> np.ndarray:
-    """Radial chart embedding Z -> (v(Z) - 1) Z / |Z|, flattened to R^(nm)."""
+    """Radial chart embedding Z -> (v(Z) - 1) Z / |Z|, flattened: (..., n, m) -> (..., nm)."""
     Z = np.asarray(Z, dtype=float)
-    nz = float(np.linalg.norm(Z))
-    if nz == 0.0:
-        return np.zeros(Z.size)
-    v = float(np.sqrt(np.linalg.det(np.eye(Z.shape[0]) + Z @ Z.T)))
-    return ((v - 1.0) / nz) * Z.ravel()
+    flat = Z.reshape(Z.shape[:-2] + (-1,))
+    # a row times a column is one BLAS dot, the sum np.linalg.norm takes of a
+    # single matrix, so each matrix of a stack maps as it would alone
+    nz = np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0])
+    v = np.sqrt(np.linalg.det(np.eye(Z.shape[-2]) + Z @ np.swapaxes(Z, -1, -2)))
+    # Z = 0 has v = 1, so any divisor maps it to 0
+    return ((v - 1.0) / np.where(nz > 0.0, nz, 1.0))[..., None] * flat
 
 
 def t_embedding_inverse(y: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -412,18 +414,24 @@ def sample_chart_sublevel(
 
     The box |Z_ij| <= sqrt(v_bound^2 - 1) contains the whole sublevel set,
     so rejection sampling covers it without needing the invariant measure.
+    Since det(I + Z Z^T) = prod(1 + s_i^2) >= 1 + |Z|_F^2, a draw with
+    1 + |Z|_F^2 > v_bound^2 lies outside; such draws are dropped before
+    `chart_v` runs, with a relative margin of 1e-9 that keeps every draw
+    `chart_v` would accept.
     """
     if v_bound < 1.0:
         raise ValueError("v_bound must be >= 1")
     half = float(np.sqrt(max(v_bound * v_bound - 1.0, 0.0)))
     if half == 0.0:
         return np.zeros((count, n, m))
+    norm_bound = v_bound * v_bound * (1.0 + 1e-9)
     out = np.empty((count, n, m))
     filled = 0
     rate = 0.25
     while filled < count:
         draw = int(min(2_000_000, max(1024, 1.2 * (count - filled) / rate)))
         Zs = rng.uniform(-half, half, size=(draw, n, m))
+        Zs = Zs[1.0 + np.einsum("kia,kia->k", Zs, Zs) <= norm_bound]
         keep = Zs[chart_v(Zs) <= v_bound]
         rate = max(keep.shape[0] / draw, 1e-3)
         take = min(count - filled, keep.shape[0])

@@ -309,7 +309,7 @@ class IterationTrace:
 
 def t_mean(cloud, P: grassmann.GrassmannPoint) -> grassmann.GrassmannPoint:
     """Mean of a cloud through the radial chart embedding around P."""
-    ys = np.stack([grassmann.t_embedding(grassmann.to_chart(pt, P)) for pt in cloud])
+    ys = grassmann.t_embedding(np.stack([grassmann.to_chart(pt, P) for pt in cloud]))
     Zbar = grassmann.t_embedding_inverse(ys.mean(axis=0), P.n, P.m)
     return grassmann.from_chart(Zbar, P)
 
@@ -317,12 +317,11 @@ def t_mean(cloud, P: grassmann.GrassmannPoint) -> grassmann.GrassmannPoint:
 def _contract_cloud(cloud, center_pt, P, rho: float):
     """Pull every cloud point towards center_pt by factor rho, in P's embedding."""
     yq = grassmann.t_embedding(grassmann.to_chart(center_pt, P))
-    out = []
-    for pt in cloud:
-        y = grassmann.t_embedding(grassmann.to_chart(pt, P))
-        ynew = yq + rho * (y - yq)
-        out.append(grassmann.from_chart(grassmann.t_embedding_inverse(ynew, P.n, P.m), P))
-    return out
+    ys = grassmann.t_embedding(np.stack([grassmann.to_chart(pt, P) for pt in cloud]))
+    return [
+        grassmann.from_chart(grassmann.t_embedding_inverse(yq + rho * (y - yq), P.n, P.m), P)
+        for y in ys
+    ]
 
 
 def iterate(

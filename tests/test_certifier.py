@@ -124,6 +124,13 @@ class TestBlockCatalogue:
         cert = ct.compute_K0(n, m, beta0, audit_samples=2_000, seed=8)
         assert cert.k0 == pytest.approx(min(1.0, beta0 * (3.0 - beta0) / 2.0), abs=1e-6)
 
+    @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 3)])
+    def test_report_closed_form_gap(self, n, m):
+        report = ct.compute_K0(n, m, 2.9, audit_samples=2_000, seed=8).to_dict()
+        assert report["k0_closed_form"] == ct.k0_closed_form(m, 2.9)
+        assert report["closed_form_gap"] == report["k0"] - report["k0_closed_form"]
+        assert abs(report["closed_form_gap"]) <= 1e-6
+
 
 class TestPairBound:
     def test_worst_margin_nonnegative(self):

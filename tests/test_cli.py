@@ -158,6 +158,15 @@ class TestCommands:
         assert all(a >= b - 1e-9 for a, b in zip(k0s, k0s[1:]))
         assert 0.0 < k0s[-1] < 0.05
 
+    def test_sweep_reports_closed_form_gap(self):
+        proc = run_cli(["sweep-k0", "--n", "3", "--m", "2", "--samples", "1000"])
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        assert payload["summary"]["fail"] == 0
+        for row in payload["payload"]["rows"]:
+            assert row["k0_closed_form"] == min(1.0, row["beta0"] * (3.0 - row["beta0"]) / 2.0)
+            assert abs(row["closed_form_gap"]) <= 1e-6
+
     def test_cross_validate(self):
         proc = run_cli(["cross-validate", "--example", "holomorphic_pair", "--samples", "20"])
         assert proc.returncode == 0

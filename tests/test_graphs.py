@@ -64,6 +64,53 @@ class TestBuiltins:
             gg.point_geometry(G, np.zeros(4))
 
 
+POLY_SPEC = {
+    "n": 3,
+    "m": 2,
+    "components": [
+        {"monomials": [{"exponents": [3, 0, 1], "coeff": 0.5}, {"exponents": [0, 2, 0], "coeff": -1.0}]},
+        {"monomials": [{"exponents": [1, 1, 2], "coeff": 2.0}, {"exponents": [0, 0, 0], "coeff": 0.25}]},
+    ],
+}
+
+
+class TestBatchedDerivatives:
+    @pytest.mark.parametrize("make", [
+        lambda: gg.builtin("affine"),
+        lambda: gg.builtin("holomorphic_pair"),
+        lambda: gg.builtin("lawson_osserman"),
+        lambda: gg.graph_from_spec(POLY_SPEC),
+    ])
+    def test_stack_equals_stacked_points(self, make):
+        G = make()
+        X = substream(26, G.n).uniform(0.3, 1.2, (40, G.n))
+        for method, shape in ((G.f, (G.m,)), (G.jac, (G.m, G.n)), (G.hess, (G.m, G.n, G.n))):
+            stacked = method(X)
+            assert stacked.shape == (40,) + shape
+            assert np.abs(stacked - np.stack([method(x) for x in X])).max() <= 1e-15
+        assert G.hess(X.reshape(4, 10, G.n)).shape == (4, 10, G.m, G.n, G.n)
+
+    def test_contains_on_a_stack(self):
+        G = gg.builtin("lawson_osserman")
+        X = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 1e-4, 0.0, 0.0]])
+        assert G.contains(X).tolist() == [True, False, True]
+        assert G.contains(X, margin=1e-3).tolist() == [True, False, False]
+        assert G.contains(X[0]) is True
+        with pytest.raises(OutOfDomain):
+            G.require(X)
+
+    def test_graph_v_stack(self):
+        G = gg.builtin("holomorphic_pair")
+        P0 = gr.from_chart(np.full((3, 2), 0.07), gr.standard_plane(3, 2))
+        X = substream(26, 9).uniform(-0.5, 0.5, (25, 3))
+        for Q in (None, P0):
+            stacked = gg.graph_v(G, X, Q)
+            assert stacked.shape == (25,)
+            assert stacked.tobytes() == np.array([gg.graph_v(G, x, Q) for x in X]).tobytes()
+        slopes = np.array([gg.point_geometry(G, x).slope for x in X])
+        assert np.abs(gg.graph_v(G, X) - slopes).max() < 1e-12
+
+
 class TestPointGeometry:
     def test_affine_flat(self):
         A = np.array([[0.5, -0.25, 0.0], [0.1, 0.3, -0.2]])
@@ -204,6 +251,23 @@ class TestFiniteDifference:
         cf = gg.laplacian_v_closed_form(G, x, P0)
         fd = gg.laplacian_v_finite_difference(G, x, P0, step=1e-3)
         assert abs(cf - fd) / abs(cf) < 1e-3
+
+    def test_jacobian_calls_independent_of_n(self):
+        # the stencil and the flux coefficients each take one batched Jacobian
+        calls = []
+        for G in (gg.builtin("holomorphic_pair"), gg.builtin("lawson_osserman"),
+                  gg.affine_graph(substream(23, 2).uniform(-1, 1, (3, 6)))):
+            count = [0]
+
+            def jac(x, G=G, count=count):
+                count[0] += 1
+                return G.jac(x)
+
+            W = gg.GraphImmersion(G.n, G.m, G.f, jac, G.hess, excluded=G.excluded, name=G.name)
+            x = np.full(G.n, 0.45)
+            assert gg.laplacian_v_finite_difference(W, x) == gg.laplacian_v_finite_difference(G, x)
+            calls.append(count[0])
+        assert calls == [2, 2, 2]
 
     def test_domain_margin(self):
         G = gg.builtin("lawson_osserman")

@@ -328,3 +328,35 @@ class TestTEmbedding:
     def test_round_trip(self, Z):
         back = gr.t_embedding_inverse(gr.t_embedding(Z), 2, 2)
         assert np.abs(back - Z).max() < 1e-8
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 3)])
+    def test_stack_maps_as_its_items(self, n, m):
+        Zs = substream(9, 1).uniform(-2, 2, (300, n, m))
+        Zs[0] = 0.0
+        stacked = gr.t_embedding(Zs)
+        assert stacked.shape == (300, n * m)
+        assert stacked.tobytes() == np.stack([gr.t_embedding(Z) for Z in Zs]).tobytes()
+
+
+def chart_v_only_sampler(n, m, v_bound, count, rng):
+    """sample_chart_sublevel without the norm pre-filter: the same draws and batch sizing."""
+    half = math.sqrt(v_bound * v_bound - 1.0)
+    out, filled, rate = [], 0, 0.25
+    while filled < count:
+        draw = int(min(2_000_000, max(1024, 1.2 * (count - filled) / rate)))
+        Zs = rng.uniform(-half, half, size=(draw, n, m))
+        keep = Zs[gr.chart_v(Zs) <= v_bound]
+        rate = max(keep.shape[0] / draw, 1e-3)
+        take = min(count - filled, keep.shape[0])
+        out.append(keep[:take])
+        filled += take
+    return np.concatenate(out)
+
+
+class TestChartSampler:
+    @pytest.mark.parametrize("n,m,count", [(2, 2, 5_000), (3, 2, 2_000), (4, 3, 5)])
+    def test_norm_prefilter_keeps_the_accepted_set(self, n, m, count):
+        # 1 + |Z|_F^2 <= det(I + Z Z^T) makes the pre-filter a necessary condition
+        got = gr.sample_chart_sublevel(n, m, 2.9, count, substream(10, n))
+        ref = chart_v_only_sampler(n, m, 2.9, count, substream(10, n))
+        assert got.tobytes() == ref.tobytes()
