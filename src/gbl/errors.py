@@ -22,7 +22,7 @@ class CutLocus(GBLError):
 
 
 class InversionFailure(GBLError):
-    """Radial root-find for the ball embedding failed to bracket."""
+    """The radius solve of the inverse radial embedding did not settle."""
 
 
 class OutOfDomain(GBLError):

@@ -315,29 +315,12 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
     x = G.require(x)
     n, m = G.n, G.m
     J = G.jac(x)
-    Hf = G.hess(x)
     g = _metric(J)
     det_g = float(np.linalg.det(g))
     slope = math.sqrt(det_g)
     g_inv = np.linalg.inv(g)
 
-    U, s, Vt = np.linalg.svd(J, full_matrices=True)
-    lambdas = np.zeros(m)
-    lambdas[: s.size] = s
-    for a in range(m):
-        if U[a, a] < 0.0:
-            U[:, a] *= -1.0
-            if a < Vt.shape[0]:
-                Vt[a, :] *= -1.0
-    for i in range(m, n):
-        if Vt[i, i] < 0.0:
-            Vt[i, :] *= -1.0
-    V = Vt.T
-
-    lam_n = np.zeros(n)
-    lam_n[:m] = lambdas
-    tang_scale = 1.0 / np.sqrt(1.0 + lam_n**2)
-    norm_scale = 1.0 / np.sqrt(1.0 + lambdas**2)
+    lambdas, U, V, tang_scale, norm_scale, h = _adapted_second_form(J, G.hess(x))
     # tangent rows t_i = (V_i, s_i U_i) / sqrt(1 + s_i^2)
     tangent = np.zeros((n, n + m))
     tangent[:, :n] = (V * tang_scale[None, :]).T
@@ -346,13 +329,6 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
     normal = np.zeros((m, n + m))
     normal[:, :n] = -(V[:, :m] * (lambdas * norm_scale)[None, :]).T
     normal[:, n:] = (U * norm_scale[None, :]).T
-
-    D2 = np.einsum("bkl,ki,lj->bij", Hf, V, V)
-    h_raw = np.einsum("ba,bij->aij", U, D2)
-    h_raw *= norm_scale[:, None, None]
-    h_raw *= tang_scale[None, :, None]
-    h_raw *= tang_scale[None, None, :]
-    h = certifier.HTensor(h_raw)
 
     mean_h = np.einsum("aii->a", h.h)
     # (I | Df^T) has singular values >= 1, so it needs no rank check
@@ -370,6 +346,40 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
         tangent_frame=tangent,
         normal_frame=normal,
     )
+
+
+def _adapted_second_form(J: np.ndarray, Hf: np.ndarray):
+    """SVD-adapted data of one point: lambdas, U, V, the tangent and normal scales, and h.
+
+    Df = U diag(s) V^T with pair signs fixed so the normal frame leans
+    positively along the later coordinate axes; lambdas are s padded to m,
+    the scales 1 / sqrt(1 + lambda^2) over the n tangent and m normal slots,
+    and h the second fundamental form in the frames these define.
+    """
+    m, n = J.shape
+    U, s, Vt = np.linalg.svd(J, full_matrices=True)
+    lambdas = np.zeros(m)
+    lambdas[: s.size] = s
+    for a in range(m):
+        if U[a, a] < 0.0:
+            U[:, a] *= -1.0
+            if a < Vt.shape[0]:
+                Vt[a, :] *= -1.0
+    for i in range(m, n):
+        if Vt[i, i] < 0.0:
+            Vt[i, :] *= -1.0
+    V = Vt.T
+
+    lam_n = np.zeros(n)
+    lam_n[:m] = lambdas
+    tang_scale = 1.0 / np.sqrt(1.0 + lam_n**2)
+    norm_scale = 1.0 / np.sqrt(1.0 + lambdas**2)
+    D2 = np.einsum("bkl,ki,lj->bij", Hf, V, V)
+    h_raw = np.einsum("ba,bij->aij", U, D2)
+    h_raw *= norm_scale[:, None, None]
+    h_raw *= tang_scale[None, :, None]
+    h_raw *= tang_scale[None, None, :]
+    return lambdas, U, V, tang_scale, norm_scale, certifier.HTensor(h_raw)
 
 
 def _metric(J: np.ndarray) -> np.ndarray:
@@ -423,12 +433,14 @@ def laplacian_v_closed_form(
 
     Assumes the immersion has parallel mean curvature (the builtins are
     minimal); with P0 = None the base coordinate plane is used and the
-    SVD-adapted frames of `point_geometry` apply directly.
+    SVD-adapted lambdas and h of `point_geometry` apply directly, without
+    the metric, frames or Gauss plane.
     """
-    pg = point_geometry(G, x)
     if P0 is None:
-        lam = certifier.LambdaProfile(G.n, G.m, pg.lambdas)
-        return certifier.laplacian_v(lam, pg.h)
+        x = G.require(x)
+        lambdas, *_, h = _adapted_second_form(G.jac(x), G.hess(x))
+        return certifier.laplacian_v(certifier.LambdaProfile(G.n, G.m, lambdas), h)
+    pg = point_geometry(G, x)
     frames = grassmann.adapted_frames(pg.gauss, P0)
     if grassmann.w_pairing(pg.gauss, P0) <= grassmann.CHART_TOL:
         raise OutOfChart("gauss image outside the chart of P0")

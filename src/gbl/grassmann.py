@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+# not called here: perfbench/tracing.py wraps grassmann.brentq by name
+from scipy.optimize import brentq  # noqa: F401
 
 from .errors import (
     CutLocus,
@@ -46,6 +47,8 @@ _SNAP_ONE = 1.0 - 5e-15
 # below this angle the principal normal direction is taken from the
 # orthonormal completion instead of the ill-conditioned difference formula
 _ANGLE_SPLIT = 1e-5
+# Newton steps allowed to the radius solve of `t_embedding_inverse`
+_NEWTON_CAP = 100
 
 
 def _orthonormalize_rows(rows: np.ndarray) -> np.ndarray:
@@ -361,29 +364,38 @@ def t_embedding(Z: np.ndarray) -> np.ndarray:
 
 
 def t_embedding_inverse(y: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Inverse of `t_embedding` by a monotone 1-D root-find on the radius."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != n * m:
-        raise DimensionMismatch(f"expected a vector of length {n * m}, got {y.size}")
-    ny = float(np.linalg.norm(y))
-    if ny == 0.0:
-        return np.zeros((n, m))
-    direction = y.reshape(n, m) / ny
-    target = 1.0 + ny
-    eye = np.eye(n)
+    """Inverse of `t_embedding` on a stack: (..., nm) -> (..., n, m).
 
-    def grow(t: float) -> float:
-        return float(np.sqrt(np.linalg.det(eye + (t * t) * (direction @ direction.T)))) - target
-
-    # v(t * direction) >= sqrt(1 + t^2 / p) since the top singular value of a
-    # unit-Frobenius matrix is at least 1/sqrt(p); this brackets the root.
-    p = min(n, m)
-    hi = float(np.sqrt(p) * np.sqrt(target * target - 1.0)) + 1.0
-    try:
-        t0 = brentq(grow, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    except ValueError as exc:  # pragma: no cover - bracket is guaranteed
-        raise InversionFailure(str(exc)) from exc
-    return t0 * direction
+    With D = y / |y| and sigma the singular values of D, v(t D)^2 =
+    prod(1 + t^2 sigma_i^2), so u = t^2 solves
+    F(u) = sum log1p(u sigma_i^2) - 2 log1p(|y|) = 0.  F is concave and
+    increasing with F(0) <= 0, so Newton from u = 0 rises monotonically to
+    the root.  A row is frozen once its step stops raising u, so each row
+    of a stack maps byte-identically to the row alone; zero rows map to 0.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1:] != (n * m,):
+        raise DimensionMismatch(f"expected vectors of length {n * m}, got shape {y.shape}")
+    # the row-times-column dot is the one np.linalg.norm takes of a vector
+    ny = np.sqrt((y[..., None, :] @ y[..., :, None])[..., 0, 0])
+    direction = (y / np.where(ny > 0.0, ny, 1.0)[..., None]).reshape(y.shape[:-1] + (n, m))
+    s2 = np.linalg.svd(direction, compute_uv=False) ** 2
+    target = 2.0 * np.log1p(ny)
+    u = np.zeros_like(ny)
+    active = ny > 0.0
+    for _ in range(_NEWTON_CAP):
+        if not np.any(active):
+            break
+        us2 = u[..., None] * s2
+        # zero rows have F = F' = 0; their NaN step never counts as a rise
+        with np.errstate(invalid="ignore"):
+            step = u - (np.sum(np.log1p(us2), axis=-1) - target) / np.sum(s2 / (1.0 + us2), axis=-1)
+        active &= step > u
+        u = np.where(active, step, u)
+    else:
+        if np.any(active):
+            raise InversionFailure(f"radius solve not settled after {_NEWTON_CAP} Newton steps")
+    return np.sqrt(u)[..., None, None] * direction
 
 
 # ---------------------------------------------------------------------------

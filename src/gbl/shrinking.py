@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import grassmann
-from .errors import PreconditionViolated, RootBracketFailure, Stalled
+from .errors import DimensionMismatch, OutOfChart, PreconditionViolated, RootBracketFailure, Stalled
 from .rng import substream
 
 
@@ -307,21 +307,18 @@ class IterationTrace:
         }
 
 
-def t_mean(cloud, P: grassmann.GrassmannPoint) -> grassmann.GrassmannPoint:
-    """Mean of a cloud through the radial chart embedding around P."""
-    ys = grassmann.t_embedding(np.stack([grassmann.to_chart(pt, P) for pt in cloud]))
-    Zbar = grassmann.t_embedding_inverse(ys.mean(axis=0), P.n, P.m)
-    return grassmann.from_chart(Zbar, P)
+def _chart_stack(R: np.ndarray, P: grassmann.GrassmannPoint, v) -> tuple[np.ndarray, np.ndarray]:
+    """Chart matrices around P of the planes spanned by a (K, n, n+m) stack of rows R, and w.
 
-
-def _contract_cloud(cloud, center_pt, P, rho: float):
-    """Pull every cloud point towards center_pt by factor rho, in P's embedding."""
-    yq = grassmann.t_embedding(grassmann.to_chart(center_pt, P))
-    ys = grassmann.t_embedding(np.stack([grassmann.to_chart(pt, P) for pt in cloud]))
-    return [
-        grassmann.from_chart(grassmann.t_embedding_inverse(yq + rho * (y - yq), P.n, P.m), P)
-        for y in ys
-    ]
+    Z = solve(R P^T, R N^T) needs no orthonormal rows.  `v` is
+    sqrt(det(R R^T)) per plane, so w = det(R P^T) / v is the pairing
+    `to_chart` checks; raises OutOfChart unless every w > CHART_TOL.
+    """
+    A = R @ P.frame.T
+    w = np.linalg.det(A) / v
+    if np.any(w <= grassmann.CHART_TOL):
+        raise OutOfChart(f"{int(np.sum(w <= grassmann.CHART_TOL))} cloud point(s) outside the chart of the center")
+    return np.linalg.solve(A, R @ P.normal_frame.T), w
 
 
 def iterate(
@@ -340,18 +337,28 @@ def iterate(
     for the concentration the elliptic theory provides) until the certified
     bound has dropped by eps1.  Raises Stalled when even full contraction
     cannot achieve half the decrement.
+
+    The cloud is charted once, as a (K, n, m) stack around the initial
+    center, and moved to each new center's chart by one batched solve; a
+    contraction factor costs one batched `t_embedding_inverse` and one
+    batched `chart_v`.
     """
     if not cloud:
         raise PreconditionViolated("empty cloud")
     P = initial_center if initial_center is not None else grassmann.standard_plane(cloud[0].n, cloud[0].m)
     if q0_bound > params.beta0 * (1.0 + 1e-12):
         raise PreconditionViolated("q0_bound must not exceed beta0")
-    b0 = max(grassmann.v_value(pt, P) for pt in cloud)
+    if any((pt.n, pt.m) != (P.n, P.m) for pt in cloud):
+        raise DimensionMismatch(f"every cloud point must be a ({P.n},{P.m}) plane")
+    # orthonormal frames have sqrt(det(R R^T)) = 1, and v(pt, P) = 1 / w
+    Zs, w = _chart_stack(np.stack([pt.frame for pt in cloud]), P, 1.0)
+    b0 = float(np.max(1.0 / np.minimum(w, 1.0)))
     if b0 > q0_bound * (1.0 + 1e-9):
         raise PreconditionViolated(f"cloud exceeds the certified bound: {b0:.6f} > {q0_bound:.6f}")
 
+    n, m = P.n, P.m
     eps1 = float(epsilon1) if epsilon1 is not None else float(
-        compute_epsilon1(params.a, params.beta0, m=cloud[0].m)
+        compute_epsilon1(params.a, params.beta0, m=m)
     )
     thr = params.threshold
     k_planned = int((params.a - thr) / eps1) + 1
@@ -362,15 +369,20 @@ def iterate(
     bj = q0_bound
     limit = max_steps if max_steps is not None else k_planned + 5
     while bj >= thr and trace.k_actual < limit:
-        q = t_mean(cloud, P)
+        # witness: the cloud's mean through the radial embedding around P
+        ybar = grassmann.t_embedding(Zs).mean(axis=0)
+        q = grassmann.from_chart(grassmann.t_embedding_inverse(ybar, n, m), P)
         res = shrink_center(P, q, dataclasses.replace(params, b=bj), eps1)
+        # the cloud and the witness in the chart of the new center, embedded once
+        Zs = _chart_stack(P.frame + Zs @ P.normal_frame, res.p2, grassmann.chart_v(Zs))[0]
+        ys = grassmann.t_embedding(Zs)
+        yq = grassmann.t_embedding(grassmann.to_chart(q, res.p2))
         target = max(bj - eps1, 1.0 + 1e-9)
         rho = contraction
-        new_cloud = cloud
-        bn = math.inf
         for _ in range(60):
-            new_cloud = _contract_cloud(cloud, q, res.p2, rho)
-            bn = max(grassmann.v_value(pt, res.p2) for pt in new_cloud)
+            # pull every cloud point towards the witness by rho in the embedding
+            new_Zs = grassmann.t_embedding_inverse(yq + rho * (ys - yq), n, m)
+            bn = float(np.max(grassmann.chart_v(new_Zs)))
             if bn <= target:
                 break
             rho *= 0.5
@@ -378,7 +390,7 @@ def iterate(
             raise Stalled(
                 f"step {trace.k_actual}: bound {bn:.6f} did not decrement from {bj:.6f} by eps1/2"
             )
-        cloud = new_cloud
+        Zs = new_Zs
         P = res.p2
         bj = bn
         trace.centers.append(P)

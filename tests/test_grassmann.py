@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gbl import grassmann as gr
-from gbl.errors import CutLocus, DimensionMismatch, OutOfChart, RankDeficient
+from gbl.errors import CutLocus, DimensionMismatch, InversionFailure, OutOfChart, RankDeficient
 from gbl.rng import substream
 
 
@@ -336,6 +336,38 @@ class TestTEmbedding:
         stacked = gr.t_embedding(Zs)
         assert stacked.shape == (300, n * m)
         assert stacked.tobytes() == np.stack([gr.t_embedding(Z) for Z in Zs]).tobytes()
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 3), (3, 1), (1, 3)])
+    def test_stacked_inverse_round_trip(self, n, m):
+        Zs = substream(9, 2).uniform(-2, 2, (300, n, m))
+        Zs[::50] = 0.0
+        back = gr.t_embedding_inverse(gr.t_embedding(Zs), n, m)
+        assert back.shape == (300, n, m)
+        assert np.abs(back - Zs).max() < 1e-12
+        assert np.all(back[::50] == 0.0)
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 3), (3, 1), (1, 3)])
+    def test_inverse_stack_maps_as_its_items(self, n, m):
+        ys = gr.t_embedding(substream(9, 3).uniform(-2, 2, (200, n, m)))
+        ys[7] = 0.0
+        items = np.stack([gr.t_embedding_inverse(y, n, m) for y in ys])
+        assert items.shape == (200, n, m)
+        assert gr.t_embedding_inverse(ys, n, m).tobytes() == items.tobytes()
+        blocks = gr.t_embedding_inverse(ys.reshape(20, 10, n * m), n, m)
+        assert blocks.tobytes() == items.tobytes()
+
+    def test_inverse_shapes(self):
+        assert gr.t_embedding_inverse(np.ones(6), 3, 2).shape == (3, 2)
+        with pytest.raises(DimensionMismatch):
+            gr.t_embedding_inverse(np.ones(5), 3, 2)
+        with pytest.raises(DimensionMismatch):
+            gr.t_embedding_inverse(np.ones((3, 2)), 3, 2)
+
+    def test_inverse_cap(self, monkeypatch):
+        monkeypatch.setattr(gr, "_NEWTON_CAP", 2)
+        with pytest.raises(InversionFailure):
+            gr.t_embedding_inverse(np.full(4, 2.0), 2, 2)
+        assert np.all(gr.t_embedding_inverse(np.zeros(4), 2, 2) == 0.0)
 
 
 def chart_v_only_sampler(n, m, v_bound, count, rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.optimize import brentq
 
 from gbl import grassmann as gr
 from gbl import shrinking as sh
-from gbl.errors import PreconditionViolated
+from gbl.errors import OutOfChart, PreconditionViolated, Stalled
 from gbl.rng import substream
 
 
@@ -240,3 +241,78 @@ class TestIterate:
         params = sh.ShrinkParameters(a=3.0, b=2.9, beta0=2.9)
         with pytest.raises(PreconditionViolated):
             sh.iterate(cloud, 1.5, params, epsilon1=0.1)
+
+
+def brentq_inverse(y, n, m):
+    """t_embedding_inverse of one vector by a scalar brentq on the radius."""
+    y = np.asarray(y, dtype=float).ravel()
+    ny = float(np.linalg.norm(y))
+    if ny == 0.0:
+        return np.zeros((n, m))
+    direction = y.reshape(n, m) / ny
+    target = 1.0 + ny
+
+    def grow(t):
+        return float(np.sqrt(np.linalg.det(np.eye(n) + (t * t) * (direction @ direction.T)))) - target
+
+    hi = math.sqrt(min(n, m)) * math.sqrt(target * target - 1.0) + 1.0
+    return brentq(grow, 0.0, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200) * direction
+
+
+def per_point_iterate(cloud, q0_bound, params, epsilon1, contraction=0.5):
+    """`iterate` with every cloud point re-charted, inverted and orthonormalised on its own."""
+    P = gr.standard_plane(cloud[0].n, cloud[0].m)
+    n, m = P.n, P.m
+
+    def embed(points, center):
+        return gr.t_embedding(np.stack([gr.to_chart(pt, center) for pt in points]))
+
+    trace = sh.IterationTrace(epsilon1=epsilon1, k_planned=int((params.a - params.threshold) / epsilon1) + 1)
+    bj = q0_bound
+    trace.bounds.append(bj)
+    while bj >= params.threshold and trace.k_actual < trace.k_planned + 5:
+        q = gr.from_chart(brentq_inverse(embed(cloud, P).mean(axis=0), n, m), P)
+        res = sh.shrink_center(P, q, dataclasses.replace(params, b=bj), epsilon1)
+        target = max(bj - epsilon1, 1.0 + 1e-9)
+        rho = contraction
+        for _ in range(60):
+            yq = embed([q], res.p2)[0]
+            new_cloud = [gr.from_chart(brentq_inverse(yq + rho * (y - yq), n, m), res.p2)
+                         for y in embed(cloud, res.p2)]
+            bn = max(gr.v_value(pt, res.p2) for pt in new_cloud)
+            if bn <= target:
+                break
+            rho *= 0.5
+        if bn > max(bj - 0.5 * epsilon1, 1.0 + 1e-9):
+            raise Stalled("no eps1/2 decrement")
+        cloud, P, bj = new_cloud, res.p2, bn
+        trace.bounds.append(bj)
+        trace.cases.append(res.case)
+        trace.k_actual += 1
+    return trace
+
+
+class TestIterateOracle:
+    """The stacked iteration against the per-point one it replaced."""
+
+    @pytest.mark.parametrize("n,m,count,eps1", [(2, 2, 60, 0.06819684), (3, 2, 60, 0.06819684),
+                                                (4, 3, 6, 0.06141896)])
+    def test_matches_per_point_iteration(self, n, m, count, eps1):
+        P0 = gr.standard_plane(n, m)
+        Zs = gr.sample_chart_sublevel(n, m, 2.9, count, substream(36, n))
+        cloud = [gr.from_chart(Z, P0) for Z in Zs]
+        params = sh.ShrinkParameters(a=3.0, b=2.9, beta0=2.9)
+        got = sh.iterate(cloud, 2.9, params, epsilon1=eps1)
+        ref = per_point_iterate(cloud, 2.9, params, eps1)
+        assert got.k_actual == ref.k_actual >= 1
+        assert got.cases == ref.cases
+        assert np.abs(np.subtract(got.bounds, ref.bounds)).max() < 1e-12
+        assert got.bounds[-1] < sh.threshold(3.0)
+
+    def test_point_outside_initial_chart(self):
+        cloud = TestIterate().make_cloud(2.0, 8, 4)
+        # spans the normal directions of the standard plane: w = 0
+        cloud.append(gr.GrassmannPoint(np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])))
+        params = sh.ShrinkParameters(a=3.0, b=2.9, beta0=2.9)
+        with pytest.raises(OutOfChart):
+            sh.iterate(cloud, 2.9, params, epsilon1=0.1)
