@@ -415,10 +415,9 @@ def _cmd_shrink(args, report) -> None:
     rng = substream(args.seed, 51)
     P1 = grassmann.standard_plane(args.n, args.m)
     Z0 = rng.standard_normal((args.n, args.m))
-    from scipy.optimize import brentq
-
-    scale = brentq(lambda t: float(grassmann.chart_v(t * Z0)) - args.b, 0.0, 50.0)
-    Q = grassmann.from_chart(scale * Z0, P1)
+    # the radial inverse scales the direction of Z0 to v = b
+    y = (args.b - 1.0) * Z0.ravel() / np.linalg.norm(Z0)
+    Q = grassmann.from_chart(grassmann.t_embedding_inverse(y, args.n, args.m), P1)
     res = shrinking.shrink_center(P1, Q, params, eps.epsilon1)
     samples = min(args.samples, 50_000)
     margin = shrinking.containment_check(P1, res.p2, params, samples=samples, seed=args.seed)

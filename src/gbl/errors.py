@@ -22,7 +22,7 @@ class CutLocus(GBLError):
 
 
 class InversionFailure(GBLError):
-    """The radius solve of the inverse radial embedding did not settle."""
+    """A monotone Newton root solve did not settle within its step cap."""
 
 
 class OutOfDomain(GBLError):

@@ -47,7 +47,7 @@ _SNAP_ONE = 1.0 - 5e-15
 # below this angle the principal normal direction is taken from the
 # orthonormal completion instead of the ill-conditioned difference formula
 _ANGLE_SPLIT = 1e-5
-# Newton steps allowed to the radius solve of `t_embedding_inverse`
+# Newton steps allowed to a monotone root solve (`_rising_newton`)
 _NEWTON_CAP = 100
 
 
@@ -351,6 +351,11 @@ def in_bjx(P: GrassmannPoint, P0: GrassmannPoint) -> bool:
     return bool(dec.thetas[0] + dec.thetas[1] < np.pi / 2)
 
 
+def log_volume(s2: np.ndarray) -> np.ndarray:
+    """log v = 1/2 sum log1p(s2) over the last axis; s2 = sigma^2 = tan^2(theta) of a chart matrix."""
+    return 0.5 * np.sum(np.log1p(s2), axis=-1)
+
+
 def t_embedding(Z: np.ndarray) -> np.ndarray:
     """Radial chart embedding Z -> (v(Z) - 1) Z / |Z|, flattened: (..., n, m) -> (..., nm)."""
     Z = np.asarray(Z, dtype=float)
@@ -358,9 +363,31 @@ def t_embedding(Z: np.ndarray) -> np.ndarray:
     # a row times a column is one BLAS dot, the sum np.linalg.norm takes of a
     # single matrix, so each matrix of a stack maps as it would alone
     nz = np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0])
-    v = np.sqrt(np.linalg.det(np.eye(Z.shape[-2]) + Z @ np.swapaxes(Z, -1, -2)))
-    # Z = 0 has v = 1, so any divisor maps it to 0
-    return ((v - 1.0) / np.where(nz > 0.0, nz, 1.0))[..., None] * flat
+    # v - 1 as expm1 of the log-volume stays accurate where sqrt(det(I + Z Z^T)) - 1 cancels
+    radius = np.expm1(log_volume(np.linalg.svd(Z, compute_uv=False) ** 2))
+    # Z = 0 has radius 0, so any divisor maps it to 0
+    return (radius / np.where(nz > 0.0, nz, 1.0))[..., None] * flat
+
+
+def _rising_newton(residual, x: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Newton steps x - F/F' on a stack of roots, `residual(x)` -> (F, F'), from x below each root.
+
+    F is concave increasing or convex decreasing, so every step rises without passing the root.
+    A row freezes once its step stops rising, so each row of a stack settles byte-identically to
+    the row alone; inactive rows keep x.  InversionFailure if a row still rises after _NEWTON_CAP.
+    """
+    for _ in range(_NEWTON_CAP):
+        if not np.any(active):
+            return x
+        f, df = residual(x)
+        # rows with F = F' = 0 step to NaN, which never counts as a rise
+        with np.errstate(invalid="ignore"):
+            step = x - f / df
+        active = active & (step > x)
+        x = np.where(active, step, x)
+    if np.any(active):
+        raise InversionFailure(f"Newton root not settled after {_NEWTON_CAP} steps")
+    return x
 
 
 def t_embedding_inverse(y: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -369,9 +396,8 @@ def t_embedding_inverse(y: np.ndarray, n: int, m: int) -> np.ndarray:
     With D = y / |y| and sigma the singular values of D, v(t D)^2 =
     prod(1 + t^2 sigma_i^2), so u = t^2 solves
     F(u) = sum log1p(u sigma_i^2) - 2 log1p(|y|) = 0.  F is concave and
-    increasing with F(0) <= 0, so Newton from u = 0 rises monotonically to
-    the root.  A row is frozen once its step stops raising u, so each row
-    of a stack maps byte-identically to the row alone; zero rows map to 0.
+    increasing with F(0) <= 0, so Newton from u = 0 (`_rising_newton`)
+    rises monotonically to the root; zero rows map to 0.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[-1:] != (n * m,):
@@ -381,21 +407,29 @@ def t_embedding_inverse(y: np.ndarray, n: int, m: int) -> np.ndarray:
     direction = (y / np.where(ny > 0.0, ny, 1.0)[..., None]).reshape(y.shape[:-1] + (n, m))
     s2 = np.linalg.svd(direction, compute_uv=False) ** 2
     target = 2.0 * np.log1p(ny)
-    u = np.zeros_like(ny)
-    active = ny > 0.0
-    for _ in range(_NEWTON_CAP):
-        if not np.any(active):
-            break
+
+    def residual(u):
         us2 = u[..., None] * s2
-        # zero rows have F = F' = 0; their NaN step never counts as a rise
-        with np.errstate(invalid="ignore"):
-            step = u - (np.sum(np.log1p(us2), axis=-1) - target) / np.sum(s2 / (1.0 + us2), axis=-1)
-        active &= step > u
-        u = np.where(active, step, u)
-    else:
-        if np.any(active):
-            raise InversionFailure(f"radius solve not settled after {_NEWTON_CAP} Newton steps")
+        return np.sum(np.log1p(us2), axis=-1) - target, np.sum(s2 / (1.0 + us2), axis=-1)
+
+    u = _rising_newton(residual, np.zeros_like(ny), ny > 0.0)
     return np.sqrt(u)[..., None, None] * direction
+
+
+def geodesic_fraction(thetas: np.ndarray, log_v: float) -> np.ndarray:
+    """Fraction s in [0, 1) of the normal geodesic Q -> P1 where log v(., P1) falls to `log_v`.
+
+    `thetas` (..., p) are the angles from Q to P1, so log v = log_volume(tan^2(theta (1 - s))) is
+    convex and decreasing in s; Newton rises from s = 0, and a row already at or below stays at 0.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+
+    def residual(s):
+        t = np.tan(thetas * (1.0 - s)[..., None])
+        return log_volume(t * t) - log_v, -np.sum(thetas * t, axis=-1)
+
+    s = np.zeros(thetas.shape[:-1])
+    return _rising_newton(residual, s, np.ones(s.shape, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

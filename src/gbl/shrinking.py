@@ -87,7 +87,8 @@ def shrink_center(
 
     b below the threshold, or v(Q, P1) < c, allow P2 = Q outright; otherwise
     P2 = gamma(t0) on the geodesic from Q to P1 where v(., P1) first drops
-    to c, found by bisection of the strictly decreasing profile product.
+    to c, t0 = s L with s the `grassmann.geodesic_fraction` of the
+    strictly decreasing log-sec profile.
     """
     vq = grassmann.v_value(Q, P1)
     if vq > params.b * (1.0 + 1e-9):
@@ -98,28 +99,18 @@ def shrink_center(
     if vq < c:
         return ShrinkResult(Q, "CaseI", None, 1.0, epsilon1)
 
-    dec = grassmann.jordan_decompose(Q, P1)
-    angles = dec.pair_angles
-    L = float(np.linalg.norm(angles))
-    logc = math.log(c)
-
-    def excess(t: float) -> float:
-        # log v(gamma(t), P1) - log c, strictly decreasing in t
-        return -float(np.sum(np.log(np.cos(angles * (1.0 - t / L))))) - logc
-
-    if excess(0.0) < -1e-9:
+    angles = grassmann.jordan_decompose(Q, P1).pair_angles
+    if float(grassmann.log_volume(np.tan(angles) ** 2)) - math.log(c) < -1e-9:
         raise RootBracketFailure("v(Q, P1) < c inside case II")
-    lo, hi = 0.0, L
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t0 = 0.5 * (lo + hi)
-    p2 = grassmann.geodesic(Q, P1, t0)
-    new_bound = float(np.exp(-np.sum(np.log(np.cos(angles * (t0 / L))))))
-    return ShrinkResult(p2, "CaseII", t0, new_bound, epsilon1)
+    s, new_bound = _case_two(angles, c)
+    t0 = float(s) * float(np.linalg.norm(angles))
+    return ShrinkResult(grassmann.geodesic(Q, P1, t0), "CaseII", t0, float(new_bound), epsilon1)
+
+
+def _case_two(thetas: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fraction s of the geodesic Q -> P1 where v(., P1) = c, and v(Q, gamma(s L)), per angle profile."""
+    s = grassmann.geodesic_fraction(thetas, math.log(c))
+    return s, np.exp(grassmann.log_volume(np.tan(thetas * s[..., None]) ** 2))
 
 
 def containment_check(
@@ -147,6 +138,13 @@ def containment_check(
     return float(np.min(params.a - v2))
 
 
+# eps1 grid: EPS1_B_STEPS values of b, theta_steps^m profiles per b (thinned by 4
+# down to EPS1_MIN_THETA_STEPS while over budget); EPS1_SLACK is the relative slack
+EPS1_B_STEPS = 17
+EPS1_MIN_THETA_STEPS = 8
+EPS1_SLACK = 1e-3
+
+
 @dataclass
 class Epsilon1Result:
     """Certified per-step decrement for given (a, beta0, m)."""
@@ -157,68 +155,36 @@ class Epsilon1Result:
     argmin_thetas: np.ndarray
     evaluations: int
     budget_exhausted: bool
-    slack: float
 
     def __float__(self) -> float:
         return self.epsilon1
 
 
-def _vectorised_decrement(b: float, c: float, thetas: np.ndarray) -> np.ndarray:
-    """F = b - v(Q, gamma(t0)) for a batch of feasible angle profiles."""
-    L = np.linalg.norm(thetas, axis=1)
-    logc = math.log(c)
-    lo = np.zeros_like(L)
-    hi = np.ones_like(L)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        # log v(gamma(s L), P1) at fraction s: -sum log cos(theta (1-s))
-        val = -np.sum(np.log(np.cos(thetas * (1.0 - mid)[:, None])), axis=1)
-        above = val > logc
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    s0 = 0.5 * (lo + hi)
-    vq2 = np.exp(-np.sum(np.log(np.cos(thetas * s0[:, None])), axis=1))
-    return b - vq2
-
-
-def compute_epsilon1(
-    a: float,
-    beta0: float,
-    n: int | None = None,
-    m: int = 2,
-    budget: int = 4_000_000,
-    b_steps: int = 17,
-    theta_steps: int | None = None,
-    polish: bool = True,
-    slack: float = 1e-3,
-) -> Epsilon1Result:
+def compute_epsilon1(a: float, beta0: float, m: int, budget: int = 4_000_000) -> Epsilon1Result:
     """Certified decrement eps1 = min(threshold - 1, inf F) over the case-II region.
 
     The compact region: b in [threshold, beta0], theta in [0, arccos(1/b)]^m
-    with c(b) <= prod sec(theta) <= b.  A dense grid plus derivative-free
-    polish estimates inf F; the certificate keeps a relative `slack` below
-    the numerical minimum so sampled configurations cannot undercut it.
+    with c(b) <= prod sec(theta) <= b.  A grid of at most `budget` points plus
+    Nelder-Mead polish estimates inf F; the certificate keeps EPS1_SLACK below
+    it so sampled configurations cannot undercut it.  PreconditionViolated,
+    before anything is allocated, when even the coarsest grid exceeds `budget`.
     """
     if not (1.0 <= beta0 < a):
         raise PreconditionViolated("need 1 <= beta0 < a")
-    if n is not None and m > n:
-        raise PreconditionViolated("need m <= n")
     thr = threshold(a)
     branch1 = thr - 1.0
-    if theta_steps is None:
-        theta_steps = 64 if m <= 3 else 32
-    budget_exhausted = False
     if beta0 < thr:
         # no case-II configurations exist below the threshold
-        return Epsilon1Result(branch1, branch1, math.inf, beta0, np.zeros(m), 0, False, slack)
+        return Epsilon1Result(branch1, branch1, math.inf, beta0, np.zeros(m), 0, False)
 
-    requested = theta_steps
-    while b_steps * theta_steps**m > budget and theta_steps > 8:
+    requested = theta_steps = 64 if m <= 3 else 32
+    while EPS1_B_STEPS * theta_steps**m > budget and theta_steps > EPS1_MIN_THETA_STEPS:
         theta_steps -= 4
-    if theta_steps < requested:
-        budget_exhausted = True
+    if EPS1_B_STEPS * theta_steps**m > budget:
+        raise PreconditionViolated(f"eps1 grid of {EPS1_B_STEPS} x {theta_steps}^{m} exceeds budget {budget}")
+    budget_exhausted = theta_steps < requested
 
-    b_values = np.linspace(thr, beta0, b_steps) if beta0 > thr else np.array([thr])
+    b_values = np.linspace(thr, beta0, EPS1_B_STEPS) if beta0 > thr else np.array([thr])
     best = math.inf
     best_b = float(b_values[0])
     best_thetas = np.zeros(m)
@@ -235,14 +201,14 @@ def compute_epsilon1(
         if mesh.shape[0] == 0:
             continue
         evaluations += mesh.shape[0]
-        F = _vectorised_decrement(float(b), c, mesh)
+        F = b - _case_two(mesh, c)[1]
         idx = int(np.argmin(F))
         if F[idx] < best:
             best = float(F[idx])
             best_b = float(b)
             best_thetas = mesh[idx].copy()
 
-    if polish and math.isfinite(best):
+    if math.isfinite(best):
         def objective(x: np.ndarray) -> float:
             b = float(x[0])
             thetas = x[1:]
@@ -255,7 +221,7 @@ def compute_epsilon1(
             sec_prod = float(np.prod(1.0 / np.cos(thetas)))
             if not (params.c <= sec_prod <= b):
                 return 10.0 + abs(sec_prod - min(max(sec_prod, params.c), b))
-            return float(_vectorised_decrement(b, params.c, thetas[None, :])[0])
+            return b - float(_case_two(thetas, params.c)[1])
 
         res = minimize(
             objective,
@@ -270,7 +236,7 @@ def compute_epsilon1(
             best_thetas = np.clip(res.x[1:], 0.0, None)
 
     eps2 = best
-    eps1 = min(branch1, eps2 * (1.0 - slack))
+    eps1 = min(branch1, eps2 * (1.0 - EPS1_SLACK))
     if eps1 <= 0.0:
         raise PreconditionViolated("numerical decrement collapsed to zero")
     return Epsilon1Result(
@@ -281,7 +247,6 @@ def compute_epsilon1(
         argmin_thetas=best_thetas,
         evaluations=evaluations,
         budget_exhausted=budget_exhausted,
-        slack=slack,
     )
 
 

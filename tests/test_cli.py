@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gbl import cli
@@ -37,6 +38,15 @@ class TestExitCodes:
     def test_unknown_command(self):
         proc = run_cli(["frobnicate"])
         assert proc.returncode == 2
+
+    def test_shrink_over_eps1_budget_exits_two(self, monkeypatch, capsys):
+        # 17 x 8^8 eps1 profiles exceed the shrink budget: refused before the grid exists
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the eps1 grid was built before the budget check")
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        assert cli.main(["shrink", "--n", "8", "--m", "8", "--seed", "0"]) == 2
+        assert "PreconditionViolated" in capsys.readouterr().err
 
     def test_failing_check_exits_one(self):
         # an impossible tolerance turns the extrema comparison into a failure

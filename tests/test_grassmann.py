@@ -323,6 +323,13 @@ class TestTEmbedding:
             v = float(gr.chart_v(Z[None])[0])
             assert abs(np.linalg.norm(gr.t_embedding(Z)) - (v - 1.0)) < 1e-10
 
+    def test_small_radius_keeps_relative_accuracy(self):
+        # sqrt(det(I + Z Z^T)) - 1 rounds to 0 here; the log-volume form keeps 5e-19
+        Z = np.diag([1e-9, 0.0])
+        y = gr.t_embedding(Z)
+        assert abs(np.linalg.norm(y) - 5e-19) <= 1e-12 * 5e-19
+        assert np.abs(gr.t_embedding_inverse(y, 2, 2) - Z).max() <= 1e-12 * 1e-9
+
     @settings(max_examples=50, derandomize=True)
     @given(finite_matrix(2, 2, -3.0, 3.0))
     def test_round_trip(self, Z):

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from gbl import grassmann as gr
 from gbl import shrinking as sh
-from gbl.errors import OutOfChart, PreconditionViolated, Stalled
+from gbl.errors import InversionFailure, OutOfChart, PreconditionViolated, Stalled
 from gbl.rng import substream
 
 
@@ -127,12 +127,12 @@ class TestContainment:
 
 class TestEpsilon1:
     def test_first_branch_at_three(self):
-        res = sh.compute_epsilon1(3.0, 2.9, m=2, theta_steps=32)
+        res = sh.compute_epsilon1(3.0, 2.9, m=2)
         assert res.first_branch == pytest.approx(math.sqrt(6.0) / 2.0 - 1.0, abs=1e-12)
 
     def test_degenerate_slice(self):
         thr = sh.threshold(3.0)
-        res = sh.compute_epsilon1(3.0, thr, m=2, theta_steps=32)
+        res = sh.compute_epsilon1(3.0, thr, m=2)
         assert res.epsilon1 > 0.0
 
     def test_below_threshold_only_first_branch(self):
@@ -149,9 +149,20 @@ class TestEpsilon1:
         assert res3.epsilon1 > 0.0
 
     def test_budget_flag(self):
-        res = sh.compute_epsilon1(3.0, 2.9, m=3, budget=20_000, polish=False)
+        res = sh.compute_epsilon1(3.0, 2.9, m=3, budget=20_000)
         assert res.budget_exhausted
         assert res.epsilon1 > 0.0
+
+    def test_budget_is_a_cap(self, monkeypatch):
+        # 17 x 8^8 profiles exceed the budget even at the coarsest grid
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the eps1 grid was built before the budget check")
+
+        monkeypatch.setattr(sh.np, "meshgrid", no_grid)
+        with pytest.raises(PreconditionViolated):
+            sh.compute_epsilon1(3.0, 2.9, m=8)
+        with pytest.raises(PreconditionViolated):
+            sh.compute_epsilon1(3.0, 2.9, m=3, budget=17 * 8**3 - 1)
 
     def test_sampled_decrement_respects_epsilon1(self):
         rng = substream(33, 0)
@@ -316,3 +327,91 @@ class TestIterateOracle:
         params = sh.ShrinkParameters(a=3.0, b=2.9, beta0=2.9)
         with pytest.raises(OutOfChart):
             sh.iterate(cloud, 2.9, params, epsilon1=0.1)
+
+
+def bisection_decrement(b, c, thetas):
+    """F = b - v(Q, gamma(t0)) with t0 by a 60-step batched bisection of -sum log cos."""
+    logc = math.log(c)
+    lo = np.zeros(thetas.shape[0])
+    hi = np.ones(thetas.shape[0])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = -np.sum(np.log(np.cos(thetas * (1.0 - mid)[:, None])), axis=1) > logc
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    s0 = 0.5 * (lo + hi)
+    return b - np.exp(-np.sum(np.log(np.cos(thetas * s0[:, None])), axis=1))
+
+
+def bisection_shrink_center(P1, Q, params):
+    """(case, t0, new bound) of `shrink_center` with t0 by a 64-step scalar bisection."""
+    if params.b < params.threshold:
+        return "TrivialCenter", None, 1.0
+    c = params.c
+    if gr.v_value(Q, P1) < c:
+        return "CaseI", None, 1.0
+    angles = gr.jordan_decompose(Q, P1).pair_angles
+    L = float(np.linalg.norm(angles))
+
+    def excess(t):
+        return -float(np.sum(np.log(np.cos(angles * (1.0 - t / L))))) - math.log(c)
+
+    lo, hi = 0.0, L
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t0 = 0.5 * (lo + hi)
+    return "CaseII", t0, float(np.exp(-np.sum(np.log(np.cos(angles * (t0 / L))))))
+
+
+def feasible_profiles(b, c, m, count, rng):
+    """Angle profiles with prod sec(theta) strictly inside (c, b), in closed form."""
+    logv = math.log(c) + rng.uniform(0.01, 0.99, count) * (math.log(b) - math.log(c))
+    shares = rng.dirichlet(np.ones(m), count)
+    return np.arccos(np.exp(-shares * logv[:, None]))
+
+
+class TestCaseTwoRoot:
+    """The Newton fraction of the log-sec profile against the bisections it replaced."""
+
+    B_VALUES = (sh.threshold(3.0) + 1e-6, 1.5, 2.2, 2.9)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_decrement_matches_bisection(self, m):
+        rng = substream(37, m)
+        for b in self.B_VALUES:
+            c = sh.ShrinkParameters(a=3.0, b=b, beta0=2.9).c
+            thetas = feasible_profiles(b, c, m, 2000, rng)
+            sec = np.prod(1.0 / np.cos(thetas), axis=1)
+            assert np.all((sec > c) & (sec < b))
+            assert np.abs(b - sh._case_two(thetas, c)[1] - bisection_decrement(b, c, thetas)).max() < 1e-12
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 3), (4, 4)])
+    def test_shrink_center_matches_bisection(self, n, m):
+        rng = substream(38, m)
+        P1 = gr.standard_plane(n, m)
+        cases = set()
+        for b in self.B_VALUES:
+            params = sh.ShrinkParameters(a=3.0, b=b, beta0=2.9)
+            for lo in (1.0 + 1e-6, params.c):
+                for _ in range(5):
+                    Q = point_at_v(P1, float(rng.uniform(lo, b)), rng)
+                    res = sh.shrink_center(P1, Q, params)
+                    case, t0, bound = bisection_shrink_center(P1, Q, params)
+                    cases.add(case)
+                    assert res.case == case
+                    if case == "CaseII":
+                        assert abs(res.t0 - t0) <= 1e-12 * gr.distance(Q, P1)
+                        assert abs(res.new_bound_on_q - bound) < 1e-12
+        assert cases == {"CaseI", "CaseII"}
+
+    def test_newton_cap(self, monkeypatch):
+        P1 = gr.standard_plane(2, 2)
+        params = sh.ShrinkParameters(a=3.0, b=2.9, beta0=2.9)
+        Q = point_at_v(P1, 2.9, substream(38, 9))
+        monkeypatch.setattr(gr, "_NEWTON_CAP", 2)
+        with pytest.raises(InversionFailure):
+            sh.shrink_center(P1, Q, params)
