@@ -15,7 +15,7 @@ blockwise, and estimates the strong-subharmonicity constant
 
     K0(beta0) = min { Delta v / |h|^2 : prod(1 + lambda^2) <= beta0^2 }
 
-by constrained minimisation of the smallest form eigenvalue.
+by a batched search over sorted profiles for the smallest form eigenvalue.
 """
 from __future__ import annotations
 
@@ -180,10 +180,16 @@ class FormBlock:
     coeffs: np.ndarray       # (F, s, s), one matrix per feature
 
 
+@lru_cache(maxsize=None)
+def _duo_indices(m: int) -> tuple:
+    """The (a, b) index arrays of the pairs a < b, in `block_catalogue` feature order."""
+    return np.triu_indices(m, 1)
+
+
 def _features(lams: np.ndarray) -> np.ndarray:
     """(1, lambda_a^2, lambda_a lambda_b for a < b) of profiles (..., m); shape (..., F)."""
     lams = np.asarray(lams, dtype=float)
-    a, b = np.triu_indices(lams.shape[-1], 1)
+    a, b = _duo_indices(lams.shape[-1])
     ones = np.ones(lams.shape[:-1] + (1,))
     return np.concatenate([ones, lams**2, lams[..., a] * lams[..., b]], axis=-1)
 
@@ -384,9 +390,10 @@ def min_form_eigenvalue(n: int, m: int, lams: np.ndarray) -> np.ndarray:
     out = np.empty(lams.shape[0])
     for start in range(0, lams.shape[0], CHUNK):
         part = lams[start : start + CHUNK]
+        features = _features(part)
         low = np.full(part.shape[0], np.inf)
         for stack in _distinct_stacks(n, m):
-            eigs = np.linalg.eigvalsh(_block_matrices(stack, part))[..., 0]
+            eigs = np.linalg.eigvalsh(np.tensordot(features, stack, axes=1))[..., 0]
             low = np.minimum(low, eigs.min(axis=1))
         out[start : start + CHUNK] = np.prod(np.sqrt(1.0 + part**2), axis=-1) * low
     return out
@@ -677,6 +684,24 @@ def k0_closed_form(m: int, beta0: float) -> float:
     return 1.0 if m == 1 else min(1.0, beta0 * (3.0 - beta0) / 2.0)
 
 
+# axis values of the K0 mesh when the budget allows; the compass refinement
+# stops once its step falls below COMPASS_TOL lambda_max
+MESH_AXIS = 17
+COMPASS_TOL = 1e-10
+
+
+def _sorted_mesh(m: int, lam_max: float, budget: int) -> tuple[np.ndarray, float, bool]:
+    """Non-increasing profiles over g <= MESH_AXIS even values on [0, lam_max], the
+    spacing, and whether the budget cut g; C(g + m - 1, m) is checked before building."""
+    g = MESH_AXIS if lam_max > 0.0 else 1
+    while g > 1 and math.comb(g + m - 1, m) > budget:
+        g -= 1
+    index = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(g), m))
+    axis = np.linspace(0.0, lam_max, g)[::-1]
+    mesh = axis[np.fromiter(index, dtype=np.intp).reshape(-1, m)]
+    return mesh, lam_max / max(g - 1, 1), g < MESH_AXIS and lam_max > 0.0
+
+
 def compute_K0(
     n: int,
     m: int,
@@ -684,15 +709,17 @@ def compute_K0(
     budget: int = 300_000,
     audit_samples: int = 100_000,
     seed: int = 0,
-    grid_points: int = 17,
-    polish: bool = True,
 ) -> CertificateReport:
     """Minimise the smallest form eigenvalue over admissible profiles.
 
     K0 = min over {lambda >= 0, prod(1+lambda^2) <= beta0^2} of the smallest
     eigenvalue of the Delta-v form; since the flattening is norm-preserving
     this bounds Delta v / |B|^2 from below.  beta0 = 3 is allowed as a
-    degenerate boundary probe.
+    degenerate boundary probe.  The form is symmetric in lambda, so the
+    search visits sorted profiles: `_sorted_mesh` and, for m >= 2 and
+    beta0 > 2, the closed-form pair profile in one batch, then a compass
+    search with one batch of moves +-h e_i per level, each clipped at 0,
+    pulled radially in u = log1p(lambda^2) back into the set and sorted.
     """
     if not (1.0 <= beta0 <= 3.0):
         raise PreconditionViolated("need 1 <= beta0 <= 3")
@@ -700,50 +727,39 @@ def compute_K0(
         raise PreconditionViolated("need 1 <= m <= n")
     bound2 = beta0 * beta0 * (1.0 + 1e-12)
     lam_max = math.sqrt(max(beta0 * beta0 - 1.0, 0.0))
-    trace: list = []
-    evaluations = 0
-    budget_exhausted = False
 
-    # at beta0 = 1 every axis point is 0, and the mesh is the single profile 0
-    axes = np.unique(np.linspace(0.0, lam_max, grid_points))
-    mesh = np.stack(np.meshgrid(*([axes] * m), indexing="ij"), axis=-1).reshape(-1, m)
+    mesh, h, budget_exhausted = _sorted_mesh(m, lam_max, budget)
     mesh = mesh[np.prod(1.0 + mesh**2, axis=1) <= bound2]
-    if mesh.shape[0] > budget:
-        stride = mesh.shape[0] // budget + 1
-        mesh = mesh[::stride]
-        budget_exhausted = True
+    if m >= 2 and beta0 > 2.0:
+        pair = np.zeros((1, m))
+        pair[0, :2] = math.sqrt(beta0 - 1.0)
+        mesh = np.vstack([mesh, pair])
     eigs = min_form_eigenvalue(n, m, mesh)
-    evaluations += mesh.shape[0]
-    best_idx = int(np.argmin(eigs))
-    best_lam = mesh[best_idx].copy()
-    best_val = float(eigs[best_idx])
-    trace.append({"evaluations": evaluations, "lambda": [float(x) for x in best_lam], "value": best_val})
+    evaluations = mesh.shape[0]
+    k = int(np.argmin(eigs))
+    best_val, best_lam = float(eigs[k]), mesh[k]
+    trace = [{"evaluations": evaluations, "lambda": [float(x) for x in best_lam], "value": best_val}]
 
-    if polish and lam_max > 0.0 and evaluations < budget:
-        state = {"count": evaluations, "best": best_val, "best_lam": best_lam}
-
-        def objective(x: np.ndarray) -> float:
-            lam = np.clip(x, 0.0, None)
-            state["count"] += 1
-            excess = float(np.prod(1.0 + lam**2)) - beta0 * beta0
-            if excess > 1e-12:
-                return 10.0 + excess
-            val = float(min_form_eigenvalue(n, m, lam[None, :])[0])
-            if val < state["best"]:
-                state["best"] = val
-                state["best_lam"] = lam.copy()
-                trace.append({"evaluations": state["count"], "lambda": [float(x) for x in lam], "value": val})
-            return val
-
-        minimize(
-            objective,
-            x0=best_lam,
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxfev": min(5000, budget - evaluations)},
-        )
-        evaluations = state["count"]
-        best_val = state["best"]
-        best_lam = state["best_lam"]
+    log_cap = 2.0 * math.log(beta0)
+    steps = np.vstack([np.eye(m), -np.eye(m)])
+    while lam_max > 0.0 and h >= COMPASS_TOL * lam_max:
+        if evaluations + 2 * m > budget:
+            budget_exhausted = True
+            break
+        moves = np.clip(best_lam + h * steps, 0.0, None)
+        u = np.log1p(moves**2)
+        total = u.sum(axis=1)
+        over = total > log_cap
+        moves[over] = np.sqrt(np.expm1(u[over] * (log_cap / total[over, None])))
+        moves = -np.sort(-moves, axis=1)
+        vals = min_form_eigenvalue(n, m, moves)
+        evaluations += 2 * m
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_val, best_lam = float(vals[k]), moves[k]
+            trace.append({"evaluations": evaluations, "lambda": [float(x) for x in best_lam], "value": best_val})
+        else:
+            h *= 0.5
 
     worst_violation = float("inf")
     if audit_samples > 0:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -130,6 +131,54 @@ class TestBlockCatalogue:
         assert report["k0_closed_form"] == ct.k0_closed_form(m, 2.9)
         assert report["closed_form_gap"] == report["k0"] - report["k0_closed_form"]
         assert abs(report["closed_form_gap"]) <= 1e-6
+
+
+class TestK0Search:
+    @pytest.mark.parametrize("n,m", [(3, 2), (4, 3), (5, 3), (6, 4), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("beta0", [2.5, 2.9, 2.99])
+    def test_closed_form_oracle(self, n, m, beta0):
+        # the pair profile (sqrt(beta0 - 1), sqrt(beta0 - 1), 0, ...) attains the closed form
+        report = ct.compute_K0(n, m, beta0, audit_samples=2_000, seed=8).to_dict()
+        assert abs(report["closed_form_gap"]) <= 1e-14
+
+    @pytest.mark.parametrize("beta0,recorded", [(2.5, 0.668483167922971), (2.9, 0.172955418985063)])
+    def test_no_closed_form_at_two_two(self, beta0, recorded):
+        # n = m = 2 has no II block; recorded from the mesh plus Nelder-Mead search
+        k0 = ct.compute_K0(2, 2, beta0, audit_samples=2_000, seed=8).k0
+        assert abs(k0 - recorded) <= 1e-9
+        assert k0 <= recorded + 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_form_is_symmetric_in_lambda(self, m):
+        # what lets the search visit non-increasing profiles only
+        lams = ct.sample_admissible_lambdas(m, 3.0, 300, substream(18, m))
+        base = ct.min_form_eigenvalue(m + 2, m, lams)
+        for perm in itertools.permutations(range(m)):
+            assert np.abs(ct.min_form_eigenvalue(m + 2, m, lams[:, perm]) - base).max() <= 1e-13
+
+    @pytest.mark.parametrize("budget", [9, 1000])
+    def test_budget_never_allocates_the_full_mesh(self, monkeypatch, budget):
+        # 17 axis values at m = 8 are C(24, 8) = 735,471 sorted profiles (17^8 unsorted);
+        # budget 9 leaves a 2-value axis and no compass level, so only the pair
+        # profile can reach the closed form
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a dense mesh was built")
+
+        monkeypatch.setattr(np, "meshgrid", no_grid)
+        cert = ct.compute_K0(9, 8, 2.9, budget=budget, audit_samples=0)
+        assert cert.budget_exhausted
+        assert cert.evaluations <= budget
+        assert abs(cert.k0 - ct.k0_closed_form(8, 2.9)) <= 1e-14
+
+    def test_sorted_mesh_is_counted(self):
+        mesh, spacing, cut = ct._sorted_mesh(3, 2.0, 10_000)
+        assert mesh.shape == (math.comb(19, 3), 3) and not cut
+        assert np.all(np.diff(mesh, axis=1) <= 0.0)
+        assert spacing == 2.0 / 16
+        mesh, spacing, cut = ct._sorted_mesh(3, 2.0, 100)
+        # C(10, 3) = 120 profiles for 8 values exceed 100; 7 values give C(9, 3) = 84
+        assert mesh.shape == (math.comb(9, 3), 3) and cut
+        assert spacing == 2.0 / 6
 
 
 class TestPairBound:

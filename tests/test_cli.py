@@ -83,6 +83,32 @@ class TestDeterminism:
         assert b"elapsed" in proc.stderr
 
 
+class TestReportContract:
+    """Keys the benchmark's k0-sweep ops read from the certify and sweep-k0 reports."""
+
+    @staticmethod
+    def _report(argv, capsys):
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_certify_and_sweep_keys(self, capsys):
+        certify = ["certify", "--n", "5", "--m", "3", "--beta0", "2.9", "--samples", "500", "--seed", "3"]
+        sweep = ["sweep-k0", "--n", "4", "--m", "3", "--samples", "500", "--seed", "3"]
+        text = self._report(certify, capsys)
+        assert self._report(certify, capsys) == text
+        report = json.loads(text)
+        assert report["summary"]["fail"] == 0
+        cert = report["payload"]["certificate"]
+        assert {"k0", "beta0", "budget_exhausted"} <= cert.keys()
+        text = self._report(sweep, capsys)
+        assert self._report(sweep, capsys) == text
+        report = json.loads(text)
+        assert report["summary"]["fail"] == 0
+        assert report["payload"]["rows"]
+        for row in report["payload"]["rows"]:
+            assert {"k0", "beta0"} <= row.keys()
+
+
 class TestCommands:
     def test_lemmas_aux_constants(self):
         proc = run_cli(["lemmas", "--which", "aux"])
