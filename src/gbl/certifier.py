@@ -85,9 +85,8 @@ class HTensor:
         return flatten_h(self.h)
 
     @classmethod
-    def random(cls, n: int, m: int, rng: np.random.Generator, scale: float = 1.0) -> "HTensor":
-        raw = rng.standard_normal((m, n, n)) * scale
-        return cls(raw)
+    def random(cls, n: int, m: int, rng: np.random.Generator) -> "HTensor":
+        return cls(rng.standard_normal((m, n, n)))
 
 
 @lru_cache(maxsize=None)
@@ -471,7 +470,7 @@ def verify_III_batch(lams: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return 2.0 * low - (3.0 - np.asarray(vs, dtype=float))
 
 
-def verify_omega_sup(v: float, C: float, grid: int = 256, polish: bool = True) -> float:
+def verify_omega_sup(v: float, C: float, grid: int = 256) -> float:
     """Numerical sup of f = 1/(v-x) + 1/(v-y) + 1/(v-z) on the constrained slab.
 
     Domain: 1 <= x, y < v, z > v, xyz = C.  Returns -inf when the domain is
@@ -502,15 +501,14 @@ def verify_omega_sup(v: float, C: float, grid: int = 256, polish: bool = True) -
     )
     best = float(vals.max())
     bi, bj = np.unravel_index(int(vals.argmax()), vals.shape)
-    if polish:
-        res = minimize(
-            lambda xy: -f_of(xy[0], xy[1]) if np.isfinite(f_of(xy[0], xy[1])) else 1e9,
-            x0=np.array([axis[bi], axis[bj]]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-13, "maxfev": 2000},
-        )
-        if np.isfinite(res.fun) and -res.fun > best:
-            best = float(-res.fun)
+    res = minimize(
+        lambda xy: -f_of(xy[0], xy[1]) if np.isfinite(f_of(xy[0], xy[1])) else 1e9,
+        x0=np.array([axis[bi], axis[bj]]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-13, "maxfev": 2000},
+    )
+    if np.isfinite(res.fun) and -res.fun > best:
+        best = float(-res.fun)
     # boundary-reduction cross-check: the corner (1, 1, C) is always feasible here
     best = max(best, f_of(1.0, 1.0))
     return best
@@ -557,7 +555,6 @@ def iv_eps0_bound(lams: np.ndarray) -> np.ndarray:
 class Eps0Result:
     eps0: float
     m: int
-    v_bound: float
     samples: int
     verified_margin: float
 
@@ -565,8 +562,8 @@ class Eps0Result:
         return self.eps0
 
 
-def find_eps0(m: int, v_bound: float = 3.0, samples: int = 1_000_000, seed: int = 0) -> Eps0Result:
-    """Largest eps0 keeping the diagonal block PSD on sampled admissible profiles.
+def find_eps0(m: int, samples: int = 1_000_000, seed: int = 0) -> Eps0Result:
+    """Largest eps0 keeping the diagonal block PSD on sampled admissible profiles (v <= 3).
 
     The minimum per-sample bound, clipped to [0, 1 - 1e-9]; a block that is
     not PSD on the sample reports eps0 = 0 with a negative margin.  The
@@ -574,10 +571,10 @@ def find_eps0(m: int, v_bound: float = 3.0, samples: int = 1_000_000, seed: int 
     """
     if m < 2:
         raise PreconditionViolated("need m >= 2")
-    lams = sample_admissible_lambdas(m, v_bound, samples, substream(seed, 2))
+    lams = sample_admissible_lambdas(m, 3.0, samples, substream(seed, 2))
     eps0 = min(max(float(np.min(iv_eps0_bound(lams))), 0.0), 1.0 - 1e-9)
     margin = float(np.min(iv_min_eigs(lams, eps0)))
-    return Eps0Result(eps0, m, v_bound, samples, margin)
+    return Eps0Result(eps0, m, samples, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +589,7 @@ class ExtremumRecord:
     abs_diff: float
 
 
-def auxiliary_extrema(xatol: float = 1e-12) -> list[ExtremumRecord]:
+def auxiliary_extrema() -> list[ExtremumRecord]:
     """Minimise the three scalar obstruction functions and compare to closed forms.
 
     With C = 1 the minima are 27/2, 5 + 2 sqrt(6), and (187 - 38 sqrt(19))/27,
@@ -602,7 +599,7 @@ def auxiliary_extrema(xatol: float = 1e-12) -> list[ExtremumRecord]:
     records = []
 
     def run(name, fun, lo, hi, closed):
-        res = minimize_scalar(fun, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        res = minimize_scalar(fun, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
         records.append(
             ExtremumRecord(
                 name=name,

@@ -418,7 +418,7 @@ def _cmd_shrink(args, report) -> None:
     # the radial inverse scales the direction of Z0 to v = b
     y = (args.b - 1.0) * Z0.ravel() / np.linalg.norm(Z0)
     Q = grassmann.from_chart(grassmann.t_embedding_inverse(y, args.n, args.m), P1)
-    res = shrinking.shrink_center(P1, Q, params, eps.epsilon1)
+    res = shrinking.shrink_center(P1, Q, params)
     samples = min(args.samples, 50_000)
     margin = shrinking.containment_check(P1, res.p2, params, samples=samples, seed=args.seed)
     report.payload["shrink_step"] = {

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import certifier, grassmann
-from .errors import DimensionMismatch, OutOfChart, OutOfDomain, UnknownName
+from .errors import DimensionMismatch, OutOfDomain, UnknownName
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,6 @@ class GraphImmersion:
     eval_fn: Callable[[np.ndarray], np.ndarray]
     jac_fn: Callable[[np.ndarray], np.ndarray]
     hess_fn: Callable[[np.ndarray], np.ndarray]
-    domain_radius: float = math.inf
     excluded: Callable[[np.ndarray, float], np.ndarray] | None = None  # (x, margin) -> bool (...)
     name: str = "custom"
 
@@ -51,11 +50,14 @@ class GraphImmersion:
         return np.asarray(self.hess_fn(np.asarray(x, dtype=float)), dtype=float)
 
     def contains(self, x, margin: float = 0.0):
-        """Domain membership: a bool for one point, a bool array (...) for a stack."""
+        """Domain membership: a bool for one point, a bool array (...) for a stack.
+
+        Points with a non-finite coordinate are outside.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.n:
             return False
-        inside = np.linalg.norm(x, axis=-1) + margin <= self.domain_radius
+        inside = np.isfinite(x).all(axis=-1)
         if self.excluded is not None:
             inside &= ~np.asarray(self.excluded(x, margin))
         return bool(inside) if inside.ndim == 0 else inside
@@ -293,15 +295,12 @@ def graph_from_spec(spec: dict) -> GraphImmersion:
 class PointGeometry:
     x: np.ndarray
     g: np.ndarray
-    g_inv: np.ndarray
     slope: float
     gauss: grassmann.GrassmannPoint
     lambdas: np.ndarray            # (m,) singular values of Df, descending
     h: certifier.HTensor           # adapted-frame second fundamental form
     mean_h: np.ndarray             # (m,)
     norm_b2: float
-    tangent_frame: np.ndarray      # (n, n+m) ambient rows
-    normal_frame: np.ndarray       # (m, n+m) ambient rows
 
 
 def point_geometry(G: GraphImmersion, x) -> PointGeometry:
@@ -313,48 +312,31 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
     gauge-invariant outputs should be compared across points.
     """
     x = G.require(x)
-    n, m = G.n, G.m
     J = G.jac(x)
     g = _metric(J)
-    det_g = float(np.linalg.det(g))
-    slope = math.sqrt(det_g)
-    g_inv = np.linalg.inv(g)
-
-    lambdas, U, V, tang_scale, norm_scale, h = _adapted_second_form(J, G.hess(x))
-    # tangent rows t_i = (V_i, s_i U_i) / sqrt(1 + s_i^2)
-    tangent = np.zeros((n, n + m))
-    tangent[:, :n] = (V * tang_scale[None, :]).T
-    tangent[:m, n:] = (U * (lambdas * tang_scale[:m])[None, :]).T
-    # normal rows nu_a = (-s_a V_a, U_a) / sqrt(1 + s_a^2)
-    normal = np.zeros((m, n + m))
-    normal[:, :n] = -(V[:, :m] * (lambdas * norm_scale)[None, :]).T
-    normal[:, n:] = (U * norm_scale[None, :]).T
-
-    mean_h = np.einsum("aii->a", h.h)
+    lambdas, h = _adapted_second_form(J, G.hess(x))
     # (I | Df^T) has singular values >= 1, so it needs no rank check
     gauss = grassmann.GrassmannPoint(grassmann._orthonormalize_rows(_tangent_rows(J)))
     return PointGeometry(
         x=x,
         g=g,
-        g_inv=g_inv,
-        slope=slope,
+        slope=math.sqrt(float(np.linalg.det(g))),
         gauss=gauss,
         lambdas=lambdas,
         h=h,
-        mean_h=mean_h,
+        mean_h=np.einsum("aii->a", h.h),
         norm_b2=h.norm2,
-        tangent_frame=tangent,
-        normal_frame=normal,
     )
 
 
 def _adapted_second_form(J: np.ndarray, Hf: np.ndarray):
-    """SVD-adapted data of one point: lambdas, U, V, the tangent and normal scales, and h.
+    """SVD-adapted lambdas and second fundamental form h of one point.
 
     Df = U diag(s) V^T with pair signs fixed so the normal frame leans
     positively along the later coordinate axes; lambdas are s padded to m,
-    the scales 1 / sqrt(1 + lambda^2) over the n tangent and m normal slots,
-    and h the second fundamental form in the frames these define.
+    and h is the second fundamental form in the frames with tangent rows
+    (V_i, s_i U_i) / sqrt(1 + s_i^2) and normal rows (-s_a V_a, U_a) /
+    sqrt(1 + s_a^2).
     """
     m, n = J.shape
     U, s, Vt = np.linalg.svd(J, full_matrices=True)
@@ -379,7 +361,7 @@ def _adapted_second_form(J: np.ndarray, Hf: np.ndarray):
     h_raw *= norm_scale[:, None, None]
     h_raw *= tang_scale[None, :, None]
     h_raw *= tang_scale[None, None, :]
-    return lambdas, U, V, tang_scale, norm_scale, certifier.HTensor(h_raw)
+    return lambdas, certifier.HTensor(h_raw)
 
 
 def _metric(J: np.ndarray) -> np.ndarray:
@@ -399,31 +381,19 @@ def _tangent_rows(J: np.ndarray) -> np.ndarray:
     return np.concatenate([eye, np.swapaxes(J, -1, -2)], axis=-1)
 
 
-def _chart_pairing(J: np.ndarray, P0: grassmann.GrassmannPoint):
-    """R P0^T, sqrt(det(R R^T)) and w(gauss, P0) for R = (I | Df^T) over a stack of Jacobians.
-
-    w = det(R P0^T) / sqrt(det(R R^T)); raises OutOfChart unless it is
-    positive at every point of the stack.
-    """
-    A = _tangent_rows(J) @ P0.frame.T
-    vol = np.sqrt(np.linalg.det(_metric(J)))
-    w = np.linalg.det(A) / vol
-    if np.any(w <= grassmann.CHART_TOL):
-        raise OutOfChart(f"{int(np.sum(w <= grassmann.CHART_TOL))} Gauss plane(s) outside the chart of P0")
-    return A, vol, w
-
-
 def graph_v(G: GraphImmersion, x, P0: grassmann.GrassmannPoint | None = None) -> np.ndarray:
     """v(gauss(x), P0) at each point of an (..., n) stack, shape (...), without frames.
 
-    P0 = None means the base plane.  Uses
-    w(P, P0) = det((I | Df^T) P0^T) / sqrt(det(I + Df^T Df)).
+    P0 = None means the base plane, where v is the volume element
+    sqrt(det(I + Df^T Df)); otherwise v = 1 / w with w from
+    `grassmann.chart_stack` of the rows (I | Df^T).
     """
     x = G.require(x)
     J = G.jac(x)
+    vol = np.sqrt(np.linalg.det(_metric(J)))
     if P0 is None:
-        return np.sqrt(np.linalg.det(_metric(J)))
-    return 1.0 / _chart_pairing(J, P0)[2]
+        return vol
+    return 1.0 / grassmann.chart_stack(_tangent_rows(J), P0, vol)[1]
 
 
 def laplacian_v_closed_form(
@@ -438,12 +408,11 @@ def laplacian_v_closed_form(
     """
     if P0 is None:
         x = G.require(x)
-        lambdas, *_, h = _adapted_second_form(G.jac(x), G.hess(x))
+        lambdas, h = _adapted_second_form(G.jac(x), G.hess(x))
         return certifier.laplacian_v(certifier.LambdaProfile(G.n, G.m, lambdas), h)
     pg = point_geometry(G, x)
+    grassmann.v_value(pg.gauss, P0)     # raises OutOfChart outside the chart of P0
     frames = grassmann.adapted_frames(pg.gauss, P0)
-    if grassmann.w_pairing(pg.gauss, P0) <= grassmann.CHART_TOL:
-        raise OutOfChart("gauss image outside the chart of P0")
     Hf = G.hess(x)
     a_coords = frames.tangent[:, : G.n]           # tangent rows as coordinate vectors
     nu_tail = frames.normal[:, G.n :]             # only the fiber components pair with (0, D2f)
@@ -562,9 +531,8 @@ def mean_gauss_image(
     the ball, weighted by the volume element sqrt(det g); the embedded mean
     is pulled back through the inverse embedding.  Convexity of balls under
     the embedding guarantees v(mean, P0) <= sup v over the nodes.  All nodes
-    go through one batched Jacobian; the chart matrix of the Gauss plane at
-    a node is Z = (R P0^T)^{-1} R N0^T with R = (I | Df^T) and N0 the normal
-    frame of P0.
+    go through one batched Jacobian and one `grassmann.chart_stack` of the
+    rows R = (I | Df^T), whose volume element is sqrt(det(R R^T)) = sqrt(det g).
     """
     center = np.asarray(center, dtype=float)
     if P0 is None:
@@ -579,8 +547,8 @@ def mean_gauss_image(
     in_domain = G.contains(ys)
     ys, wts = ys[in_domain], wts[inside][in_domain]
     J = G.jac(ys)
-    A, vol, _ = _chart_pairing(J, P0)
-    Z = np.linalg.solve(A, _tangent_rows(J) @ P0.normal_frame.T)
+    vol = np.sqrt(np.linalg.det(_metric(J)))
+    Z = grassmann.chart_stack(_tangent_rows(J), P0, vol)[0]
     wv = wts * vol
     # the weights ride as one more column so that both totals add the nodes
     # in the same order (a 1-D sum would pair its terms instead)

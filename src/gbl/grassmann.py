@@ -15,6 +15,8 @@ Conventions
 * A chart around P0 uses P0's own rows as the tangent basis and a fixed
   orthonormal completion as the normal basis; chart matrices Z are n x m
   and the represented plane is spanned by rows of (I | Z) in that basis.
+  `chart_stack` is the one routine that charts planes (any stack of
+  spanning rows) and decides when a plane is out of chart.
 * Principal (Jordan) angle data is ordered by descending angle.  Aligned
   bases returned by `jordan_decompose` satisfy left_i . right_j =
   cos(theta_i) delta_ij, with the left basis positively oriented.
@@ -94,10 +96,6 @@ class GrassmannPoint:
             normal.flags.writeable = False
             self._normal = normal
         return self._normal
-
-    def extended_basis(self) -> np.ndarray:
-        """(n+m) x (n+m) orthonormal basis: plane rows then normal rows."""
-        return np.vstack([self.frame, self.normal_frame])
 
     def __repr__(self) -> str:
         return f"GrassmannPoint(n={self.n}, m={self.m})"
@@ -209,13 +207,26 @@ def from_chart(Z: np.ndarray, P0: GrassmannPoint) -> GrassmannPoint:
     return GrassmannPoint(_orthonormalize_rows(rows))
 
 
+def chart_stack(R: np.ndarray, P0: GrassmannPoint, vol) -> tuple[np.ndarray, np.ndarray]:
+    """Chart matrices around P0 of the planes spanned by a (..., n, n+m) stack of rows R, and w.
+
+    The rows need not be orthonormal: `vol` is sqrt(det(R R^T)) per plane (1
+    for orthonormal frames), so w = det(R P0^T) / vol is the pairing w(P, P0),
+    and Z = (R P0^T)^{-1} R N0^T with N0 the normal frame of P0.  Raises
+    OutOfChart, naming how many planes fail, unless every w > CHART_TOL.
+    """
+    A = R @ P0.frame.T
+    w = np.linalg.det(A) / vol
+    out = w <= CHART_TOL
+    if np.any(out):
+        raise OutOfChart(f"{int(np.sum(out))} plane(s) outside the chart of P0 (w <= 0)")
+    return np.linalg.solve(A, R @ P0.normal_frame.T), w
+
+
 def to_chart(P: GrassmannPoint, P0: GrassmannPoint) -> np.ndarray:
     """Chart matrix of P around P0; inverse of `from_chart`."""
     _check_same(P, P0)
-    A = P.frame @ P0.frame.T
-    if np.linalg.det(A) <= CHART_TOL:
-        raise OutOfChart("P is not in the chart of P0 (w <= 0)")
-    return np.linalg.solve(A, P.frame @ P0.normal_frame.T)
+    return chart_stack(P.frame, P0, 1.0)[0]
 
 
 def geodesic(Q: GrassmannPoint, P1: GrassmannPoint, t: float) -> GrassmannPoint:
@@ -300,10 +311,7 @@ def hessian_v(P: GrassmannPoint, P0: GrassmannPoint) -> np.ndarray:
     mixed slot, (1 + 2 lambda_a^2) v on the diagonal slots (a, a), couplings
     lambda_a lambda_b v between (a,a)-(b,b) and between (a,b)-(b,a).
     """
-    w = w_pairing(P, P0)
-    if w <= CHART_TOL:
-        raise OutOfChart("Hessian of v requires P in the chart of P0")
-    v = 1.0 / w
+    v = v_value(P, P0)
     n, m = P.n, P.m
     lam = adapted_frames(P, P0).lambdas
     p = min(n, m)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import grassmann
-from .errors import DimensionMismatch, OutOfChart, PreconditionViolated, RootBracketFailure, Stalled
+from .errors import DimensionMismatch, PreconditionViolated, RootBracketFailure, Stalled
 from .rng import substream
 
 
@@ -74,14 +74,10 @@ class ShrinkResult:
     case: str                      # TrivialCenter | CaseI | CaseII
     t0: float | None
     new_bound_on_q: float
-    epsilon1: float | None
 
 
 def shrink_center(
-    P1: grassmann.GrassmannPoint,
-    Q: grassmann.GrassmannPoint,
-    params: ShrinkParameters,
-    epsilon1: float | None = None,
+    P1: grassmann.GrassmannPoint, Q: grassmann.GrassmannPoint, params: ShrinkParameters
 ) -> ShrinkResult:
     """Replace the center P1 by P2 per the case analysis.
 
@@ -94,17 +90,17 @@ def shrink_center(
     if vq > params.b * (1.0 + 1e-9):
         raise PreconditionViolated(f"v(Q, P1) = {vq:.6f} exceeds b = {params.b}")
     if params.b < params.threshold:
-        return ShrinkResult(Q, "TrivialCenter", None, 1.0, epsilon1)
+        return ShrinkResult(Q, "TrivialCenter", None, 1.0)
     c = params.c
     if vq < c:
-        return ShrinkResult(Q, "CaseI", None, 1.0, epsilon1)
+        return ShrinkResult(Q, "CaseI", None, 1.0)
 
     angles = grassmann.jordan_decompose(Q, P1).pair_angles
     if float(grassmann.log_volume(np.tan(angles) ** 2)) - math.log(c) < -1e-9:
         raise RootBracketFailure("v(Q, P1) < c inside case II")
     s, new_bound = _case_two(angles, c)
     t0 = float(s) * float(np.linalg.norm(angles))
-    return ShrinkResult(grassmann.geodesic(Q, P1, t0), "CaseII", t0, float(new_bound), epsilon1)
+    return ShrinkResult(grassmann.geodesic(Q, P1, t0), "CaseII", t0, float(new_bound))
 
 
 def _case_two(thetas: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -122,16 +118,14 @@ def containment_check(
 ) -> float:
     """Worst margin of a - v(P, P2) over sampled P with v(P, P1) <= b.
 
-    Sampling is uniform in chart coordinates of P1 with rejection; an
-    out-of-chart sample relative to P2 counts as -inf (a containment
-    violation), which the replacement construction rules out.
+    Sampling is uniform in chart coordinates of P1 with rejection.  A sample
+    outside the chart of P2 is a failed check rather than an error: it counts
+    as -inf (a containment violation, which the replacement construction
+    rules out) instead of raising OutOfChart as `grassmann.chart_stack` would.
     """
-    n, m = P1.n, P1.m
-    rng = substream(seed, 21)
-    Zs = grassmann.sample_chart_sublevel(n, m, params.b, samples, rng)
-    basis = P1.extended_basis()
-    rows = P1.frame[None, :, :] + Zs @ basis[n:]
-    denom = np.sqrt(np.linalg.det(np.eye(n) + np.einsum("kia,kja->kij", Zs, Zs)))
+    Zs = grassmann.sample_chart_sublevel(P1.n, P1.m, params.b, samples, substream(seed, 21))
+    rows = P1.frame[None, :, :] + Zs @ P1.normal_frame
+    denom = grassmann.chart_v(Zs)
     wnum = np.linalg.det(rows @ P2.frame.T)
     with np.errstate(divide="ignore"):
         v2 = np.where(wnum > 0.0, denom / np.where(wnum > 0.0, wnum, 1.0), np.inf)
@@ -147,7 +141,7 @@ EPS1_SLACK = 1e-3
 
 @dataclass
 class Epsilon1Result:
-    """Certified per-step decrement for given (a, beta0, m)."""
+    """Per-step decrement eps1 for given (a, beta0, m): a sampled estimate, not yet a lower bound."""
     epsilon1: float
     first_branch: float
     epsilon2: float
@@ -161,12 +155,13 @@ class Epsilon1Result:
 
 
 def compute_epsilon1(a: float, beta0: float, m: int, budget: int = 4_000_000) -> Epsilon1Result:
-    """Certified decrement eps1 = min(threshold - 1, inf F) over the case-II region.
+    """Decrement eps1 = min(threshold - 1, inf F) over the case-II region, estimated by sampling.
 
     The compact region: b in [threshold, beta0], theta in [0, arccos(1/b)]^m
     with c(b) <= prod sec(theta) <= b.  A grid of at most `budget` points plus
-    Nelder-Mead polish estimates inf F; the certificate keeps EPS1_SLACK below
-    it so sampled configurations cannot undercut it.  PreconditionViolated,
+    Nelder-Mead polish estimates inf F, and eps1 keeps EPS1_SLACK below that
+    estimate.  The estimate can sit above feasible F values, so eps1 is not
+    yet a lower bound.  PreconditionViolated,
     before anything is allocated, when even the coarsest grid exceeds `budget`.
     """
     if not (1.0 <= beta0 < a):
@@ -255,7 +250,6 @@ def compute_epsilon1(a: float, beta0: float, m: int, budget: int = 4_000_000) ->
 
 @dataclass
 class IterationTrace:
-    centers: list = field(default_factory=list)
     bounds: list = field(default_factory=list)
     cases: list = field(default_factory=list)
     epsilon1: float = 0.0
@@ -272,78 +266,53 @@ class IterationTrace:
         }
 
 
-def _chart_stack(R: np.ndarray, P: grassmann.GrassmannPoint, v) -> tuple[np.ndarray, np.ndarray]:
-    """Chart matrices around P of the planes spanned by a (K, n, n+m) stack of rows R, and w.
-
-    Z = solve(R P^T, R N^T) needs no orthonormal rows.  `v` is
-    sqrt(det(R R^T)) per plane, so w = det(R P^T) / v is the pairing
-    `to_chart` checks; raises OutOfChart unless every w > CHART_TOL.
-    """
-    A = R @ P.frame.T
-    w = np.linalg.det(A) / v
-    if np.any(w <= grassmann.CHART_TOL):
-        raise OutOfChart(f"{int(np.sum(w <= grassmann.CHART_TOL))} cloud point(s) outside the chart of the center")
-    return np.linalg.solve(A, R @ P.normal_frame.T), w
-
-
-def iterate(
-    cloud,
-    q0_bound: float,
-    params: ShrinkParameters,
-    epsilon1: float | None = None,
-    initial_center: grassmann.GrassmannPoint | None = None,
-    contraction: float = 0.5,
-    max_steps: int | None = None,
-) -> IterationTrace:
+def iterate(cloud, q0_bound: float, params: ShrinkParameters, epsilon1: float) -> IterationTrace:
     """Drive a cloud's certified v-bound below the case threshold.
 
-    Each step replaces the center using the cloud's embedded mean as the
-    witness Q, then contracts the cloud towards Q (the desk-scale stand-in
-    for the concentration the elliptic theory provides) until the certified
-    bound has dropped by eps1.  Raises Stalled when even full contraction
-    cannot achieve half the decrement.
+    Starting from the standard plane, each step replaces the center using
+    the cloud's embedded mean as the witness Q, then contracts the cloud
+    towards Q (the desk-scale stand-in for the concentration the elliptic
+    theory provides) by a factor halved from 1/2 until the certified bound
+    has dropped by eps1.  Raises Stalled when even full contraction cannot
+    achieve half the decrement.
 
     The cloud is charted once, as a (K, n, m) stack around the initial
-    center, and moved to each new center's chart by one batched solve; a
+    center, and moved to each new center's chart by one `chart_stack`; a
     contraction factor costs one batched `t_embedding_inverse` and one
     batched `chart_v`.
     """
     if not cloud:
         raise PreconditionViolated("empty cloud")
-    P = initial_center if initial_center is not None else grassmann.standard_plane(cloud[0].n, cloud[0].m)
+    P = grassmann.standard_plane(cloud[0].n, cloud[0].m)
     if q0_bound > params.beta0 * (1.0 + 1e-12):
         raise PreconditionViolated("q0_bound must not exceed beta0")
     if any((pt.n, pt.m) != (P.n, P.m) for pt in cloud):
         raise DimensionMismatch(f"every cloud point must be a ({P.n},{P.m}) plane")
     # orthonormal frames have sqrt(det(R R^T)) = 1, and v(pt, P) = 1 / w
-    Zs, w = _chart_stack(np.stack([pt.frame for pt in cloud]), P, 1.0)
+    Zs, w = grassmann.chart_stack(np.stack([pt.frame for pt in cloud]), P, 1.0)
     b0 = float(np.max(1.0 / np.minimum(w, 1.0)))
     if b0 > q0_bound * (1.0 + 1e-9):
         raise PreconditionViolated(f"cloud exceeds the certified bound: {b0:.6f} > {q0_bound:.6f}")
 
     n, m = P.n, P.m
-    eps1 = float(epsilon1) if epsilon1 is not None else float(
-        compute_epsilon1(params.a, params.beta0, m=m)
-    )
+    eps1 = float(epsilon1)
     thr = params.threshold
     k_planned = int((params.a - thr) / eps1) + 1
     trace = IterationTrace(epsilon1=eps1, k_planned=k_planned)
-    trace.centers.append(P)
     trace.bounds.append(q0_bound)
 
     bj = q0_bound
-    limit = max_steps if max_steps is not None else k_planned + 5
-    while bj >= thr and trace.k_actual < limit:
+    while bj >= thr and trace.k_actual < k_planned + 5:
         # witness: the cloud's mean through the radial embedding around P
         ybar = grassmann.t_embedding(Zs).mean(axis=0)
         q = grassmann.from_chart(grassmann.t_embedding_inverse(ybar, n, m), P)
-        res = shrink_center(P, q, dataclasses.replace(params, b=bj), eps1)
+        res = shrink_center(P, q, dataclasses.replace(params, b=bj))
         # the cloud and the witness in the chart of the new center, embedded once
-        Zs = _chart_stack(P.frame + Zs @ P.normal_frame, res.p2, grassmann.chart_v(Zs))[0]
+        Zs = grassmann.chart_stack(P.frame + Zs @ P.normal_frame, res.p2, grassmann.chart_v(Zs))[0]
         ys = grassmann.t_embedding(Zs)
         yq = grassmann.t_embedding(grassmann.to_chart(q, res.p2))
         target = max(bj - eps1, 1.0 + 1e-9)
-        rho = contraction
+        rho = 0.5
         for _ in range(60):
             # pull every cloud point towards the witness by rho in the embedding
             new_Zs = grassmann.t_embedding_inverse(yq + rho * (ys - yq), n, m)
@@ -358,7 +327,6 @@ def iterate(
         Zs = new_Zs
         P = res.p2
         bj = bn
-        trace.centers.append(P)
         trace.bounds.append(bj)
         trace.cases.append(res.case)
         trace.k_actual += 1

@@ -222,7 +222,7 @@ def test_criterion_09_shrinking_suite():
             Z0 = rng.standard_normal((2, 2))
             scale = brentq(lambda t: float(gr.chart_v(t * Z0)) - b, 0.0, 100.0)
             Q = gr.from_chart(scale * Z0, P1)
-            res = sh.shrink_center(P1, Q, params, eps.epsilon1)
+            res = sh.shrink_center(P1, Q, params)
             assert sh.containment_check(P1, res.p2, params, samples=10_000, seed=1) >= -1e-9
             if res.case == "CaseII":
                 assert res.new_bound_on_q <= b - eps.epsilon1 + 1e-12

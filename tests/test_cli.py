@@ -48,6 +48,15 @@ class TestExitCodes:
         assert cli.main(["shrink", "--n", "8", "--m", "8", "--seed", "0"]) == 2
         assert "PreconditionViolated" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("example,point", [("holomorphic_pair", "inf,0,0"),
+                                               ("lawson_osserman", "inf,0,0,0"),
+                                               ("holomorphic_pair", "0,nan,0")])
+    def test_graph_non_finite_point_exits_two(self, capsys, example, point):
+        # refused by the domain check, before any numpy warning or derived error
+        assert cli.main(["graph", "--example", example, "--point", point]) == 2
+        assert "OutOfDomain" in capsys.readouterr().err
+
     def test_failing_check_exits_one(self):
         # an impossible tolerance turns the extrema comparison into a failure
         proc = run_cli(["lemmas", "--which", "aux", "--tolerance", "1e-30"])

@@ -99,6 +99,17 @@ class TestBatchedDerivatives:
         with pytest.raises(OutOfDomain):
             G.require(X)
 
+    @pytest.mark.parametrize("name", ["holomorphic_pair", "lawson_osserman"])
+    def test_non_finite_points_are_outside(self, name):
+        G = gg.builtin(name)
+        X = np.full((4, G.n), 0.5)
+        X[1, 0], X[2, -1], X[3, 1] = np.inf, -np.inf, np.nan
+        assert G.contains(X).tolist() == [True, False, False, False]
+        for x in X[1:]:
+            assert G.contains(x) is False
+        with pytest.raises(OutOfDomain):
+            gg.point_geometry(G, X[1])
+
     def test_graph_v_stack(self):
         G = gg.builtin("holomorphic_pair")
         P0 = gr.from_chart(np.full((3, 2), 0.07), gr.standard_plane(3, 2))

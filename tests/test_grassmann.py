@@ -184,6 +184,22 @@ class TestChart:
             Z = rng.uniform(-2, 2, (3, 3))
             assert np.abs(gr.to_chart(gr.from_chart(Z, P0), P0) - Z).max() < 1e-9
 
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 3)])
+    def test_chart_stack_matches_to_chart(self, n, m):
+        rng = substream(5, 3 + n)
+        P0 = gr.random_point(n, m, rng)
+        planes = [gr.from_chart(Z, P0) for Z in rng.uniform(-2, 2, (12, n, m))]
+        R = np.stack([P.frame for P in planes])
+        Zs, w = gr.chart_stack(R, P0, 1.0)
+        assert Zs.tobytes() == np.stack([gr.to_chart(P, P0) for P in planes]).tobytes()
+        assert w.tobytes() == np.array([gr.w_pairing(P, P0) for P in planes]).tobytes()
+        # reversing one row reverses the orientation, so w < 0 for two members
+        R[[3, 7], 0] *= -1.0
+        with pytest.raises(OutOfChart, match=r"^2 plane\(s\) outside"):
+            gr.chart_stack(R, P0, 1.0)
+        with pytest.raises(OutOfChart, match=r"^1 plane\(s\) outside"):
+            gr.to_chart(gr.GrassmannPoint(R[3]), P0)
+
     def test_singular_values_are_tangents(self):
         rng = substream(5, 1)
         P0 = gr.standard_plane(4, 2)

@@ -172,7 +172,7 @@ class TestEpsilon1:
             params = sh.ShrinkParameters(a=3.0, b=b, beta0=2.9)
             for _ in range(25):
                 Q = point_at_v(P1, float(rng.uniform(1.0 + 1e-6, b)), rng)
-                res = sh.shrink_center(P1, Q, params, eps.epsilon1)
+                res = sh.shrink_center(P1, Q, params)
                 assert res.new_bound_on_q <= max(b - eps.epsilon1, 1.0 + 1e-9)
 
 
@@ -283,7 +283,7 @@ def per_point_iterate(cloud, q0_bound, params, epsilon1, contraction=0.5):
     trace.bounds.append(bj)
     while bj >= params.threshold and trace.k_actual < trace.k_planned + 5:
         q = gr.from_chart(brentq_inverse(embed(cloud, P).mean(axis=0), n, m), P)
-        res = sh.shrink_center(P, q, dataclasses.replace(params, b=bj), epsilon1)
+        res = sh.shrink_center(P, q, dataclasses.replace(params, b=bj))
         target = max(bj - epsilon1, 1.0 + 1e-9)
         rho = contraction
         for _ in range(60):
