@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .errors import DimensionMismatch, PreconditionViolated
-from .rng import substream
+from .rng import rejection_sample, substream
 
 # single global slack absorbing eigensolver roundoff in PSD assertions
 PSD_TOL = 1e-9
@@ -294,19 +294,15 @@ def _distinct_stacks(n: int, m: int) -> tuple:
     return tuple(_stack(blks) for _, blks in sorted(sizes.items()))
 
 
-def _catalogue_block(m: int, kind: str, key: tuple) -> FormBlock:
-    """The block of the given kind and key; III and IV blocks do not depend on n."""
-    return next(blk for blk in block_catalogue(m, m) if (blk.kind, blk.key) == (kind, key))
-
-
-def _min_eigs(block: FormBlock, lams: np.ndarray, shift: float) -> np.ndarray:
-    """lambda_min(B(lambda) - shift I) of one block at profiles (K, m)."""
+def _block_min_eigs(stacks, lams: np.ndarray) -> list[np.ndarray]:
+    """lambda_min of every block of each coefficient stack (F, nb, s, s) at profiles (K, m):
+    one (K, nb) array per stack.  The stacks share each CHUNK batch's features."""
     lams = np.asarray(lams, dtype=float)
-    identity = np.eye(len(block.slots))
-    out = np.empty(lams.shape[0])
+    out = [np.empty((lams.shape[0], stack.shape[1])) for stack in stacks]
     for start in range(0, lams.shape[0], CHUNK):
-        B = _block_matrices(block.coeffs, lams[start : start + CHUNK])
-        out[start : start + CHUNK] = np.linalg.eigvalsh(B - shift * identity)[:, 0]
+        features = _features(lams[start : start + CHUNK])
+        for low, stack in zip(out, stacks):
+            low[start : start + CHUNK] = np.linalg.eigvalsh(np.tensordot(features, stack, axes=1))[..., 0]
     return out
 
 
@@ -386,16 +382,8 @@ def min_form_eigenvalue(n: int, m: int, lams: np.ndarray) -> np.ndarray:
     size share a batched eigensolve.
     """
     lams = np.asarray(lams, dtype=float)
-    out = np.empty(lams.shape[0])
-    for start in range(0, lams.shape[0], CHUNK):
-        part = lams[start : start + CHUNK]
-        features = _features(part)
-        low = np.full(part.shape[0], np.inf)
-        for stack in _distinct_stacks(n, m):
-            eigs = np.linalg.eigvalsh(np.tensordot(features, stack, axes=1))[..., 0]
-            low = np.minimum(low, eigs.min(axis=1))
-        out[start : start + CHUNK] = np.prod(np.sqrt(1.0 + part**2), axis=-1) * low
-    return out
+    low = np.concatenate(_block_min_eigs(_distinct_stacks(n, m), lams), axis=1).min(axis=1)
+    return np.prod(np.sqrt(1.0 + lams**2), axis=-1) * low
 
 
 # ---------------------------------------------------------------------------
@@ -404,24 +392,14 @@ def min_form_eigenvalue(n: int, m: int, lams: np.ndarray) -> np.ndarray:
 def sample_admissible_lambdas(
     m: int, v_bound: float, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniform-in-box rejection sample of {lambda >= 0 : prod(1+lambda^2) <= v_bound^2}."""
+    """Uniform sample of {lambda >= 0 : prod(1+lambda^2) <= v_bound^2}, by rejection from its bounding box."""
     if v_bound < 1.0:
         raise PreconditionViolated("v_bound must be >= 1")
     hi = math.sqrt(max(v_bound * v_bound - 1.0, 0.0))
     if hi == 0.0:
         return np.zeros((count, m))
-    out = np.empty((count, m))
-    filled = 0
-    rate = 0.25
-    while filled < count:
-        draw = int(min(4_000_000, max(4096, 1.2 * (count - filled) / rate)))
-        lams = rng.uniform(0.0, hi, size=(draw, m))
-        keep = lams[np.prod(1.0 + lams**2, axis=1) <= v_bound * v_bound]
-        rate = max(keep.shape[0] / draw, 1e-3)
-        take = min(count - filled, keep.shape[0])
-        out[filled : filled + take] = keep[:take]
-        filled += take
-    return out
+    return rejection_sample(count, (m,), lambda rows: rng.uniform(0.0, hi, size=(rows, m)),
+                            lambda lams: np.prod(1.0 + lams**2, axis=1) <= v_bound * v_bound)
 
 
 def lambda_pair_bound_check(v_bound: float, samples: int, m: int = 2, seed: int = 0) -> float:
@@ -466,7 +444,7 @@ def verify_III_batch(lams: np.ndarray, vs: np.ndarray) -> np.ndarray:
     The factor 2 turns the flattened block back into h coordinates, where
     the triple block has diagonal 2 and couplings lambda_a lambda_b.
     """
-    low = _min_eigs(_catalogue_block(3, "III", (0, 1, 2)), lams, 0.0)
+    low = _block_min_eigs([_kind_stacks(3, 3)["III"][1]], lams)[0][:, 0]
     return 2.0 * low - (3.0 - np.asarray(vs, dtype=float))
 
 
@@ -523,7 +501,7 @@ def verify_omega_sup(v: float, C: float, grid: int = 256) -> float:
 # Sampling with exchangeable random profiles makes alpha = 0 fully general.
 
 def verify_IV(lam: LambdaProfile, eps0: float, alpha: int = 0) -> float:
-    """Smallest eigenvalue of the diagonal block IV_alpha minus eps0 I.
+    """lambda_min(B_IV,alpha) - eps0: the smallest eigenvalue of the diagonal block, minus eps0.
 
     Precondition: prod(1 + lambda^2) <= 9 and 0 <= eps0 < 1.
     """
@@ -533,13 +511,8 @@ def verify_IV(lam: LambdaProfile, eps0: float, alpha: int = 0) -> float:
         raise PreconditionViolated("profile exceeds v <= 3")
     if not (0 <= alpha < lam.m):
         raise PreconditionViolated("alpha out of range")
-    return float(_min_eigs(_catalogue_block(lam.m, "IV", (alpha,)), lam.lambdas[None, :], eps0)[0])
-
-
-def iv_min_eigs(lams: np.ndarray, eps0: float) -> np.ndarray:
-    """lambda_min(B_IV - eps0 I) per profile (K, m)."""
-    lams = np.asarray(lams, dtype=float)
-    return _min_eigs(_catalogue_block(lams.shape[1], "IV", (0,)), lams, eps0)
+    stack = _kind_stacks(lam.m, lam.m)["IV"][1][:, alpha : alpha + 1]
+    return float(_block_min_eigs([stack], lam.lambdas[None, :])[0][0, 0]) - eps0
 
 
 def iv_eps0_bound(lams: np.ndarray) -> np.ndarray:
@@ -548,11 +521,13 @@ def iv_eps0_bound(lams: np.ndarray) -> np.ndarray:
     A - eps E >= 0 in h coordinates iff eps <= lambda_min(E^{-1/2} A E^{-1/2}),
     which is the flattened block.
     """
-    return iv_min_eigs(lams, 0.0)
+    m = np.shape(lams)[-1]
+    return _block_min_eigs([_kind_stacks(m, m)["IV"][1][:, :1]], lams)[0][:, 0]
 
 
 @dataclass
 class Eps0Result:
+    """eps0 on a sample of `samples` profiles at this m, and min(bound) - eps0 over it."""
     eps0: float
     m: int
     samples: int
@@ -565,16 +540,16 @@ class Eps0Result:
 def find_eps0(m: int, samples: int = 1_000_000, seed: int = 0) -> Eps0Result:
     """Largest eps0 keeping the diagonal block PSD on sampled admissible profiles (v <= 3).
 
-    The minimum per-sample bound, clipped to [0, 1 - 1e-9]; a block that is
-    not PSD on the sample reports eps0 = 0 with a negative margin.  The
-    margin is its own eigensolve of B_IV - eps0 I over the same sample.
+    The minimum per-sample bound lambda_min(B_IV), clipped to [0, 1 - 1e-9].
+    The margin is that minimum minus eps0: 0.0 unless eps0 was clipped, and
+    negative exactly when the block is not PSD on the sample (eps0 = 0).
     """
     if m < 2:
         raise PreconditionViolated("need m >= 2")
     lams = sample_admissible_lambdas(m, 3.0, samples, substream(seed, 2))
-    eps0 = min(max(float(np.min(iv_eps0_bound(lams))), 0.0), 1.0 - 1e-9)
-    margin = float(np.min(iv_min_eigs(lams, eps0)))
-    return Eps0Result(eps0, m, samples, margin)
+    bound = float(np.min(iv_eps0_bound(lams)))
+    eps0 = min(max(bound, 0.0), 1.0 - 1e-9)
+    return Eps0Result(eps0, m, samples, bound - eps0)
 
 
 # ---------------------------------------------------------------------------

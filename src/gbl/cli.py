@@ -8,6 +8,7 @@ printed to stderr only.  Exit codes: 0 all checks pass, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -16,6 +17,10 @@ import time
 from .errors import GBLError, UsageError
 
 _K0_SWEEP_GRID = (1.0, 1.5, 2.0, 2.5, 2.9, 2.99)
+# largest m that certify and sweep-k0 accept: the audit sampler's acceptance
+# at beta0 = 2.9 falls about 4x per m (4.1e-4 at m = 8, 2.2e-5 at m = 10),
+# and default certify took 72 s at (8, 8) and 274 s at (9, 9)
+_K0_MAX_M = 8
 
 
 def _apply_thread_cap() -> None:
@@ -64,6 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> dict:
+    """The echoed config; raises UsageError on malformed input before any work.
+
+    Also parses --point into `args.coords` and reads --graph-spec into
+    `args.spec` (None when not given).
+    """
     cfg = {
         "command": args.command,
         "n": args.n,
@@ -86,6 +96,12 @@ def _validate(args) -> dict:
         cfg["graph_spec"] = args.graph_spec
     if not (1 <= args.m <= args.n <= 16):
         raise UsageError("need 1 <= m <= n <= 16")
+    if args.command in ("certify", "sweep-k0") and args.m > _K0_MAX_M:
+        raise UsageError(f"{args.command} requires m <= {_K0_MAX_M}")
+    for flag in ("beta0", "a", "b", "fd_step", "tolerance"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{flag.replace('_', '-')} must be finite, got {value}")
     if args.command in ("certify",) and not (1.0 <= args.beta0 < 3.0):
         raise UsageError("certify requires 1 <= beta0 < 3")
     if args.command == "shrink":
@@ -97,6 +113,19 @@ def _validate(args) -> dict:
         raise UsageError("samples must be nonnegative")
     if args.fd_step <= 0:
         raise UsageError("fd-step must be positive")
+    args.coords = None
+    if args.point:
+        try:
+            args.coords = [float(tok) for tok in args.point.split(",")]
+        except ValueError:
+            raise UsageError(f"--point needs comma-separated numbers, got {args.point!r}") from None
+    args.spec = None
+    if args.graph_spec:
+        try:
+            with open(args.graph_spec, "r", encoding="utf-8") as fh:
+                args.spec = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"--graph-spec {args.graph_spec}: {exc}") from None
     return cfg
 
 
@@ -243,22 +272,18 @@ def _cmd_lemmas(args, report) -> None:
 def _parse_point(args, n: int):
     import numpy as np
 
-    if args.point is None:
+    if args.coords is None:
         return np.full(n, 0.4)
-    vals = [float(tok) for tok in args.point.split(",")]
-    if len(vals) != n:
-        raise UsageError(f"--point needs {n} coordinates, got {len(vals)}")
-    return np.asarray(vals)
+    if len(args.coords) != n:
+        raise UsageError(f"--point needs {n} coordinates, got {len(args.coords)}")
+    return np.asarray(args.coords)
 
 
 def _load_graph(args):
-    import json as _json
-
     from . import graphs
 
     if args.graph_spec:
-        with open(args.graph_spec, "r", encoding="utf-8") as fh:
-            return graphs.graph_from_spec(_json.load(fh))
+        return graphs.graph_from_spec(args.spec)
     return graphs.builtin(args.example)
 
 
@@ -353,16 +378,13 @@ def _shrink_cloud(args, P1):
     or a graph description whose Gauss image is sampled over a small ball;
     otherwise a synthetic sublevel cloud is drawn.
     """
-    import json as _json
-
     import numpy as np
 
     from . import graphs, grassmann
     from .rng import substream
 
     if args.graph_spec:
-        with open(args.graph_spec, "r", encoding="utf-8") as fh:
-            data = _json.load(fh)
+        data = args.spec
         if isinstance(data, list):
             cloud = [grassmann.from_chart(np.asarray(Z, dtype=float), P1) for Z in data]
         else:

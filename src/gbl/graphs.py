@@ -16,6 +16,7 @@ import numpy as np
 
 from . import certifier, grassmann
 from .errors import DimensionMismatch, OutOfDomain, UnknownName
+from .rng import rejection_sample, substream
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,7 @@ def polynomial_graph(n: int, m: int, components) -> GraphImmersion:
 
 def graph_from_spec(spec: dict) -> GraphImmersion:
     """Ingest the JSON graph description: {"name": id} or monomial components."""
-    if "name" in spec:
+    if isinstance(spec, dict) and "name" in spec:
         return builtin(spec["name"])
     try:
         n = int(spec["n"])
@@ -281,7 +282,7 @@ def graph_from_spec(spec: dict) -> GraphImmersion:
             [(mono["coeff"], mono["exponents"]) for mono in comp["monomials"]]
             for comp in spec["components"]
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed graph spec: {exc}") from exc
     if len(comps) != m:
         raise DimensionMismatch(f"expected {m} components, got {len(comps)}")
@@ -498,22 +499,19 @@ def ellipticity_check(
 
     When the slope stays below beta0 on the region, the ratios lie in
     [1/beta0, beta0]; slope <= 3 gives the universal window [1/3, 3].
-    Points are drawn one at a time (the draw order fixes the sample); the
-    linear algebra runs once on the whole sample.
+    The points are uniform in the ball, restricted to the domain by
+    `rng.rejection_sample`: the first n coordinates of a uniform point on
+    the unit sphere in R^(n+2) are uniform in the unit ball.
     """
-    from .rng import substream
-
     center = np.asarray(center, dtype=float)
     rng = substream(seed, 11)
-    ys = []
-    while len(ys) < samples:
-        direction = rng.standard_normal(G.n)
-        direction /= np.linalg.norm(direction)
-        r = radius * rng.uniform() ** (1.0 / G.n)
-        y = center + r * direction
-        if G.contains(y):
-            ys.append(y)
-    A = _flux_coefficients(_metric(G.jac(np.reshape(ys, (-1, G.n)))))
+
+    def draw(rows: int) -> np.ndarray:
+        g = rng.standard_normal((rows, G.n + 2))
+        return center + radius * g[:, : G.n] / np.linalg.norm(g, axis=1)[:, None]
+
+    ys = rejection_sample(samples, (G.n,), draw, G.contains)
+    A = _flux_coefficients(_metric(G.jac(ys)))
     eigs = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))
     return float(eigs[:, 0].min(initial=math.inf)), float(eigs[:, -1].max(initial=-math.inf))
 

@@ -39,6 +39,7 @@ from .errors import (
     OutOfChart,
     RankDeficient,
 )
+from .rng import rejection_sample
 
 ORTHO_TOL = 1e-10
 CHART_TOL = 1e-12
@@ -464,10 +465,10 @@ def chart_thetas(Zs: np.ndarray) -> np.ndarray:
 def sample_chart_sublevel(
     n: int, m: int, v_bound: float, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Rejection-sample chart matrices with v(Z) <= v_bound, uniform in the box.
+    """Uniform sample of chart matrices with v(Z) <= v_bound, by rejection from a box.
 
     The box |Z_ij| <= sqrt(v_bound^2 - 1) contains the whole sublevel set,
-    so rejection sampling covers it without needing the invariant measure.
+    so `rejection_sample` covers it without needing the invariant measure.
     Since det(I + Z Z^T) = prod(1 + s_i^2) >= 1 + |Z|_F^2, a draw with
     1 + |Z|_F^2 > v_bound^2 lies outside; such draws are dropped before
     `chart_v` runs, with a relative margin of 1e-9 that keeps every draw
@@ -479,16 +480,10 @@ def sample_chart_sublevel(
     if half == 0.0:
         return np.zeros((count, n, m))
     norm_bound = v_bound * v_bound * (1.0 + 1e-9)
-    out = np.empty((count, n, m))
-    filled = 0
-    rate = 0.25
-    while filled < count:
-        draw = int(min(2_000_000, max(1024, 1.2 * (count - filled) / rate)))
-        Zs = rng.uniform(-half, half, size=(draw, n, m))
-        Zs = Zs[1.0 + np.einsum("kia,kia->k", Zs, Zs) <= norm_bound]
-        keep = Zs[chart_v(Zs) <= v_bound]
-        rate = max(keep.shape[0] / draw, 1e-3)
-        take = min(count - filled, keep.shape[0])
-        out[filled : filled + take] = keep[:take]
-        filled += take
-    return out
+
+    def accept(Zs: np.ndarray) -> np.ndarray:
+        keep = 1.0 + np.einsum("kia,kia->k", Zs, Zs) <= norm_bound
+        keep[keep] = chart_v(Zs[keep]) <= v_bound
+        return keep
+
+    return rejection_sample(count, (n, m), lambda rows: rng.uniform(-half, half, size=(rows, n, m)), accept)

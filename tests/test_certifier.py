@@ -118,6 +118,13 @@ class TestBlockCatalogue:
         lams = ct.sample_admissible_lambdas(m, 3.0, 2_000, substream(17, 100 + m))
         assert np.array_equal(ct.min_form_eigenvalue(m + 1, m, lams), ct.min_form_eigenvalue(m + 4, m, lams))
 
+    def test_chunks_do_not_change_values(self):
+        lams = ct.sample_admissible_lambdas(3, 3.0, ct.CHUNK + 7, substream(17, 200))
+        half = lams.shape[0] // 2
+        whole = ct.min_form_eigenvalue(4, 3, lams)
+        parts = np.concatenate([ct.min_form_eigenvalue(4, 3, lams[:half]), ct.min_form_eigenvalue(4, 3, lams[half:])])
+        assert whole.tobytes() == parts.tobytes()
+
     @pytest.mark.parametrize("n,m", [(3, 2), (4, 3), (6, 4)])
     @pytest.mark.parametrize("beta0", [1.5, 2.5, 2.9])
     def test_k0_closed_form(self, n, m, beta0):
@@ -263,7 +270,7 @@ class TestDiagonalBlock:
     def test_sampled_psd_with_small_eps(self):
         rng = substream(15, 0)
         lams = ct.sample_admissible_lambdas(3, 3.0, 200_000, rng)
-        assert float(ct.iv_min_eigs(lams, 1e-3).min()) >= -1e-9
+        assert float((ct.iv_eps0_bound(lams) - 1e-3).min()) >= -1e-9
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_find_eps0_positive(self, m):
@@ -276,7 +283,7 @@ class TestDiagonalBlock:
         res = ct.find_eps0(3, samples=2_000, seed=7)
         lams = ct.sample_admissible_lambdas(3, 3.0, 2_000, substream(7, 2))
         assert res.eps0 == float(ct.iv_eps0_bound(lams).min())
-        assert res.verified_margin >= -1e-12
+        assert res.verified_margin == 0.0
 
     def test_eps0_regression_baselines(self):
         # values recorded from this tool at samples=1e6, seed=0

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbl import cli
+from gbl import certifier, cli
 from gbl.reporting import dumps
 
 
@@ -56,6 +56,34 @@ class TestExitCodes:
         # refused by the domain check, before any numpy warning or derived error
         assert cli.main(["graph", "--example", example, "--point", point]) == 2
         assert "OutOfDomain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["graph", "--example", "holomorphic_pair", "--point", "a,b,c"],
+        ["graph", "--graph-spec", "{missing}", "--point", "0.2,0.1"],
+        ["graph", "--graph-spec", "{bad_json}", "--point", "0.2,0.1"],
+        ["cross-validate", "--graph-spec", "{bad_json}", "--samples", "10"],
+        ["shrink", "--n", "2", "--m", "2", "--graph-spec", "{bad_json}"],
+        ["lemmas", "--which", "aux", "--tolerance", "nan"],
+        ["lemmas", "--which", "aux", "--tolerance", "inf"],
+        ["graph", "--example", "lawson_osserman", "--point", "1,0,0,0", "--fd-step", "nan"],
+    ])
+    def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text('{"n": 2,')
+        paths = {"{missing}": str(tmp_path / "missing.json"), "{bad_json}": str(bad_json)}
+        assert cli.main([paths.get(arg, arg) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["certify", "sweep-k0"])
+    def test_k0_commands_refuse_large_m(self, monkeypatch, command):
+        # refused before the audit sampler, whose acceptance falls about 4x per m
+        def no_sample(*args, **kwargs):
+            raise AssertionError("sampled before the m check")
+
+        monkeypatch.setattr(certifier, "sample_admissible_lambdas", no_sample)
+        assert cli.main([command, "--n", "9", "--m", "9"]) == 2
 
     def test_failing_check_exits_one(self):
         # an impossible tolerance turns the extrema comparison into a failure

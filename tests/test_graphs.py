@@ -6,7 +6,7 @@ import pytest
 from gbl import certifier as ct
 from gbl import graphs as gg
 from gbl import grassmann as gr
-from gbl.errors import OutOfDomain, UnknownName
+from gbl.errors import DimensionMismatch, OutOfDomain, UnknownName
 from gbl.rng import substream
 
 
@@ -362,3 +362,8 @@ class TestPolynomialGraphs:
     def test_named_spec(self):
         G = gg.graph_from_spec({"name": "lawson_osserman"})
         assert G.name == "lawson_osserman"
+
+    @pytest.mark.parametrize("spec", [None, 5, "abc", [1, 2], {"n": "x", "m": 1, "components": []}])
+    def test_malformed_spec(self, spec):
+        with pytest.raises(DimensionMismatch):
+            gg.graph_from_spec(spec)

@@ -394,7 +394,7 @@ class TestTEmbedding:
 
 
 def chart_v_only_sampler(n, m, v_bound, count, rng):
-    """sample_chart_sublevel without the norm pre-filter: the same draws and batch sizing."""
+    """sample_chart_sublevel without the norm pre-filter, as a plain loop with its own batch sizes."""
     half = math.sqrt(v_bound * v_bound - 1.0)
     out, filled, rate = [], 0, 0.25
     while filled < count:

@@ -1,8 +1,13 @@
-"""The benchmark's tracer and lap timer wrap gbl functions by name; every name must resolve."""
+"""The benchmark's tracer and lap timer wrap gbl functions by name; every name must resolve,
+and the kernels the lap timer times must still call through the wrapped names."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from gbl import certifier, grassmann
+from gbl.rng import substream
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,3 +32,24 @@ def test_span_name_resolves(span):
 @pytest.mark.parametrize("module,name", laps.LAP_POINTS, ids=lambda v: getattr(v, "__name__", v))
 def test_lap_point_resolves(module, name):
     assert callable(getattr(module, name))
+
+
+@pytest.fixture
+def lap_marks(monkeypatch):
+    """Install the lap timer for one test; monkeypatch puts the wrapped functions back."""
+    for module, name in laps.LAP_POINTS:
+        monkeypatch.setattr(module, name, getattr(module, name))
+    timer = laps.Laps()
+    timer.install()
+    return timer.marks
+
+
+def test_chart_sampler_laps_per_batch(lap_marks):
+    # the (4, 3) cloud op of the benchmark is timed by these chart_v laps
+    grassmann.sample_chart_sublevel(4, 3, 2.9, 2, substream(0, 6))
+    assert len(lap_marks) > 1
+
+
+def test_one_eigvalsh_lap_per_block_size(lap_marks):
+    certifier.min_form_eigenvalue(4, 3, np.full((5, 3), 0.5))
+    assert len(lap_marks) == len({len(blk.slots) for blk in certifier.block_catalogue(4, 3)})
