@@ -287,19 +287,24 @@ def _load_graph(args):
     return graphs.builtin(args.example)
 
 
+def _fd_agreement(G, x, step: float):
+    """point_geometry, closed-form and FD Delta v on the base plane at x, and their relative difference."""
+    from . import graphs
+
+    pg = graphs.point_geometry(G, x)
+    closed = graphs.laplacian_v_closed_form(G, x)
+    fd = graphs.laplacian_v_finite_difference(G, x, step=step)
+    # the floor keeps the comparison meaningful when both sides vanish (flat graphs)
+    scale = max(abs(closed), abs(fd), pg.slope * pg.norm_b2, 1e-6)
+    return pg, closed, fd, abs(closed - fd) / scale
+
+
 def _cmd_graph(args, report) -> None:
     import numpy as np
 
-    from . import graphs
-
     G = _load_graph(args)
     x = _parse_point(args, G.n)
-    pg = graphs.point_geometry(G, x)
-    closed = graphs.laplacian_v_closed_form(G, x)
-    fd = graphs.laplacian_v_finite_difference(G, x, step=args.fd_step)
-    # the floor keeps the comparison meaningful when both sides vanish (flat graphs)
-    scale = max(abs(closed), abs(fd), pg.slope * pg.norm_b2, 1e-6)
-    rel = abs(closed - fd) / scale
+    pg, closed, fd, rel = _fd_agreement(G, x, args.fd_step)
     tol = _tolerance(args, 1e-3)
     report.payload["geometry"] = {
         "example": G.name,
@@ -339,11 +344,7 @@ def _cmd_cross_validate(args, report) -> None:
             x = rng.uniform(-0.6, 0.6, G.n)
         if not G.contains(x, margin=2 * args.fd_step):
             continue
-        closed = graphs.laplacian_v_closed_form(G, x)
-        fd = graphs.laplacian_v_finite_difference(G, x, step=args.fd_step)
-        pg = graphs.point_geometry(G, x)
-        scale = max(abs(closed), abs(fd), pg.slope * pg.norm_b2, 1e-6)
-        worst_rel = max(worst_rel, abs(closed - fd) / scale)
+        worst_rel = max(worst_rel, _fd_agreement(G, x, args.fd_step)[3])
     report.add_margin(
         "fd_agreement",
         tol - worst_rel,
@@ -486,14 +487,14 @@ def _cmd_sweep_k0(args, report) -> None:
         cert = certifier.compute_K0(
             args.n, args.m, beta0, audit_samples=min(args.samples, 20_000), seed=args.seed
         )
-        closed = certifier.k0_closed_form(args.m, beta0)
+        full = cert.to_dict()
         rows.append(
             {
                 "beta0": beta0,
                 "k0": cert.k0,
-                "k0_closed_form": closed,
-                "closed_form_gap": cert.k0 - closed,
-                "argmin_lambda": [float(x) for x in cert.argmin_lambda.lambdas],
+                "k0_closed_form": full["k0_closed_form"],
+                "closed_form_gap": full["closed_form_gap"],
+                "argmin_lambda": full["argmin_lambda"],
                 "eigen_margin": cert.worst_violation,
             }
         )

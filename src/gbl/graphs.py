@@ -305,11 +305,9 @@ class PointGeometry:
 
 
 def point_geometry(G: GraphImmersion, x) -> PointGeometry:
-    """All pointwise quantities in singular-value-adapted orthonormal frames.
+    """All pointwise quantities in the base-plane frames of `_adapted_second_form`.
 
-    Frames come from the SVD Df = U diag(s) V^T with pair signs fixed so the
-    normal frame leans positively along the later coordinate axes; repeated
-    singular values keep whatever gauge the SVD returns, so only
+    Repeated singular values keep whatever gauge the SVD returns, so only
     gauge-invariant outputs should be compared across points.
     """
     x = G.require(x)
@@ -330,38 +328,30 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
     )
 
 
-def _adapted_second_form(J: np.ndarray, Hf: np.ndarray):
-    """SVD-adapted lambdas and second fundamental form h of one point.
+def _adapted_second_form(J: np.ndarray, Hf: np.ndarray, P0: grassmann.GrassmannPoint | None = None):
+    """Lambdas and second fundamental form h of one point in `grassmann.chart_frames` of its Gauss plane.
 
-    Df = U diag(s) V^T with pair signs fixed so the normal frame leans
-    positively along the later coordinate axes; lambdas are s padded to m,
-    and h is the second fundamental form in the frames with tangent rows
-    (V_i, s_i U_i) / sqrt(1 + s_i^2) and normal rows (-s_a V_a, U_a) /
-    sqrt(1 + s_a^2).
+    Around the base plane (P0 = None) the chart is Df^T = V diag(s) U^T in the
+    coordinate frames: tangent rows (V_i, s_i U_i) / sqrt(1 + s_i^2), normal
+    rows (-s_a V_a, U_a) / sqrt(1 + s_a^2).  Around another P0 it is the
+    `grassmann.chart_stack` of the rows (I | Df^T), which raises OutOfChart
+    unless w(gauss, P0) > 0.  h_{a,ij} pairs normal a with (0, D^2 f) at the
+    coordinate parts of tangents i and j.
     """
     m, n = J.shape
-    U, s, Vt = np.linalg.svd(J, full_matrices=True)
-    lambdas = np.zeros(m)
-    lambdas[: s.size] = s
-    for a in range(m):
-        if U[a, a] < 0.0:
-            U[:, a] *= -1.0
-            if a < Vt.shape[0]:
-                Vt[a, :] *= -1.0
-    for i in range(m, n):
-        if Vt[i, i] < 0.0:
-            Vt[i, :] *= -1.0
-    V = Vt.T
-
-    lam_n = np.zeros(n)
-    lam_n[:m] = lambdas
-    tang_scale = 1.0 / np.sqrt(1.0 + lam_n**2)
-    norm_scale = 1.0 / np.sqrt(1.0 + lambdas**2)
-    D2 = np.einsum("bkl,ki,lj->bij", Hf, V, V)
-    h_raw = np.einsum("ba,bij->aij", U, D2)
-    h_raw *= norm_scale[:, None, None]
-    h_raw *= tang_scale[None, :, None]
-    h_raw *= tang_scale[None, None, :]
+    if P0 is None:
+        Z, basis = J.T, np.eye(n + m)
+    else:
+        Z = grassmann.chart_stack(_tangent_rows(J), P0, np.sqrt(np.linalg.det(_metric(J))))[0]
+        basis = np.vstack([P0.frame, P0.normal_frame])
+    rows, scale, lambdas = grassmann.chart_frames(Z, basis)
+    # contiguous, the three-operand einsum below runs about twice as fast
+    coords = np.ascontiguousarray(rows[:n, :n])
+    D2 = np.einsum("bkl,ik,jl->bij", Hf, coords, coords)
+    h_raw = np.einsum("ab,bij->aij", rows[n:, n:], D2)
+    h_raw *= scale[n:, None, None]
+    h_raw *= scale[None, :n, None]
+    h_raw *= scale[None, None, :n]
     return lambdas, certifier.HTensor(h_raw)
 
 
@@ -403,24 +393,12 @@ def laplacian_v_closed_form(
     """Closed-form Delta of v(gauss(.), P0) along the graph at x.
 
     Assumes the immersion has parallel mean curvature (the builtins are
-    minimal); with P0 = None the base coordinate plane is used and the
-    SVD-adapted lambdas and h of `point_geometry` apply directly, without
-    the metric, frames or Gauss plane.
+    minimal).  P0 = None means the base coordinate plane; every P0 takes its
+    frames from `_adapted_second_form`.
     """
-    if P0 is None:
-        x = G.require(x)
-        lambdas, h = _adapted_second_form(G.jac(x), G.hess(x))
-        return certifier.laplacian_v(certifier.LambdaProfile(G.n, G.m, lambdas), h)
-    pg = point_geometry(G, x)
-    grassmann.v_value(pg.gauss, P0)     # raises OutOfChart outside the chart of P0
-    frames = grassmann.adapted_frames(pg.gauss, P0)
-    Hf = G.hess(x)
-    a_coords = frames.tangent[:, : G.n]           # tangent rows as coordinate vectors
-    nu_tail = frames.normal[:, G.n :]             # only the fiber components pair with (0, D2f)
-    D2 = np.einsum("bkl,ik,jl->bij", Hf, a_coords, a_coords)
-    h = certifier.HTensor(np.einsum("ab,bij->aij", nu_tail, D2))
-    lam = certifier.LambdaProfile(G.n, G.m, frames.lambdas)
-    return certifier.laplacian_v(lam, h)
+    x = G.require(x)
+    lambdas, h = _adapted_second_form(G.jac(x), G.hess(x), P0)
+    return certifier.laplacian_v(certifier.LambdaProfile(G.n, G.m, lambdas), h)
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,9 +17,11 @@ Conventions
   and the represented plane is spanned by rows of (I | Z) in that basis.
   `chart_stack` is the one routine that charts planes (any stack of
   spanning rows) and decides when a plane is out of chart.
-* Principal (Jordan) angle data is ordered by descending angle.  Aligned
-  bases returned by `jordan_decompose` satisfy left_i . right_j =
-  cos(theta_i) delta_ij, with the left basis positively oriented.
+* Frames adapted to the principal angles towards P0 come from one SVD of
+  the chart matrix (`chart_frames`).  Jordan data (`jordan_decompose`, by
+  descending angle, left_i . right_j = cos(theta_i) delta_ij, the left basis
+  positively oriented) serves only the geodesics, `distance`, `in_bjx` and
+  `shrinking.shrink_center`.
 * Repeated angles make principal bases non-unique; whichever gauge the
   SVD returns is kept, and only gauge-invariant quantities should be
   consumed downstream.
@@ -47,9 +49,6 @@ CUT_TOL = 1e-8
 # singular values at least this close to 1 are snapped to exactly 1 so that
 # identical planes report exactly zero angles
 _SNAP_ONE = 1.0 - 5e-15
-# below this angle the principal normal direction is taken from the
-# orthonormal completion instead of the ill-conditioned difference formula
-_ANGLE_SPLIT = 1e-5
 # Newton steps allowed to a monotone root solve (`_rising_newton`)
 _NEWTON_CAP = 100
 
@@ -83,10 +82,6 @@ class GrassmannPoint:
         self.n = n
         self.m = cols - n
         self._normal = None
-
-    @property
-    def ambient(self) -> int:
-        return self.n + self.m
 
     @property
     def normal_frame(self) -> np.ndarray:
@@ -136,13 +131,12 @@ def w_pairing(P: GrassmannPoint, Q: GrassmannPoint) -> float:
 class JordanDecomposition:
     """Principal angles and pairwise-aligned bases between two planes.
 
-    thetas/lambdas/mus hold the p = min(n, m) possibly-nonzero angles in
+    thetas/mus hold the p = min(n, m) possibly-nonzero angles in
     descending order; `pair_angles` repeats them padded with the n - p
     exact zeros, matching basis row order. `orientation` is the sign of
     det W folded out of the singular values.
     """
     thetas: np.ndarray
-    lambdas: np.ndarray
     mus: np.ndarray
     left_basis: np.ndarray
     right_basis: np.ndarray
@@ -171,11 +165,8 @@ def jordan_decompose(P: GrassmannPoint, Q: GrassmannPoint) -> JordanDecompositio
     p = min(n, m)
     mus = s[:p].copy()
     thetas = pair_angles[:p].copy()
-    with np.errstate(divide="ignore"):
-        lambdas = np.where(mus > 0.0, np.sqrt(np.clip(1.0 - mus**2, 0.0, 1.0)) / np.where(mus > 0.0, mus, 1.0), np.inf)
     return JordanDecomposition(
         thetas=thetas,
-        lambdas=lambdas,
         mus=mus,
         left_basis=U.T @ P.frame,
         right_basis=Vh @ Q.frame,
@@ -238,23 +229,28 @@ def geodesic(Q: GrassmannPoint, P1: GrassmannPoint, t: float) -> GrassmannPoint:
     same rotation formula. Raises CutLocus when an angle reaches pi/2 or the
     target orientation is reversed (no minimal in-chart geodesic).
     """
+    left, u, angles, L = _geodesic_directions(Q, P1)
+    if L == 0.0:
+        return GrassmannPoint(left)
+    s = angles * (t / L)
+    rows = np.cos(s)[:, None] * left + np.sin(s)[:, None] * u
+    return GrassmannPoint(rows)
+
+
+def _geodesic_directions(Q: GrassmannPoint, P1: GrassmannPoint):
+    """Left basis, unit directions u (0 at a zero angle), pair angles and length of the geodesic Q -> P1."""
     dec = jordan_decompose(Q, P1)
     if dec.orientation <= 0.0:
         raise CutLocus("target plane is orientation-reversed; no minimal in-chart geodesic")
     angles = dec.pair_angles
     if np.any(angles >= np.pi / 2 - CUT_TOL):
         raise CutLocus("a principal angle reaches pi/2")
-    L = float(np.linalg.norm(angles))
-    if L == 0.0:
-        return GrassmannPoint(dec.left_basis)
     left, right = dec.left_basis, dec.right_basis
     sines = np.sin(angles)
     u = np.zeros_like(left)
     rot = sines > 0.0
     u[rot] = (right[rot] - np.cos(angles[rot])[:, None] * left[rot]) / sines[rot][:, None]
-    s = angles * (t / L)
-    rows = np.cos(s)[:, None] * left + np.sin(s)[:, None] * u
-    return GrassmannPoint(rows)
+    return left, u, angles, float(np.linalg.norm(angles))
 
 
 @dataclass(frozen=True)
@@ -270,38 +266,57 @@ class TangentVector:
 
 @dataclass(frozen=True)
 class AdaptedFrames:
-    """Frames at P aligned with the principal directions towards P0.
+    """Orthonormal frames at P aligned with the principal directions towards P0.
 
-    tangent[c] pairs with normal[c]; the pair carries lambdas[c] = tan of
-    the c-th principal angle (zero-padded past min(n, m)).
+    tangent[c] pairs with normal[c] at lambdas[c] = tan theta_c (descending,
+    zero-padded past min(n, m)): cos(theta_c) tangent[c] - sin(theta_c)
+    normal[c] lies in P0.  Rows sharing an angle may rotate among themselves
+    (gauge); only signs are fixed, so consume gauge-invariant quantities.
     """
     tangent: np.ndarray   # (n, n+m) rows spanning P
     normal: np.ndarray    # (m, n+m) rows spanning the complement
     lambdas: np.ndarray   # (m,)
 
 
-def adapted_frames(P: GrassmannPoint, P0: GrassmannPoint) -> AdaptedFrames:
-    """Singular-value-adapted tangent/normal frames of P relative to P0."""
-    dec = jordan_decompose(P, P0)
-    n, m = P.n, P.m
+def chart_frames(Z: np.ndarray, basis: np.ndarray):
+    """Adapted rows of the plane spanned by T0 + Z N0, from one SVD of its n x m chart matrix Z.
+
+    `basis` stacks the chart's orthonormal rows T0 and N0.  With Z = U diag(s)
+    V^T (s zero-padded past min(n, m)), tangent row i is U_i^T T0 + s_i V_i^T
+    N0 and normal row a is -s_a U_a^T T0 + V_a^T N0, signs fixed so that
+    V_aa >= 0 and, for unpaired tangents, U_ii >= 0.
+    Returns these rows unscaled, tangents first, as one (n+m, n+m) stack,
+    the scales 1 / sqrt(1 + s^2) that make them orthonormal at every angle,
+    and the (m,) lambdas s = tan theta.
+    """
+    n, m = Z.shape
     p = min(n, m)
-    tangent = dec.left_basis
-    slot_angle = np.zeros(m)
-    slot_angle[:p] = dec.thetas
-    formula = [c for c in range(p) if dec.thetas[c] > _ANGLE_SPLIT]
-    normal = np.zeros((m, n + m))
-    for c in formula:
-        normal[c] = (dec.right_basis[c] - dec.mus[c] * tangent[c]) / np.sin(dec.thetas[c])
-    known = np.vstack([tangent] + [normal[c][None, :] for c in formula])
-    q, _ = np.linalg.qr(known.T, mode="complete")
-    pool = q[:, known.shape[0]:].T
-    take = 0
-    for c in range(m):
-        if c < p and c in formula:
-            continue
-        normal[c] = pool[take]
-        take += 1
-    return AdaptedFrames(tangent=tangent, normal=normal, lambdas=np.tan(slot_angle))
+    # the SVD of the m x n transpose: for a graph, whose chart around the
+    # coordinate plane is Df^T, this is the SVD of Df itself
+    V, s, Ut = np.linalg.svd(Z.T)
+    for a in range(m):
+        if V[a, a] < 0.0:
+            V[:, a] *= -1.0
+            if a < n:
+                Ut[a] *= -1.0
+    for i in range(m, n):
+        if Ut[i, i] < 0.0:
+            Ut[i] *= -1.0
+    K = np.zeros((n + m, n + m))     # the rows in the basis (T0; N0)
+    K[:n, :n] = Ut
+    K[n:, n:] = V.T
+    K[:p, n:] = s[:, None] * V.T[:p]
+    K[n : n + p, :n] = -s[:, None] * Ut[:p]
+    lam = np.zeros(n + m)
+    lam[:p] = lam[n : n + p] = s
+    return K @ basis, 1.0 / np.sqrt(1.0 + lam**2), lam[n:]
+
+
+def adapted_frames(P: GrassmannPoint, P0: GrassmannPoint) -> AdaptedFrames:
+    """`chart_frames` of P around P0, scaled; raises OutOfChart unless w(P, P0) > 0."""
+    rows, scale, lambdas = chart_frames(to_chart(P, P0), np.vstack([P0.frame, P0.normal_frame]))
+    rows = rows * scale[:, None]
+    return AdaptedFrames(tangent=rows[: P.n], normal=rows[P.n :], lambdas=lambdas)
 
 
 def hessian_v(P: GrassmannPoint, P0: GrassmannPoint) -> np.ndarray:
@@ -335,21 +350,11 @@ def geodesic_velocity(Q: GrassmannPoint, P1: GrassmannPoint, frames: AdaptedFram
     coeffs[i, a] is the pairing of the moving-frame derivative with
     frames.normal[a] when the moving frame starts at frames.tangent.
     """
-    dec = jordan_decompose(Q, P1)
-    if dec.orientation <= 0.0 or np.any(dec.pair_angles >= np.pi / 2 - CUT_TOL):
-        raise CutLocus("no minimal in-chart geodesic towards P1")
-    angles = dec.pair_angles
-    L = float(np.linalg.norm(angles))
+    left, u, angles, L = _geodesic_directions(Q, P1)
     if L == 0.0:
         return TangentVector(Q, np.zeros((Q.n, Q.m)))
-    sines = np.sin(angles)
-    vel = np.zeros_like(dec.left_basis)
-    rot = sines > 0.0
-    vel[rot] = (angles[rot] / L)[:, None] * (
-        (dec.right_basis[rot] - np.cos(angles[rot])[:, None] * dec.left_basis[rot]) / sines[rot][:, None]
-    )
-    R = frames.tangent @ dec.left_basis.T
-    return TangentVector(Q, R @ (vel @ frames.normal.T))
+    vel = (angles / L)[:, None] * u
+    return TangentVector(Q, (frames.tangent @ left.T) @ (vel @ frames.normal.T))
 
 
 def in_bjx(P: GrassmannPoint, P0: GrassmannPoint) -> bool:

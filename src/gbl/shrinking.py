@@ -52,10 +52,6 @@ class ShrinkParameters:
         return math.acos(1.0 / self.b)
 
     @property
-    def gamma(self) -> float:
-        return self.alpha - self.beta
-
-    @property
     def c(self) -> float:
         """sec(alpha - beta) via the product form; v(P2, P1) target in case II."""
         return 1.0 / (

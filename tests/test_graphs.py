@@ -6,7 +6,7 @@ import pytest
 from gbl import certifier as ct
 from gbl import graphs as gg
 from gbl import grassmann as gr
-from gbl.errors import DimensionMismatch, OutOfDomain, UnknownName
+from gbl.errors import DimensionMismatch, OutOfChart, OutOfDomain, UnknownName
 from gbl.rng import substream
 
 
@@ -210,6 +210,27 @@ class TestClosedForm:
             pg = gg.point_geometry(G, x)
             assert pg.norm_b2 > 0.1
             assert abs(gg.laplacian_v_closed_form(G, x)) < 1e-10 * pg.slope * pg.norm_b2
+
+    @pytest.mark.parametrize("name", ["affine", "holomorphic_pair", "lawson_osserman"])
+    def test_base_plane_through_the_chart(self, name):
+        # the coordinate plane as an explicit P0 takes its chart from chart_stack
+        G = gg.builtin(name)
+        P0 = gr.standard_plane(G.n, G.m)
+        rng = substream(22, 2)
+        for _ in range(20):
+            x = rng.uniform(-0.8, 0.8, G.n)
+            pg = gg.point_geometry(G, x)
+            cf = gg.laplacian_v_closed_form(G, x)
+            fd = gg.laplacian_v_finite_difference(G, x, step=1e-3)
+            scale = max(abs(cf), abs(fd), pg.slope * pg.norm_b2, 1e-6)
+            assert abs(gg.laplacian_v_closed_form(G, x, P0) - cf) <= 1e-13 * scale
+
+    def test_reversed_reference_plane_out_of_chart(self):
+        G = gg.builtin("holomorphic_pair")
+        frame = gr.standard_plane(3, 2).frame.copy()
+        frame[0] *= -1.0
+        with pytest.raises(OutOfChart):
+            gg.laplacian_v_closed_form(G, np.array([0.3, 0.2, 0.7]), gr.GrassmannPoint(frame))
 
 
 class TestFiniteDifference:

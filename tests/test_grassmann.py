@@ -271,6 +271,34 @@ class TestGeodesic:
             gr.geodesic(Q, flipped, 0.1)
 
 
+class TestAdaptedFrames:
+    @pytest.mark.parametrize("n, m", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("theta", [1e-7, 1e-12, 0.7])
+    def test_tan_angles_orthonormal_and_paired(self, n, m, theta):
+        rng = substream(9, n)
+        P0 = gr.random_point(n, m, rng)
+        thetas = np.array([theta, 0.5 * theta])
+        O1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        O2, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        P = gr.from_chart(O1[:, :2] @ np.diag(np.tan(thetas)) @ O2[:, :2].T, P0)
+        frames = gr.adapted_frames(P, P0)
+        expected = np.zeros(m)
+        expected[:2] = np.tan(thetas)
+        assert np.abs(frames.lambdas - expected).max() <= 1e-15
+        rows = np.vstack([frames.tangent, frames.normal])
+        assert np.abs(rows @ rows.T - np.eye(n + m)).max() <= 1e-14
+        assert np.abs(frames.tangent @ P.normal_frame.T).max() <= 1e-14
+        # cos(theta_c) tangent[c] - sin(theta_c) normal[c] lies in P0
+        lam = frames.lambdas[:2, None]
+        in_p0 = (frames.tangent[:2] - lam * frames.normal[:2]) / np.sqrt(1.0 + lam**2)
+        assert np.abs(in_p0 @ P0.normal_frame.T).max() <= 1e-14
+        # the one unpaired row lies in P0 (a tangent) or is normal to it
+        if n > m:
+            assert np.abs(frames.tangent[2:] @ P0.normal_frame.T).max() <= 1e-14
+        else:
+            assert np.abs(frames.normal[2:] @ P0.frame.T).max() <= 1e-14
+
+
 class TestHessian:
     def test_center_structure(self):
         # at the center all couplings vanish and the matrix is the identity

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from gbl import certifier as ct
 from gbl import graphs as gg
 from gbl import grassmann as gr
 from gbl import rng
+from gbl.errors import PreconditionViolated
 from gbl.rng import rejection_sample, substream
 
 
@@ -49,3 +52,30 @@ class TestRejectionSample:
         default = sample()
         _small_batches(monkeypatch)
         assert sample().tobytes() == default.tobytes()
+
+    def test_never_accepting_raises(self, monkeypatch):
+        _small_batches(monkeypatch)
+        monkeypatch.setattr(rng, "MAX_DRAWN_VALUES", 1000)
+        # batches of 24 then 120 rows of 2 values: the fifth batch passes 1000 values
+        with pytest.raises(PreconditionViolated, match="drew 504 rows and accepted 0 of 5"):
+            rejection_sample(5, (2,), lambda rows: np.zeros((rows, 2)), lambda rows: rows[:, 0] > 0.0)
+
+    def test_budget_counts_from_the_last_accepted_row(self, monkeypatch):
+        _small_batches(monkeypatch)
+        monkeypatch.setattr(rng, "MAX_DRAWN_VALUES", 1000)
+        drawn = []
+
+        def draw(rows):
+            start = sum(drawn)
+            drawn.append(rows)
+            return np.arange(start, start + rows, dtype=float)[:, None] * np.ones((1, 2))
+
+        # one row in 400 (800 values) is accepted: the draws add up to far more than 1000 values
+        out = rejection_sample(5, (2,), draw, lambda rows: rows[:, 0] % 400 == 399)
+        assert np.array_equal(out[:, 0], 400.0 * np.arange(5) + 399.0)
+
+    def test_empty_domain_ball_raises(self):
+        start = time.monotonic()
+        with pytest.raises(PreconditionViolated):
+            gg.ellipticity_check(gg.builtin("lawson_osserman"), np.zeros(4), 1e-7, samples=8)
+        assert time.monotonic() - start < 10.0
