@@ -1,17 +1,15 @@
 """Positivity certificates for the Laplacian of the volume-distortion function.
 
-For a graph-like submanifold with singular-value profile lambda and second
-fundamental form h, the Laplacian of v = prod sqrt(1 + lambda_a^2) reads
+For a graph with parallel mean curvature, singular-value profile lambda and
+second fundamental form h, the Laplacian of v = prod sqrt(1 + lambda_a^2) is
 
-    Delta v = v * [ sum h^2
-                    + sum_{a,j} 2 lambda_a^2 h_{a,aj}^2
-                    + sum_{a!=b,j} lambda_a lambda_b (h_{a,aj} h_{b,bj}
-                                                      + h_{a,bj} h_{b,aj}) ].
+    Delta v = sum_j Hess v(X_j, X_j),    (X_j)_{i,a} = h_{a,ij},
 
-In the flattened coordinates of h the form is block diagonal.  This module
-writes those index-typed blocks once (`block_catalogue`), evaluates the term
-decomposition, the block lemmas and eps0 from them, solves the form
-blockwise, and estimates the strong-subharmonicity constant
+with Hess v / v from `grassmann.hessian_over_v`.  In the flattened
+coordinates of h the form is block diagonal.  This module writes those
+index-typed blocks once (`block_catalogue`), evaluates the term
+decomposition, the block lemmas (`block_margin`) and eps0 from them, solves
+the form blockwise, and estimates the strong-subharmonicity constant
 
     K0(beta0) = min { Delta v / |h|^2 : prod(1 + lambda^2) <= beta0^2 }
 
@@ -27,11 +25,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
+from . import grassmann
 from .errors import DimensionMismatch, PreconditionViolated
 from .rng import rejection_sample, substream
 
 # single global slack absorbing eigensolver roundoff in PSD assertions
 PSD_TOL = 1e-9
+# profiles per batched eigensolve (CHUNK // (nm) per batch of nm x nm Hessians),
+# which bounds the memory of one batch
+CHUNK = 20_000
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -138,29 +140,25 @@ def laplacian_v(lam: LambdaProfile, h: HTensor) -> float:
 
 
 def laplacian_v_batch(lams: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Vectorised Delta v; lams (K, m), hs (K, m, n, n) symmetric."""
+    """Vectorised Delta v = v sum_j X_j^T (Hess v / v) X_j; lams (K, m), hs (K, m, n, n) symmetric.
+
+    (X_j)_{i,a} = h_{a,ij} sits at slot i*m + a of `grassmann.hessian_over_v`.
+    """
     lams = np.asarray(lams, dtype=float)
     hs = np.asarray(hs, dtype=float)
-    m = lams.shape[-1]
-    v = np.prod(np.sqrt(1.0 + lams**2), axis=-1)
-    hsq = np.einsum("kaij,kaij->k", hs, hs)
-    diag = hs[:, np.arange(m), np.arange(m), :]          # (K, m, n): h_{a,aj}
-    term2 = 2.0 * np.einsum("ka,kaj->k", lams**2, diag**2)
-    lam_diag = np.einsum("ka,kaj->kj", lams, diag)       # sum_a lambda_a h_{a,aj}
-    sq_diag = np.einsum("ka,kaj->kj", lams**2, diag**2)
-    term3a = np.einsum("kj->k", lam_diag**2 - sq_diag)
-    low = hs[:, :, :m, :]                                # h_{a,bj} with b <= m
-    cross = np.einsum("ka,kb,kabj,kbaj->k", lams, lams, low, low)
-    cross_diag = np.einsum("ka,kaj,kaj->k", lams**2, diag, diag)
-    term3b = cross - cross_diag
-    return v * (hsq + term2 + term3a + term3b)
+    K, m, n = hs.shape[:3]
+    X = hs.transpose(0, 3, 2, 1).reshape(K, n, n * m)
+    quad = np.empty(K)
+    rows = max(CHUNK // (n * m), 1)
+    for start in range(0, K, rows):
+        x = X[start : start + rows]
+        H = grassmann.hessian_over_v(lams[start : start + rows], n)
+        quad[start : start + rows] = np.einsum("kjp,kjp->k", x @ H, x)
+    return np.prod(np.sqrt(1.0 + lams**2), axis=-1) * quad
 
 
 # ---------------------------------------------------------------------------
 # the typed-block catalogue of the form
-
-# profiles per batched eigensolve, which bounds the memory of one batch
-CHUNK = 20_000
 
 # v^{-1} Delta v is block diagonal in the flattened coordinates of h.  Each
 # block collects the h_{a,ij} of one index group, and its matrix is
@@ -402,8 +400,28 @@ def sample_admissible_lambdas(
                             lambda lams: np.prod(1.0 + lams**2, axis=1) <= v_bound * v_bound)
 
 
+# ---------------------------------------------------------------------------
+# the block lemmas
+
+def block_margin(kind: str, lams: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """c lambda_min(B_kind) - bound(v) of the worst block of one kind, at (K, m) profiles with their own v.
+
+    The lemmas in h coordinates, with blocks from `_kind_stacks(m + 1, m)`,
+    whose one high index carries I and II (I ignores vs):
+      I    c = 1, bound 1      I_j >= 2 sum_a h_{a,aj}^2
+      II   c = 2, bound 3 - v  lambda_a lambda_b <= v - 1
+      III  c = 2, bound 3 - v  the triple block dominates (3 - v) I
+    """
+    lams = np.asarray(lams, dtype=float)
+    m = lams.shape[-1]
+    low = _block_min_eigs([_kind_stacks(m + 1, m)[kind][1]], lams)[0].min(axis=1)
+    if kind == "I":
+        return low - 1.0
+    return 2.0 * low - (3.0 - np.asarray(vs, dtype=float))
+
+
 def lambda_pair_bound_check(v_bound: float, samples: int, m: int = 2, seed: int = 0) -> float:
-    """Worst margin of lambda_a lambda_b <= v - 1 over sampled admissible profiles.
+    """Worst margin of lambda_a lambda_b <= v - 1 over sampled admissible profiles: the II `block_margin`.
 
     The tight configuration lambda_a = lambda_b = sqrt(v_bound - 1) is always
     included, so the returned margin is at most ~0.
@@ -416,15 +434,8 @@ def lambda_pair_bound_check(v_bound: float, samples: int, m: int = 2, seed: int 
     tight = np.zeros((1, m))
     tight[0, :2] = math.sqrt(v_bound - 1.0)
     lams = np.vstack([lams, tight])
-    v = np.prod(np.sqrt(1.0 + lams**2), axis=1)
-    worst = np.inf
-    for a, b in itertools.combinations(range(m), 2):
-        worst = min(worst, float(np.min(v - 1.0 - lams[:, a] * lams[:, b])))
-    return worst
+    return float(np.min(block_margin("II", lams, np.prod(np.sqrt(1.0 + lams**2), axis=1))))
 
-
-# ---------------------------------------------------------------------------
-# three-index block (triple bound)
 
 def verify_III(lams3, v: float) -> float:
     """Smallest eigenvalue of the triple block minus (3 - v) I.
@@ -439,13 +450,8 @@ def verify_III(lams3, v: float) -> float:
 
 
 def verify_III_batch(lams: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """lambda_min(2 B_III) - (3 - v) for (K, 3) profiles with their own v.
-
-    The factor 2 turns the flattened block back into h coordinates, where
-    the triple block has diagonal 2 and couplings lambda_a lambda_b.
-    """
-    low = _block_min_eigs([_kind_stacks(3, 3)["III"][1]], lams)[0][:, 0]
-    return 2.0 * low - (3.0 - np.asarray(vs, dtype=float))
+    """lambda_min(2 B_III) - (3 - v) for (K, 3) profiles with their own v: the III `block_margin`."""
+    return block_margin("III", lams, vs)
 
 
 def verify_omega_sup(v: float, C: float, grid: int = 256) -> float:

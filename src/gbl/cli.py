@@ -21,6 +21,8 @@ _K0_SWEEP_GRID = (1.0, 1.5, 2.0, 2.5, 2.9, 2.99)
 # at beta0 = 2.9 falls about 4x per m (4.1e-4 at m = 8, 2.2e-5 at m = 10),
 # and default certify took 72 s at (8, 8) and 274 s at (9, 9)
 _K0_MAX_M = 8
+# largest --samples, find_eps0's default: 1e12 died in numpy's allocator
+_MAX_SAMPLES = 1_000_000
 
 
 def _apply_thread_cap() -> None:
@@ -109,8 +111,8 @@ def _validate(args) -> dict:
             raise UsageError("shrink requires a > 1 and 1 <= beta0 < a")
         if not (1.0 <= args.b <= args.beta0):
             raise UsageError("shrink requires 1 <= b <= beta0")
-    if args.samples < 0:
-        raise UsageError("samples must be nonnegative")
+    if not (0 <= args.samples <= _MAX_SAMPLES):
+        raise UsageError(f"samples must lie in [0, {_MAX_SAMPLES}]")
     if args.fd_step <= 0:
         raise UsageError("fd-step must be positive")
     args.coords = None
@@ -210,42 +212,20 @@ def _cmd_lemmas(args, report) -> None:
             "the index-typed groups sum to v^{-1} Delta v",
         )
 
-    if which in ("es1", "all"):
-        rng = substream(args.seed, 32)
-        lams = certifier.sample_admissible_lambdas(3, 3.0, samples, rng)
-        hs = rng.standard_normal((samples, 3))
-        s = np.einsum("ka,ka->k", lams, hs)
-        margin = float(np.min(s**2 + np.einsum("ka,ka->k", lams**2, hs**2)))
-        report.add_margin(
-            "es1_bound",
-            margin,
-            _tolerance(args, 1e-12),
-            "I_j - 2 sum_a h_{a,aj}^2 = (sum lambda_a h_{a,aj})^2 + sum lambda_a^2 h^2 >= 0",
-        )
-
-    if which in ("es2", "pair", "all"):
-        rng = substream(args.seed, 33)
-        lams = certifier.sample_admissible_lambdas(2, 3.0, samples, rng)
-        v = np.prod(np.sqrt(1.0 + lams**2), axis=1)
-        margin = float(np.min(v - 1.0 - lams[:, 0] * lams[:, 1]))
-        report.add_margin(
-            "pair_product_bound",
-            margin,
-            _tolerance(args, 1e-12),
-            "lambda_a lambda_b <= v - 1 whenever prod(1+lambda^2) <= v^2 <= 9",
-        )
-
-    if which in ("iii", "all"):
-        rng = substream(args.seed, 34)
-        lams = certifier.sample_admissible_lambdas(3, 3.0, samples, rng)
-        v = np.prod(np.sqrt(1.0 + lams**2), axis=1)
-        margin = float(np.min(certifier.verify_III_batch(lams, v)))
-        report.add_margin(
-            "triple_block_psd",
-            margin,
-            _tolerance(args, certifier.PSD_TOL),
-            "the triple block dominates (3 - v) I for admissible profiles with v <= 3",
-        )
+    # the block lemmas, each the `block_margin` of one kind on its own sample
+    for names, kind, m, stream, name, tol, claim in (
+        (("es1",), "I", 3, 32, "es1_bound", 1e-12,
+         "I_j >= 2 sum_a h_{a,aj}^2: the I block dominates the identity"),
+        (("es2", "pair"), "II", 2, 33, "pair_product_bound", 1e-12,
+         "lambda_a lambda_b <= v - 1 whenever prod(1+lambda^2) <= v^2 <= 9"),
+        (("iii",), "III", 3, 34, "triple_block_psd", certifier.PSD_TOL,
+         "the triple block dominates (3 - v) I for admissible profiles with v <= 3"),
+    ):
+        if which in names + ("all",):
+            lams = certifier.sample_admissible_lambdas(m, 3.0, samples, substream(args.seed, stream))
+            v = np.prod(np.sqrt(1.0 + lams**2), axis=1)
+            margin = float(np.min(certifier.block_margin(kind, lams, v)))
+            report.add_margin(name, margin, _tolerance(args, tol), claim)
 
     if which in ("iv", "all"):
         res = certifier.find_eps0(3, samples=samples, seed=args.seed)
@@ -289,10 +269,10 @@ def _load_graph(args):
 
 def _fd_agreement(G, x, step: float):
     """point_geometry, closed-form and FD Delta v on the base plane at x, and their relative difference."""
-    from . import graphs
+    from . import certifier, graphs
 
     pg = graphs.point_geometry(G, x)
-    closed = graphs.laplacian_v_closed_form(G, x)
+    closed = certifier.laplacian_v(certifier.LambdaProfile(G.n, G.m, pg.lambdas), pg.h)
     fd = graphs.laplacian_v_finite_difference(G, x, step=step)
     # the floor keeps the comparison meaningful when both sides vanish (flat graphs)
     scale = max(abs(closed), abs(fd), pg.slope * pg.norm_b2, 1e-6)

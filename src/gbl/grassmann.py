@@ -29,6 +29,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 # not called here: perfbench/tracing.py wraps grassmann.brentq by name
@@ -319,29 +320,36 @@ def adapted_frames(P: GrassmannPoint, P0: GrassmannPoint) -> AdaptedFrames:
     return AdaptedFrames(tangent=rows[: P.n], normal=rows[P.n :], lambdas=lambdas)
 
 
-def hessian_v(P: GrassmannPoint, P0: GrassmannPoint) -> np.ndarray:
-    """Hessian of v(., P0) at P as an (nm) x (nm) matrix.
+@lru_cache(maxsize=None)
+def _hessian_slots(n: int, m: int) -> tuple:
+    """Pairs a != b below min(n, m), and the flat (nm)^2 slots of (c, c), (a,a)-(b,b) and (a,b)-(b,a)."""
+    nm = n * m
+    a, b = np.nonzero(~np.eye(min(n, m), dtype=bool))
+    c = np.arange(min(n, m)) * (m + 1)
+    return a, b, np.concatenate([c * nm + c, (a * m + a) * nm + b * m + b, (a * m + b) * nm + b * m + a])
 
-    The basis is the orthonormal coframe attached to `adapted_frames(P, P0)`,
-    slot (i, a) flattened row-major to i*m + a.  Entry pattern: v on every
-    mixed slot, (1 + 2 lambda_a^2) v on the diagonal slots (a, a), couplings
-    lambda_a lambda_b v between (a,a)-(b,b) and between (a,b)-(b,a).
+
+def hessian_over_v(lams: np.ndarray, n: int) -> np.ndarray:
+    """Hess v / v in adapted frames at profiles lams (..., m) = tan theta, shape (..., nm, nm).
+
+    The basis is the orthonormal coframe of `adapted_frames`, slot (i, a)
+    flattened row-major to i*m + a.  Entry pattern: 1 on every mixed slot,
+    1 + 2 lambda_a^2 on the diagonal slots (a, a), couplings lambda_a lambda_b
+    between (a,a)-(b,b) and between (a,b)-(b,a) for a != b below min(n, m).
     """
-    v = v_value(P, P0)
-    n, m = P.n, P.m
-    lam = adapted_frames(P, P0).lambdas
-    p = min(n, m)
-    M = v * np.eye(n * m)
-    idx = lambda i, a: i * m + a
-    for c in range(p):
-        M[idx(c, c), idx(c, c)] = (1.0 + 2.0 * lam[c] ** 2) * v
-    for a in range(p):
-        for b in range(p):
-            if a == b:
-                continue
-            M[idx(a, a), idx(b, b)] = lam[a] * lam[b] * v
-            M[idx(a, b), idx(b, a)] = lam[a] * lam[b] * v
-    return M
+    lams = np.asarray(lams, dtype=float)
+    m = lams.shape[-1]
+    a, b, flat = _hessian_slots(n, m)
+    lam = lams[..., : min(n, m)]
+    pair = lam[..., a] * lam[..., b]
+    H = np.tile(np.eye(n * m).ravel(), lams.shape[:-1] + (1,))
+    H[..., flat] = np.concatenate([1.0 + 2.0 * lam**2, pair, pair], axis=-1)
+    return H.reshape(lams.shape[:-1] + (n * m, n * m))
+
+
+def hessian_v(P: GrassmannPoint, P0: GrassmannPoint) -> np.ndarray:
+    """Hessian of v(., P0) at P as an (nm) x (nm) matrix: v times `hessian_over_v`."""
+    return v_value(P, P0) * hessian_over_v(adapted_frames(P, P0).lambdas, P.n)
 
 
 def geodesic_velocity(Q: GrassmannPoint, P1: GrassmannPoint, frames: AdaptedFrames) -> TangentVector:

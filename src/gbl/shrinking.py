@@ -118,7 +118,10 @@ def containment_check(
     outside the chart of P2 is a failed check rather than an error: it counts
     as -inf (a containment violation, which the replacement construction
     rules out) instead of raising OutOfChart as `grassmann.chart_stack` would.
+    Raises PreconditionViolated unless samples >= 1: no sample has no worst margin.
     """
+    if samples < 1:
+        raise PreconditionViolated(f"containment_check needs samples >= 1, got {samples}")
     Zs = grassmann.sample_chart_sublevel(P1.n, P1.m, params.b, samples, substream(seed, 21))
     rows = P1.frame[None, :, :] + Zs @ P1.normal_frame
     denom = grassmann.chart_v(Zs)

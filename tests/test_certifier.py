@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from gbl import certifier as ct
+from gbl import grassmann as gr
 from gbl.errors import DimensionMismatch, PreconditionViolated
 from gbl.rng import substream
 
@@ -37,6 +38,19 @@ class TestLaplacian:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):
             ct.laplacian_v(ct.LambdaProfile(3, 2, np.zeros(2)), ct.HTensor(np.zeros((3, 3, 3))))
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (4, 3)])
+    def test_hessian_contraction(self, n, m):
+        # sum_j X_j^T Hess v X_j with (X_j)_{i,a} = h_{a,ij} is Delta v at the plane's adapted lambdas
+        rng = substream(10, 10 * n + m)
+        P0 = gr.random_point(n, m, rng)
+        for _ in range(20):
+            P = gr.from_chart(rng.uniform(-1.0, 1.0, (n, m)), P0)
+            h = ct.HTensor.random(n, m, rng)
+            X = h.h.transpose(2, 1, 0).reshape(n, n * m)
+            quad = np.einsum("jp,pq,jq->", X, gr.hessian_v(P, P0), X)
+            lam = ct.LambdaProfile(n, m, gr.adapted_frames(P, P0).lambdas)
+            assert quad == pytest.approx(ct.laplacian_v(lam, h), rel=1e-13)
 
 
 class TestQuadraticForm:
@@ -242,6 +256,34 @@ class TestTripleBlock:
         )
         margin = block - (3.0 - vs) * (hs[:, 0] ** 2 + hs[:, 1] ** 2)
         assert float(margin.min()) >= -1e-9
+
+
+class TestBlockMargin:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_I_margin_vanishes_at_flat_profile(self, m):
+        assert np.array_equal(ct.block_margin("I", np.zeros((2, m)), np.ones(2)), np.zeros(2))
+
+    @pytest.mark.parametrize("v", [1.0, 1.5, 2.0, 2.5, 2.9, 3.0])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_II_margin_vanishes_on_pair_boundary(self, v, m):
+        lams = np.zeros((1, m))
+        lams[0, :2] = math.sqrt(v - 1.0)
+        assert abs(float(ct.block_margin("II", lams, np.array([v]))[0])) <= 1e-15
+
+    def test_II_margin_is_pair_product_bound(self):
+        lams = ct.sample_admissible_lambdas(3, 3.0, 20_000, substream(14, 0))
+        vs = np.prod(np.sqrt(1.0 + lams**2), axis=1)
+        pair = np.min([vs - 1.0 - lams[:, a] * lams[:, b] for a, b in ((0, 1), (0, 2), (1, 2))], axis=0)
+        assert np.abs(ct.block_margin("II", lams, vs) - pair).max() <= 1e-14
+
+    def test_III_margin_is_triple_block(self):
+        # the (4, 3) stacks carry the same triple block as the (3, 3) ones
+        lams = ct.sample_admissible_lambdas(3, 3.0, 20_000, substream(14, 1))
+        vs = np.prod(np.sqrt(1.0 + lams**2), axis=1)
+        low = np.linalg.eigvalsh(ct._block_matrices(ct._kind_stacks(3, 3)["III"][1], lams))[:, 0, 0]
+        margin = ct.block_margin("III", lams, vs)
+        assert np.array_equal(margin, 2.0 * low - (3.0 - vs))
+        assert np.array_equal(margin, ct.verify_III_batch(lams, vs))
 
 
 class TestOmegaSup:

@@ -85,6 +85,20 @@ class TestExitCodes:
         monkeypatch.setattr(certifier, "sample_admissible_lambdas", no_sample)
         assert cli.main([command, "--n", "9", "--m", "9"]) == 2
 
+    @pytest.mark.parametrize("argv", [["lemmas", "--which", "iii"], ["certify"]])
+    def test_samples_above_cap_exit_two(self, monkeypatch, capsys, argv):
+        # refused by _validate, before any sampler or array sized by --samples exists
+        def no_sample(*args, **kwargs):
+            raise AssertionError("sampled before the --samples check")
+
+        monkeypatch.setattr(certifier, "sample_admissible_lambdas", no_sample)
+        assert cli.main(argv + ["--samples", str(cli._MAX_SAMPLES + 1)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: samples must lie in")
+
+    def test_shrink_without_samples_exits_two(self, capsys):
+        assert cli.main(["shrink", "--n", "1", "--m", "1", "--samples", "0"]) == 2
+        assert "PreconditionViolated" in capsys.readouterr().err
+
     def test_failing_check_exits_one(self):
         # an impossible tolerance turns the extrema comparison into a failure
         proc = run_cli(["lemmas", "--which", "aux", "--tolerance", "1e-30"])

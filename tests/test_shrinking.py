@@ -124,6 +124,14 @@ class TestContainment:
             margins.append(sh.containment_check(P1, res.p2, params, samples=20_000, seed=2))
         assert margins[0] > margins[1] > margins[2] >= -1e-9
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_is_refused(self, samples):
+        # an empty sample has no worst margin: refused instead of np.min of nothing
+        P1 = gr.standard_plane(2, 2)
+        params = sh.ShrinkParameters(a=3.0, b=2.8, beta0=2.9)
+        with pytest.raises(PreconditionViolated):
+            sh.containment_check(P1, P1, params, samples=samples)
+
 
 class TestEpsilon1:
     def test_first_branch_at_three(self):
