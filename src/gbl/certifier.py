@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -446,12 +446,7 @@ def verify_III(lams3, v: float) -> float:
     prod = float(np.prod(1.0 + lams3**2))
     if prod > v * v * (1.0 + 1e-12) or v * v > 9.0 * (1.0 + 1e-12):
         raise PreconditionViolated(f"need prod(1+lambda^2) <= v^2 <= 9, got {prod:.6f} vs {v * v:.6f}")
-    return float(verify_III_batch(lams3[None, :], np.array([v]))[0])
-
-
-def verify_III_batch(lams: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """lambda_min(2 B_III) - (3 - v) for (K, 3) profiles with their own v: the III `block_margin`."""
-    return block_margin("III", lams, vs)
+    return float(block_margin("III", lams3[None, :], np.array([v]))[0])
 
 
 def verify_omega_sup(v: float, C: float, grid: int = 256) -> float:
@@ -534,13 +529,10 @@ def iv_eps0_bound(lams: np.ndarray) -> np.ndarray:
 @dataclass
 class Eps0Result:
     """eps0 on a sample of `samples` profiles at this m, and min(bound) - eps0 over it."""
-    eps0: float
     m: int
-    samples: int
+    eps0: float
     verified_margin: float
-
-    def __float__(self) -> float:
-        return self.eps0
+    samples: int
 
 
 def find_eps0(m: int, samples: int = 1_000_000, seed: int = 0) -> Eps0Result:
@@ -555,7 +547,7 @@ def find_eps0(m: int, samples: int = 1_000_000, seed: int = 0) -> Eps0Result:
     lams = sample_admissible_lambdas(m, 3.0, samples, substream(seed, 2))
     bound = float(np.min(iv_eps0_bound(lams)))
     eps0 = min(max(bound, 0.0), 1.0 - 1e-9)
-    return Eps0Result(eps0, m, samples, bound - eps0)
+    return Eps0Result(m, eps0, bound - eps0, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -620,35 +612,20 @@ def auxiliary_extrema() -> list[ExtremumRecord]:
 
 @dataclass
 class CertificateReport:
-    """Constrained-minimum estimate of K0 with its sampling audit."""
+    """Constrained-minimum estimate of K0 with its sampling audit and closed-form gap."""
     n: int
     m: int
     beta0: float
     k0: float
-    argmin_lambda: LambdaProfile
-    min_eigenvalue_trace: list = field(default_factory=list)
-    sample_count: int = 0
-    worst_violation: float = float("inf")
-    budget_exhausted: bool = False
-    evaluations: int = 0
-
-    def to_dict(self) -> dict:
-        closed = k0_closed_form(self.m, self.beta0)
-        return {
-            "n": self.n,
-            "m": self.m,
-            "beta0": self.beta0,
-            "k0": self.k0,
-            "k0_closed_form": closed,
-            "closed_form_gap": self.k0 - closed,
-            "argmin_lambda": [float(x) for x in self.argmin_lambda.lambdas],
-            "v_at_argmin": self.argmin_lambda.v,
-            "min_eigenvalue_trace": self.min_eigenvalue_trace,
-            "sample_count": self.sample_count,
-            "worst_violation": self.worst_violation,
-            "budget_exhausted": self.budget_exhausted,
-            "evaluations": self.evaluations,
-        }
+    k0_closed_form: float
+    closed_form_gap: float
+    argmin_lambda: list
+    v_at_argmin: float
+    min_eigenvalue_trace: list
+    sample_count: int
+    worst_violation: float
+    budget_exhausted: bool
+    evaluations: int
 
 
 def k0_closed_form(m: int, beta0: float) -> float:
@@ -716,7 +693,7 @@ def compute_K0(
     evaluations = mesh.shape[0]
     k = int(np.argmin(eigs))
     best_val, best_lam = float(eigs[k]), mesh[k]
-    trace = [{"evaluations": evaluations, "lambda": [float(x) for x in best_lam], "value": best_val}]
+    trace = [{"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val}]
 
     log_cap = 2.0 * math.log(beta0)
     steps = np.vstack([np.eye(m), -np.eye(m)])
@@ -735,7 +712,7 @@ def compute_K0(
         k = int(np.argmin(vals))
         if vals[k] < best_val:
             best_val, best_lam = float(vals[k]), moves[k]
-            trace.append({"evaluations": evaluations, "lambda": [float(x) for x in best_lam], "value": best_val})
+            trace.append({"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val})
         else:
             h *= 0.5
 
@@ -749,15 +726,19 @@ def compute_K0(
             # keep the reported constant below every recorded sample
             best_val = low
             best_lam = audit[int(np.argmin(audit_eigs))].copy()
-            trace.append({"evaluations": evaluations, "lambda": [float(x) for x in best_lam], "value": best_val})
+            trace.append({"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val})
         worst_violation = float(np.min(audit_eigs - best_val))
 
+    closed = k0_closed_form(m, beta0)
     return CertificateReport(
         n=n,
         m=m,
         beta0=beta0,
         k0=best_val,
-        argmin_lambda=LambdaProfile(n, m, best_lam),
+        k0_closed_form=closed,
+        closed_form_gap=best_val - closed,
+        argmin_lambda=best_lam.tolist(),
+        v_at_argmin=LambdaProfile(n, m, best_lam).v,
         min_eigenvalue_trace=trace,
         sample_count=audit_samples,
         worst_violation=worst_violation,

@@ -111,6 +111,8 @@ def _validate(args) -> dict:
             raise UsageError("shrink requires a > 1 and 1 <= beta0 < a")
         if not (1.0 <= args.b <= args.beta0):
             raise UsageError("shrink requires 1 <= b <= beta0")
+        if args.samples < 1:
+            raise UsageError("shrink requires samples >= 1 for its containment check")
     if not (0 <= args.samples <= _MAX_SAMPLES):
         raise UsageError(f"samples must lie in [0, {_MAX_SAMPLES}]")
     if args.fd_step <= 0:
@@ -145,7 +147,7 @@ def _cmd_certify(args, report) -> None:
     cert = certifier.compute_K0(
         args.n, args.m, args.beta0, audit_samples=args.samples, seed=args.seed
     )
-    report.payload["certificate"] = cert.to_dict()
+    report.payload["certificate"] = cert
     report.add_margin(
         "k0_positive",
         cert.k0,
@@ -185,15 +187,7 @@ def _cmd_lemmas(args, report) -> None:
                 0.0,
                 f"numerical minimum of {rec.name} matches its closed form {rec.closed_form!r}",
             )
-            report.payload.setdefault("extrema", []).append(
-                {
-                    "name": rec.name,
-                    "computed_min": rec.computed_min,
-                    "argmin": rec.argmin,
-                    "closed_form": rec.closed_form,
-                    "abs_diff": rec.abs_diff,
-                }
-            )
+            report.payload.setdefault("extrema", []).append(rec)
 
     if which in ("grouping", "all"):
         tol = _tolerance(args, 1e-10)
@@ -229,12 +223,7 @@ def _cmd_lemmas(args, report) -> None:
 
     if which in ("iv", "all"):
         res = certifier.find_eps0(3, samples=samples, seed=args.seed)
-        report.payload["eps0"] = {
-            "m": res.m,
-            "eps0": res.eps0,
-            "verified_margin": res.verified_margin,
-            "samples": res.samples,
-        }
+        report.payload["eps0"] = res
         report.add_margin(
             "diag_block_eps0",
             res.eps0,
@@ -405,12 +394,7 @@ def _cmd_shrink(args, report) -> None:
             "with a = 3 the case threshold equals sqrt(6)/2",
         )
     eps = shrinking.compute_epsilon1(args.a, args.beta0, m=args.m, budget=2_000_000)
-    report.payload["epsilon1"] = {
-        "epsilon1": eps.epsilon1,
-        "first_branch": eps.first_branch,
-        "epsilon2": eps.epsilon2,
-        "argmin_b": eps.argmin_b,
-    }
+    report.payload["epsilon1"] = eps
     report.add_margin(
         "epsilon1_positive", eps.epsilon1, 0.0, "the per-step decrement eps1 is strictly positive"
     )
@@ -448,7 +432,7 @@ def _cmd_shrink(args, report) -> None:
         shrinking.ShrinkParameters(a=args.a, b=args.beta0, beta0=args.beta0),
         epsilon1=eps.epsilon1,
     )
-    report.payload["iteration"] = trace.to_dict()
+    report.payload["iteration"] = trace
     report.add_margin(
         "iteration_count",
         float(trace.k_planned - trace.k_actual),
@@ -467,14 +451,13 @@ def _cmd_sweep_k0(args, report) -> None:
         cert = certifier.compute_K0(
             args.n, args.m, beta0, audit_samples=min(args.samples, 20_000), seed=args.seed
         )
-        full = cert.to_dict()
         rows.append(
             {
                 "beta0": beta0,
                 "k0": cert.k0,
-                "k0_closed_form": full["k0_closed_form"],
-                "closed_form_gap": full["closed_form_gap"],
-                "argmin_lambda": full["argmin_lambda"],
+                "k0_closed_form": cert.k0_closed_form,
+                "closed_form_gap": cert.closed_form_gap,
+                "argmin_lambda": cert.argmin_lambda,
                 "eigen_margin": cert.worst_violation,
             }
         )

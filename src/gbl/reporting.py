@@ -3,11 +3,13 @@
 Reports serialize to byte-identical JSON for identical (config, seed):
 floats are printed with 17 significant digits, key order is insertion
 order, and no timestamps enter the payload (wall time goes to stderr).
+A result dataclass is its own report section: `dumps` writes its fields,
+in field order, so a field added to a record reaches the report as is.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 SCHEMA_VERSION = 1
 
@@ -23,7 +25,11 @@ def _format_float(x: float) -> str:
 
 
 def dumps(obj) -> str:
-    """JSON text with fixed float formatting and insertion-ordered keys."""
+    """JSON text with fixed float formatting and insertion-ordered keys.
+
+    A dataclass instance is written as the dict of its fields, in field
+    order; numpy arrays and scalars as their `tolist()`.
+    """
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
@@ -39,8 +45,10 @@ def dumps(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps(v) for v in obj) + "]"
-    if hasattr(obj, "item"):  # numpy scalars
-        return dumps(obj.item())
+    if is_dataclass(obj):
+        return dumps({f.name: getattr(obj, f.name) for f in fields(obj)})
+    if hasattr(obj, "tolist"):  # numpy arrays and scalars
+        return dumps(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -57,15 +65,6 @@ class CheckRecord:
     def from_margin(cls, name: str, margin: float, tolerance: float, claim: str) -> "CheckRecord":
         status = "PASS" if margin >= -tolerance else "FAIL"
         return cls(name=name, status=status, margin=margin, tolerance=tolerance, claim=claim)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "claim": self.claim,
-        }
 
 
 @dataclass
@@ -93,7 +92,7 @@ class Report:
             "version": self.version,
             "command": self.command,
             "config": self.config,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": self.checks,
             "summary": {"pass": len(self.checks) - self.failed, "fail": self.failed},
             "payload": self.payload,
         }

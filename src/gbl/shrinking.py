@@ -149,9 +149,6 @@ class Epsilon1Result:
     evaluations: int
     budget_exhausted: bool
 
-    def __float__(self) -> float:
-        return self.epsilon1
-
 
 def compute_epsilon1(a: float, beta0: float, m: int, budget: int = 4_000_000) -> Epsilon1Result:
     """Decrement eps1 = min(threshold - 1, inf F) over the case-II region, estimated by sampling.
@@ -254,15 +251,6 @@ class IterationTrace:
     epsilon1: float = 0.0
     k_planned: int = 0
     k_actual: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "bounds": [float(b) for b in self.bounds],
-            "cases": list(self.cases),
-            "epsilon1": self.epsilon1,
-            "k_planned": self.k_planned,
-            "k_actual": self.k_actual,
-        }
 
 
 def iterate(cloud, q0_bound: float, params: ShrinkParameters, epsilon1: float) -> IterationTrace:

@@ -76,8 +76,8 @@ def test_criterion_03_block_bounds_sampling():
         # triple block: smallest eigenvalue of the form minus (3 - v) I
         eigs = np.empty(lams.shape[0])
         for start in range(0, lams.shape[0], 200_000):
-            eigs[start : start + 200_000] = ct.verify_III_batch(
-                lams[start : start + 200_000], vs[start : start + 200_000]
+            eigs[start : start + 200_000] = ct.block_margin(
+                "III", lams[start : start + 200_000], vs[start : start + 200_000]
             )
         assert float(eigs.min()) >= -1e-9
         # pair bound: lambda_a lambda_b <= v - 1 for every pair

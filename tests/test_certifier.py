@@ -148,10 +148,10 @@ class TestBlockCatalogue:
 
     @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 3)])
     def test_report_closed_form_gap(self, n, m):
-        report = ct.compute_K0(n, m, 2.9, audit_samples=2_000, seed=8).to_dict()
-        assert report["k0_closed_form"] == ct.k0_closed_form(m, 2.9)
-        assert report["closed_form_gap"] == report["k0"] - report["k0_closed_form"]
-        assert abs(report["closed_form_gap"]) <= 1e-6
+        cert = ct.compute_K0(n, m, 2.9, audit_samples=2_000, seed=8)
+        assert cert.k0_closed_form == ct.k0_closed_form(m, 2.9)
+        assert cert.closed_form_gap == cert.k0 - cert.k0_closed_form
+        assert abs(cert.closed_form_gap) <= 1e-6
 
 
 class TestK0Search:
@@ -159,8 +159,8 @@ class TestK0Search:
     @pytest.mark.parametrize("beta0", [2.5, 2.9, 2.99])
     def test_closed_form_oracle(self, n, m, beta0):
         # the pair profile (sqrt(beta0 - 1), sqrt(beta0 - 1), 0, ...) attains the closed form
-        report = ct.compute_K0(n, m, beta0, audit_samples=2_000, seed=8).to_dict()
-        assert abs(report["closed_form_gap"]) <= 1e-14
+        cert = ct.compute_K0(n, m, beta0, audit_samples=2_000, seed=8)
+        assert abs(cert.closed_form_gap) <= 1e-14
 
     @pytest.mark.parametrize("beta0,recorded", [(2.5, 0.668483167922971), (2.9, 0.172955418985063)])
     def test_no_closed_form_at_two_two(self, beta0, recorded):
@@ -237,7 +237,7 @@ class TestTripleBlock:
         rng = substream(13, 0)
         lams = ct.sample_admissible_lambdas(3, 3.0, 200_000, rng)
         vs = np.prod(np.sqrt(1.0 + lams**2), axis=1)
-        assert float(ct.verify_III_batch(lams, vs).min()) >= -1e-9
+        assert float(ct.block_margin("III", lams, vs).min()) >= -1e-9
 
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
@@ -259,6 +259,15 @@ class TestTripleBlock:
 
 
 class TestBlockMargin:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_I_block_closed_form(self, m):
+        # B_I - I = (diag(lambda^2) + lambda lambda^T) / 2, PSD at every lambda:
+        # the es1 lemma holds off the admissible set too
+        lams = substream(14, 2).uniform(0.0, 2.0, (50, m))
+        blocks = ct._block_matrices(ct._kind_stacks(m + 1, m)["I"][1], lams)[:, 0]
+        closed = (np.einsum("ka,ab->kab", lams**2, np.eye(m)) + lams[:, :, None] * lams[:, None, :]) / 2.0
+        assert np.abs(blocks - np.eye(m) - closed).max() <= 1e-15
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_I_margin_vanishes_at_flat_profile(self, m):
         assert np.array_equal(ct.block_margin("I", np.zeros((2, m)), np.ones(2)), np.zeros(2))
@@ -283,7 +292,6 @@ class TestBlockMargin:
         low = np.linalg.eigvalsh(ct._block_matrices(ct._kind_stacks(3, 3)["III"][1], lams))[:, 0, 0]
         margin = ct.block_margin("III", lams, vs)
         assert np.array_equal(margin, 2.0 * low - (3.0 - vs))
-        assert np.array_equal(margin, ct.verify_III_batch(lams, vs))
 
 
 class TestOmegaSup:
@@ -386,7 +394,7 @@ class TestComputeK0:
         cert = ct.compute_K0(4, 3, 2.9, audit_samples=5_000, seed=4)
         assert cert.k0 == pytest.approx(0.145, abs=2e-4)
         assert cert.worst_violation >= -1e-12
-        assert cert.argmin_lambda.v <= 2.9 + 1e-9
+        assert cert.v_at_argmin <= 2.9 + 1e-9
 
     def test_audit_never_undercuts(self):
         cert = ct.compute_K0(3, 2, 2.5, audit_samples=20_000, seed=5)

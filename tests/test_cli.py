@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbl import certifier, cli
+from gbl import certifier, cli, shrinking
 from gbl.reporting import dumps
 
 
@@ -24,6 +25,40 @@ class TestSerialization:
     def test_nonfinite_sentinels(self):
         assert dumps(float("inf")) == '"inf"'
         assert dumps(float("nan")) == '"nan"'
+
+    def test_dataclass_and_numpy(self):
+        @dataclasses.dataclass
+        class Record:
+            z: float
+            a: np.ndarray
+            ok: bool
+
+        assert dumps(Record(0.5, np.arange(4.0).reshape(2, 2), True)) == '{"z":0.5,"a":[[0,1],[2,3]],"ok":true}'
+        assert dumps(np.array([[1, 2], [3, 4]])) == "[[1,2],[3,4]]"
+        assert dumps([np.bool_(False), np.float64(0.1), np.float32(0.5), np.int64(7)]) == "[false,0.10000000000000001,0.5,7]"
+
+    def test_payload_sections_are_records(self, capsys):
+        # every record section lists its class's fields, in field order
+        def payload(argv):
+            assert cli.main(argv) == 0
+            return json.loads(capsys.readouterr().out)["payload"]
+
+        def names(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        cert = payload(["certify", "--n", "3", "--m", "2", "--samples", "500"])["certificate"]
+        assert list(cert) == names(certifier.CertificateReport)
+        lemmas = payload(["lemmas", "--which", "aux"])["extrema"]
+        assert [list(rec) for rec in lemmas] == [names(certifier.ExtremumRecord)] * 3
+        eps0 = payload(["lemmas", "--which", "iv", "--samples", "1000"])["eps0"]
+        assert list(eps0) == names(certifier.Eps0Result)
+        shrink = payload(["shrink", "--n", "2", "--m", "2", "--samples", "100"])
+        assert list(shrink["epsilon1"]) == names(shrinking.Epsilon1Result)
+        assert list(shrink["iteration"]) == names(shrinking.IterationTrace)
+
+    def test_thinned_eps1_grid_is_reported(self):
+        eps = shrinking.compute_epsilon1(3.0, 2.9, m=3, budget=20_000)
+        assert '"budget_exhausted":true' in dumps(eps)
 
 
 class TestExitCodes:
@@ -95,9 +130,14 @@ class TestExitCodes:
         assert cli.main(argv + ["--samples", str(cli._MAX_SAMPLES + 1)]) == 2
         assert capsys.readouterr().err.startswith("usage error: samples must lie in")
 
-    def test_shrink_without_samples_exits_two(self, capsys):
+    def test_shrink_without_samples_exits_two(self, monkeypatch, capsys):
+        # refused by _validate, before eps1 or the centre step runs
+        def no_eps1(*args, **kwargs):
+            raise AssertionError("eps1 computed before the --samples check")
+
+        monkeypatch.setattr(shrinking, "compute_epsilon1", no_eps1)
         assert cli.main(["shrink", "--n", "1", "--m", "1", "--samples", "0"]) == 2
-        assert "PreconditionViolated" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("usage error: ")
 
     def test_failing_check_exits_one(self):
         # an impossible tolerance turns the extrema comparison into a failure
