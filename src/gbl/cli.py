@@ -111,8 +111,9 @@ def _validate(args) -> dict:
             raise UsageError("shrink requires a > 1 and 1 <= beta0 < a")
         if not (1.0 <= args.b <= args.beta0):
             raise UsageError("shrink requires 1 <= b <= beta0")
-        if args.samples < 1:
-            raise UsageError("shrink requires samples >= 1 for its containment check")
+    sampled = args.command in ("certify", "shrink") or (args.command == "lemmas" and args.which != "aux")
+    if sampled and args.samples == 0:
+        raise UsageError(f"{args.command} requires samples >= 1: its checks read a sample")
     if not (0 <= args.samples <= _MAX_SAMPLES):
         raise UsageError(f"samples must lie in [0, {_MAX_SAMPLES}]")
     if args.fd_step <= 0:
@@ -176,7 +177,6 @@ def _cmd_lemmas(args, report) -> None:
     from .rng import substream
 
     which = args.which
-    samples = max(args.samples, 1)
 
     if which in ("aux", "all"):
         tol = _tolerance(args, 1e-8)
@@ -193,7 +193,7 @@ def _cmd_lemmas(args, report) -> None:
         tol = _tolerance(args, 1e-10)
         rng = substream(args.seed, 31)
         worst = math.inf
-        for _ in range(min(samples, 200)):
+        for _ in range(min(args.samples, 200)):
             lam = certifier.LambdaProfile(3, 3, rng.uniform(0.0, 1.4, 3))
             h = certifier.HTensor.random(3, 3, rng)
             dv = certifier.laplacian_v(lam, h)
@@ -216,13 +216,13 @@ def _cmd_lemmas(args, report) -> None:
          "the triple block dominates (3 - v) I for admissible profiles with v <= 3"),
     ):
         if which in names + ("all",):
-            lams = certifier.sample_admissible_lambdas(m, 3.0, samples, substream(args.seed, stream))
+            lams = certifier.sample_admissible_lambdas(m, 3.0, args.samples, substream(args.seed, stream))
             v = np.prod(np.sqrt(1.0 + lams**2), axis=1)
             margin = float(np.min(certifier.block_margin(kind, lams, v)))
             report.add_margin(name, margin, _tolerance(args, tol), claim)
 
     if which in ("iv", "all"):
-        res = certifier.find_eps0(3, samples=samples, seed=args.seed)
+        res = certifier.find_eps0(3, samples=args.samples, seed=args.seed)
         report.payload["eps0"] = res
         report.add_margin(
             "diag_block_eps0",
@@ -393,7 +393,7 @@ def _cmd_shrink(args, report) -> None:
             0.0,
             "with a = 3 the case threshold equals sqrt(6)/2",
         )
-    eps = shrinking.compute_epsilon1(args.a, args.beta0, m=args.m, budget=2_000_000)
+    eps = shrinking.compute_epsilon1(args.a, args.beta0, m=args.m)
     report.payload["epsilon1"] = eps
     report.add_margin(
         "epsilon1_positive", eps.epsilon1, 0.0, "the per-step decrement eps1 is strictly positive"

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import grassmann
 from .errors import DimensionMismatch, PreconditionViolated, RootBracketFailure, Stalled
@@ -131,114 +130,47 @@ def containment_check(
     return float(np.min(params.a - v2))
 
 
-# eps1 grid: EPS1_B_STEPS values of b, theta_steps^m profiles per b (thinned by 4
-# down to EPS1_MIN_THETA_STEPS while over budget); EPS1_SLACK is the relative slack
-EPS1_B_STEPS = 17
-EPS1_MIN_THETA_STEPS = 8
-EPS1_SLACK = 1e-3
-
-
 @dataclass
 class Epsilon1Result:
-    """Per-step decrement eps1 for given (a, beta0, m): a sampled estimate, not yet a lower bound."""
+    """Per-step decrement eps1 for given (a, beta0, m): a witness value, not yet a certified lower bound.
+
+    epsilon2 is F at the witness (argmin_b, argmin_thetas) = (beta0, theta*)
+    on the equal-angle face, first_branch = threshold - 1, and epsilon1 the
+    smaller of the two.
+    """
     epsilon1: float
     first_branch: float
     epsilon2: float
     argmin_b: float
     argmin_thetas: np.ndarray
-    evaluations: int
-    budget_exhausted: bool
 
 
-def compute_epsilon1(a: float, beta0: float, m: int, budget: int = 4_000_000) -> Epsilon1Result:
-    """Decrement eps1 = min(threshold - 1, inf F) over the case-II region, estimated by sampling.
+def compute_epsilon1(a: float, beta0: float, m: int) -> Epsilon1Result:
+    """Decrement eps1 = min(threshold - 1, F(beta0, theta*)) with theta*_i = arccos(beta0^(-1/m)).
 
-    The compact region: b in [threshold, beta0], theta in [0, arccos(1/b)]^m
-    with c(b) <= prod sec(theta) <= b.  A grid of at most `budget` points plus
-    Nelder-Mead polish estimates inf F, and eps1 keeps EPS1_SLACK below that
-    estimate.  The estimate can sit above feasible F values, so eps1 is not
-    yet a lower bound.  PreconditionViolated,
-    before anything is allocated, when even the coarsest grid exceeds `budget`.
+    F(b, theta) = b - v(Q, gamma(t0)) is the case-II decrement on the region
+    b in [threshold, beta0], c(b) <= prod sec(theta) <= b.  At b = threshold
+    c(b) = b, so F = threshold - 1 there.  At b = beta0 the candidate minimum
+    lies on the face prod sec(theta) = b with all angles equal, where F is one
+    `geodesic_fraction` Newton root.  Probes find no smaller F on the face,
+    along b or inside the region, but eps1 is a witness value, not yet a
+    certified lower bound.
     """
+    if m < 1:
+        raise PreconditionViolated(f"need m >= 1, got {m}")
     if not (1.0 <= beta0 < a):
         raise PreconditionViolated("need 1 <= beta0 < a")
     thr = threshold(a)
     branch1 = thr - 1.0
     if beta0 < thr:
         # no case-II configurations exist below the threshold
-        return Epsilon1Result(branch1, branch1, math.inf, beta0, np.zeros(m), 0, False)
-
-    requested = theta_steps = 64 if m <= 3 else 32
-    while EPS1_B_STEPS * theta_steps**m > budget and theta_steps > EPS1_MIN_THETA_STEPS:
-        theta_steps -= 4
-    if EPS1_B_STEPS * theta_steps**m > budget:
-        raise PreconditionViolated(f"eps1 grid of {EPS1_B_STEPS} x {theta_steps}^{m} exceeds budget {budget}")
-    budget_exhausted = theta_steps < requested
-
-    b_values = np.linspace(thr, beta0, EPS1_B_STEPS) if beta0 > thr else np.array([thr])
-    best = math.inf
-    best_b = float(b_values[0])
-    best_thetas = np.zeros(m)
-    evaluations = 0
-    for b in b_values:
-        params = ShrinkParameters(a=a, b=float(b), beta0=beta0)
-        c = params.c
-        tmax = math.acos(1.0 / b)
-        axes = np.linspace(0.0, tmax, theta_steps)
-        mesh = np.stack(np.meshgrid(*([axes] * m), indexing="ij"), axis=-1).reshape(-1, m)
-        sec_prod = np.prod(1.0 / np.cos(mesh), axis=1)
-        feas = (sec_prod >= c * (1.0 - 1e-12)) & (sec_prod <= b * (1.0 + 1e-12))
-        mesh = mesh[feas]
-        if mesh.shape[0] == 0:
-            continue
-        evaluations += mesh.shape[0]
-        F = b - _case_two(mesh, c)[1]
-        idx = int(np.argmin(F))
-        if F[idx] < best:
-            best = float(F[idx])
-            best_b = float(b)
-            best_thetas = mesh[idx].copy()
-
-    if math.isfinite(best):
-        def objective(x: np.ndarray) -> float:
-            b = float(x[0])
-            thetas = x[1:]
-            if not (thr <= b <= beta0):
-                return 10.0 + abs(b - min(max(b, thr), beta0))
-            tmax = math.acos(1.0 / b)
-            if np.any(thetas < 0.0) or np.any(thetas > tmax):
-                return 10.0 + float(np.sum(np.clip(-thetas, 0, None) + np.clip(thetas - tmax, 0, None)))
-            params = ShrinkParameters(a=a, b=b, beta0=beta0)
-            sec_prod = float(np.prod(1.0 / np.cos(thetas)))
-            if not (params.c <= sec_prod <= b):
-                return 10.0 + abs(sec_prod - min(max(sec_prod, params.c), b))
-            return b - float(_case_two(thetas, params.c)[1])
-
-        res = minimize(
-            objective,
-            x0=np.concatenate([[best_b], best_thetas]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxfev": 4000},
-        )
-        evaluations += res.nfev
-        if res.fun < best:
-            best = float(res.fun)
-            best_b = float(res.x[0])
-            best_thetas = np.clip(res.x[1:], 0.0, None)
-
-    eps2 = best
-    eps1 = min(branch1, eps2 * (1.0 - EPS1_SLACK))
+        return Epsilon1Result(branch1, branch1, math.inf, beta0, np.zeros(m))
+    thetas = np.full(m, math.acos(beta0 ** (-1.0 / m)))
+    eps2 = beta0 - float(_case_two(thetas, ShrinkParameters(a, beta0, beta0).c)[1])
+    eps1 = min(branch1, eps2)
     if eps1 <= 0.0:
         raise PreconditionViolated("numerical decrement collapsed to zero")
-    return Epsilon1Result(
-        epsilon1=eps1,
-        first_branch=branch1,
-        epsilon2=eps2,
-        argmin_b=best_b,
-        argmin_thetas=best_thetas,
-        evaluations=evaluations,
-        budget_exhausted=budget_exhausted,
-    )
+    return Epsilon1Result(eps1, branch1, eps2, beta0, thetas)
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,6 @@ class TestSerialization:
         assert list(shrink["epsilon1"]) == names(shrinking.Epsilon1Result)
         assert list(shrink["iteration"]) == names(shrinking.IterationTrace)
 
-    def test_thinned_eps1_grid_is_reported(self):
-        eps = shrinking.compute_epsilon1(3.0, 2.9, m=3, budget=20_000)
-        assert '"budget_exhausted":true' in dumps(eps)
-
 
 class TestExitCodes:
     def test_usage_error_bad_flag(self):
@@ -73,15 +69,6 @@ class TestExitCodes:
     def test_unknown_command(self):
         proc = run_cli(["frobnicate"])
         assert proc.returncode == 2
-
-    def test_shrink_over_eps1_budget_exits_two(self, monkeypatch, capsys):
-        # 17 x 8^8 eps1 profiles exceed the shrink budget: refused before the grid exists
-        def no_grid(*args, **kwargs):
-            raise AssertionError("the eps1 grid was built before the budget check")
-
-        monkeypatch.setattr(np, "meshgrid", no_grid)
-        assert cli.main(["shrink", "--n", "8", "--m", "8", "--seed", "0"]) == 2
-        assert "PreconditionViolated" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("example,point", [("holomorphic_pair", "inf,0,0"),
@@ -138,6 +125,24 @@ class TestExitCodes:
         monkeypatch.setattr(shrinking, "compute_epsilon1", no_eps1)
         assert cli.main(["shrink", "--n", "1", "--m", "1", "--samples", "0"]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv,name", [
+        (["certify", "--n", "3", "--m", "2"], "compute_K0"),
+        (["lemmas", "--which", "iv"], "find_eps0"),
+        (["lemmas", "--which", "all"], "find_eps0"),
+    ])
+    def test_sampled_commands_without_samples_exit_two(self, monkeypatch, capsys, argv, name):
+        # an empty sample would pass the audit with margin inf or be clamped to one draw
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the --samples check")
+
+        monkeypatch.setattr(certifier, name, no_run)
+        monkeypatch.setattr(certifier, "sample_admissible_lambdas", no_run)
+        assert cli.main(argv + ["--samples", "0"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_aux_lemmas_need_no_samples(self, capsys):
+        assert cli.main(["lemmas", "--which", "aux", "--samples", "0"]) == 0
 
     def test_failing_check_exits_one(self):
         # an impossible tolerance turns the extrema comparison into a failure

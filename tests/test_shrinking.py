@@ -148,29 +148,42 @@ class TestEpsilon1:
         assert res.epsilon1 == res.first_branch
         assert res.epsilon2 == math.inf
 
+    # eps1 at a = 3, beta0 = 2.9: F on the equal-angle face, theta_i = arccos(2.9^(-1/m))
+    PINS = {1: 0.0931428896, 2: 0.0676472800, 3: 0.0612990840, 4: 0.0584507447, 6: 0.0557997092, 16: 0.0527424139}
+
     def test_regression_baselines(self):
-        # recorded from this tool (grid 64 + polish, slack 1e-3)
-        res2 = sh.compute_epsilon1(3.0, 2.9, m=2)
-        assert res2.epsilon1 == pytest.approx(0.06819684, abs=2e-4)
-        res3 = sh.compute_epsilon1(3.0, 2.9, m=3)
-        assert res3.epsilon1 == pytest.approx(0.06141896, abs=5e-4)
-        assert res3.epsilon1 > 0.0
+        for m, pin in self.PINS.items():
+            res = sh.compute_epsilon1(3.0, 2.9, m=m)
+            assert res.epsilon1 == pytest.approx(pin, abs=1e-9)
+            assert res.argmin_b == 2.9
+            assert np.allclose(res.argmin_thetas, math.acos(2.9 ** (-1.0 / m)), rtol=0, atol=1e-15)
 
-    def test_budget_flag(self):
-        res = sh.compute_epsilon1(3.0, 2.9, m=3, budget=20_000)
-        assert res.budget_exhausted
-        assert res.epsilon1 > 0.0
-
-    def test_budget_is_a_cap(self, monkeypatch):
-        # 17 x 8^8 profiles exceed the budget even at the coarsest grid
+    def test_builds_no_grid(self, monkeypatch):
         def no_grid(*args, **kwargs):
-            raise AssertionError("the eps1 grid was built before the budget check")
+            raise AssertionError("eps1 built a grid")
 
         monkeypatch.setattr(sh.np, "meshgrid", no_grid)
+        assert sh.compute_epsilon1(3.0, 2.9, 16).epsilon1 == pytest.approx(self.PINS[16], abs=1e-9)
+
+    def test_needs_m_at_least_one(self):
         with pytest.raises(PreconditionViolated):
-            sh.compute_epsilon1(3.0, 2.9, m=8)
-        with pytest.raises(PreconditionViolated):
-            sh.compute_epsilon1(3.0, 2.9, m=3, budget=17 * 8**3 - 1)
+            sh.compute_epsilon1(3.0, 2.9, 0)
+
+    @pytest.mark.parametrize("a,beta0", [(3.0, 2.9), (5.0, 4.5), (1.5, 1.4), (10.0, 9.0)])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+    def test_face_audit(self, a, beta0, m):
+        # F sampled on the face prod sec(theta) = b and inside c < prod sec(theta) < b,
+        # for 41 values of b in [threshold, beta0], never falls below eps1: the smaller of
+        # the equal-angle witness at b = beta0 and threshold - 1, which F takes at b = threshold
+        rng = substream(39, m)
+        eps = sh.compute_epsilon1(a, beta0, m)
+        worst = math.inf
+        for b in np.linspace(sh.threshold(a), beta0, 41):
+            c = sh.ShrinkParameters(a, b, beta0).c
+            face = np.arccos(np.exp(-rng.dirichlet(np.ones(m), 200) * math.log(b)))
+            for thetas in (face, feasible_profiles(b, c, m, 200, rng)):
+                worst = min(worst, float(np.min(b - sh._case_two(thetas, c)[1])))
+        assert worst >= eps.epsilon1 - 1e-12
 
     def test_sampled_decrement_respects_epsilon1(self):
         rng = substream(33, 0)
