@@ -268,3 +268,11 @@ def test_criterion_11_cli_determinism():
         assert out1.stdout == out2.stdout
         payload = json.loads(out1.stdout)
         assert payload["summary"]["fail"] == 0
+
+
+def test_criterion_12_default_shrink():
+    # the containment check at the default (4, 3) draws 50,000 chart matrices
+    with Budget("12 default gbl shrink", 30.0):
+        out = subprocess.run([sys.executable, "-m", "gbl", "shrink"], capture_output=True, timeout=300)
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["summary"]["fail"] == 0

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbl import certifier, cli, shrinking
+from gbl import certifier, cli, graphs, grassmann, shrinking
 from gbl.reporting import dumps
 
 
@@ -140,6 +140,28 @@ class TestExitCodes:
         monkeypatch.setattr(certifier, "sample_admissible_lambdas", no_run)
         assert cli.main(argv + ["--samples", "0"]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv", [["sweep-k0", "--n", "3", "--m", "2"], ["cross-validate"]])
+    def test_audit_and_fd_commands_without_samples_exit_two(self, monkeypatch, capsys, argv):
+        # sweep-k0 would audit no profile and cross-validate check no point, and both pass
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before the --samples check")
+
+        monkeypatch.setattr(certifier, "compute_K0", no_run)
+        monkeypatch.setattr(cli, "_load_graph", no_run)
+        assert cli.main(argv + ["--samples", "0"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("n,m", [(5, 5), (6, 5), (16, 2), (16, 16)])
+    def test_shrink_refuses_dimensions_past_its_budget(self, monkeypatch, capsys, n, m):
+        # refused by _validate, before eps1 or any chart sampling runs
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before the n * m check")
+
+        monkeypatch.setattr(grassmann, "sample_chart_sublevel", no_run)
+        monkeypatch.setattr(shrinking, "compute_epsilon1", no_run)
+        assert cli.main(["shrink", "--n", str(n), "--m", str(m)]) == 2
+        assert capsys.readouterr().err == f"usage error: shrink requires n * m <= {cli._SHRINK_MAX_NM}\n"
 
     def test_aux_lemmas_need_no_samples(self, capsys):
         assert cli.main(["lemmas", "--which", "aux", "--samples", "0"]) == 0
@@ -305,6 +327,24 @@ class TestCommands:
         payload = json.loads(proc.stdout)
         assert payload["summary"]["fail"] == 0
         assert 1.5 < payload["payload"]["richardson"]["order"] < 2.5
+
+    def test_cross_validate_counts_the_points_it_checks(self, capsys):
+        # no floor of ten points: --samples 3 draws three, all inside this graph's domain
+        assert cli.main(["cross-validate", "--example", "holomorphic_pair", "--samples", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["points_checked"] == 3
+
+    def test_cross_validate_fails_with_no_point_in_the_domain(self, monkeypatch, capsys):
+        # the domain keeps only a small ball around the Richardson point, which no draw reaches
+        pair = graphs.builtin("holomorphic_pair")
+        ball = graphs.GraphImmersion(pair.n, pair.m, pair.f, pair.jac, pair.hess, name="ball_pair",
+                                     excluded=lambda x, margin: np.linalg.norm(x - 0.45, axis=-1) > 0.05 - margin)
+        monkeypatch.setattr(cli, "_load_graph", lambda args: ball)
+        assert cli.main(["cross-validate", "--samples", "5"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["payload"]["points_checked"] == 0
+        check = next(c for c in report["checks"] if c["name"] == "fd_agreement")
+        assert (check["status"], check["margin"]) == ("FAIL", "-inf")
+        assert next(c for c in report["checks"] if c["name"] == "richardson_order")["status"] == "PASS"
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "report.json"

