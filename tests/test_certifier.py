@@ -120,24 +120,42 @@ class TestDecomposition:
         )
 
 
+def exhaustive_form_eigenvalues(n, m, lams):
+    """Per-profile smallest form eigenvalue: v times lambda_min over every distinct block."""
+    low = np.concatenate(ct._block_min_eigs(ct._distinct_stacks(n, m), lams), axis=1).min(axis=1)
+    return np.prod(np.sqrt(1.0 + lams**2), axis=-1) * low
+
+
+def batch_minimum(values):
+    """The (first argmin, min) that `min_form_eigenvalue` returns."""
+    return int(np.argmin(values)), float(values.min())
+
+
 class TestBlockCatalogue:
     @pytest.mark.parametrize("n,m", [(1, 1), (3, 1), (3, 3), (4, 3), (4, 4), (6, 4)])
     def test_blockwise_matches_dense(self, n, m):
         lams = ct.sample_admissible_lambdas(m, 3.0, 500, substream(17, n * 10 + m))
         dense = np.linalg.eigvalsh(ct.quadratic_form_batch(n, m, lams))[:, 0]
-        assert np.abs(ct.min_form_eigenvalue(n, m, lams) - dense).max() < 1e-12
+        exhaustive = exhaustive_form_eigenvalues(n, m, lams)
+        assert np.abs(exhaustive - dense).max() < 1e-12
+        assert ct.min_form_eigenvalue(n, m, lams) == batch_minimum(exhaustive)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_independent_of_n(self, m):
         lams = ct.sample_admissible_lambdas(m, 3.0, 2_000, substream(17, 100 + m))
-        assert np.array_equal(ct.min_form_eigenvalue(m + 1, m, lams), ct.min_form_eigenvalue(m + 4, m, lams))
+        assert np.array_equal(exhaustive_form_eigenvalues(m + 1, m, lams), exhaustive_form_eigenvalues(m + 4, m, lams))
+        assert ct.min_form_eigenvalue(m + 1, m, lams) == ct.min_form_eigenvalue(m + 4, m, lams)
 
     def test_chunks_do_not_change_values(self):
         lams = ct.sample_admissible_lambdas(3, 3.0, ct.CHUNK + 7, substream(17, 200))
         half = lams.shape[0] // 2
-        whole = ct.min_form_eigenvalue(4, 3, lams)
-        parts = np.concatenate([ct.min_form_eigenvalue(4, 3, lams[:half]), ct.min_form_eigenvalue(4, 3, lams[half:])])
+        whole = exhaustive_form_eigenvalues(4, 3, lams)
+        parts = np.concatenate([exhaustive_form_eigenvalues(4, 3, lams[:half]),
+                                exhaustive_form_eigenvalues(4, 3, lams[half:])])
         assert whole.tobytes() == parts.tobytes()
+        (i, low_i), (j, low_j) = ct.min_form_eigenvalue(4, 3, lams[:half]), ct.min_form_eigenvalue(4, 3, lams[half:])
+        split = (i, low_i) if low_i <= low_j else (half + j, low_j)
+        assert ct.min_form_eigenvalue(4, 3, lams) == split == batch_minimum(whole)
 
     @pytest.mark.parametrize("n,m", [(3, 2), (4, 3), (6, 4)])
     @pytest.mark.parametrize("beta0", [1.5, 2.5, 2.9])
@@ -152,6 +170,67 @@ class TestBlockCatalogue:
         assert cert.k0_closed_form == ct.k0_closed_form(m, 2.9)
         assert cert.closed_form_gap == cert.k0 - cert.k0_closed_form
         assert abs(cert.closed_form_gap) <= 1e-6
+
+
+class TestPrunedMinimum:
+    """The Gershgorin pruning of `_batch_minimum` and the premise it rests on."""
+
+    def test_off_diagonal_coefficients_nonnegative(self):
+        # with lambda >= 0 every feature is >= 0, so B(lambda) has no negative off-diagonal entry
+        for m in range(1, 9):
+            for n in range(m, 17):
+                for blk in ct.block_catalogue(n, m):
+                    off = ~np.eye(len(blk.slots), dtype=bool)
+                    assert np.all(blk.coeffs[:, off] >= 0.0), (n, m, blk.kind, blk.key)
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 3), (6, 4), (9, 8)])
+    def test_bound_is_below_lambda_min(self, n, m):
+        sampled = ct.sample_admissible_lambdas(m, 3.0, 300, substream(19, 10 * n + m))
+        tied = np.sqrt(np.expm1(np.log(np.array([1.5, 2.5, 2.9, 3.0]) ** 2) / m))[:, None] * np.ones(m)
+        faces = np.zeros((4, m))
+        if m >= 2:
+            faces[:, :2] = np.sqrt(np.array([1.5, 2.5, 2.9, 3.0]) - 1.0)[:, None]
+        lams = np.vstack([sampled, np.zeros((1, m)), tied, faces])
+        features = ct._features(lams)
+        for stack, G in ct._pruning_stacks(n, m):
+            bound = np.tensordot(features, G, axes=1).min(axis=-1)
+            assert np.all(bound <= np.linalg.eigvalsh(np.tensordot(features, stack, axes=1))[..., 0] + 1e-12)
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 3), (6, 4), (9, 8)])
+    def test_batch_minimum_is_exhaustive(self, monkeypatch, n, m):
+        # a small CHUNK puts the ties of the batch in different chunks
+        monkeypatch.setattr(ct, "CHUNK", 64)
+        sampled = ct.sample_admissible_lambdas(m, 3.0, 150, substream(19, 100 + 10 * n + m))
+        worst = sampled[np.argmin(exhaustive_form_eigenvalues(n, m, sampled))]
+        zeros = np.zeros((70, m))
+        for lams in (
+            np.vstack([zeros, sampled[:40], worst, sampled[40:], worst, zeros]),
+            np.vstack([sampled[:60], np.repeat(worst[None], 10, axis=0), sampled[60:], zeros]),
+            np.zeros((150, m)),
+        ):
+            exhaustive = exhaustive_form_eigenvalues(n, m, lams)
+            assert np.count_nonzero(exhaustive == exhaustive.min()) >= 2
+            assert ct.min_form_eigenvalue(n, m, lams) == batch_minimum(exhaustive)
+
+    def test_negative_or_empty_batch_rejected(self):
+        # the bound assumes lambda >= 0
+        with pytest.raises(PreconditionViolated):
+            ct.min_form_eigenvalue(4, 3, np.array([[0.5, 0.0, 0.0], [0.5, -0.1, 0.0]]))
+        with pytest.raises(PreconditionViolated):
+            ct.min_form_eigenvalue(4, 3, np.zeros((0, 3)))
+
+    def test_k0_search_prunes_half_the_eigensolves(self, monkeypatch):
+        handed = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            handed.append(int(np.prod(np.shape(a)[:-2])))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        cert = ct.compute_K0(4, 3, 2.9, audit_samples=2_000, seed=8)
+        exhaustive = cert.evaluations * sum(stack.shape[1] for stack in ct._distinct_stacks(4, 3))
+        assert 0 < sum(handed) <= exhaustive // 2
 
 
 class TestK0Search:
@@ -173,9 +252,11 @@ class TestK0Search:
     def test_form_is_symmetric_in_lambda(self, m):
         # what lets the search visit non-increasing profiles only
         lams = ct.sample_admissible_lambdas(m, 3.0, 300, substream(18, m))
-        base = ct.min_form_eigenvalue(m + 2, m, lams)
+        base = exhaustive_form_eigenvalues(m + 2, m, lams)
+        _, low = ct.min_form_eigenvalue(m + 2, m, lams)
         for perm in itertools.permutations(range(m)):
-            assert np.abs(ct.min_form_eigenvalue(m + 2, m, lams[:, perm]) - base).max() <= 1e-13
+            assert np.abs(exhaustive_form_eigenvalues(m + 2, m, lams[:, perm]) - base).max() <= 1e-13
+            assert abs(ct.min_form_eigenvalue(m + 2, m, lams[:, perm])[1] - low) <= 1e-13
 
     @pytest.mark.parametrize("budget", [9, 1000])
     def test_budget_never_allocates_the_full_mesh(self, monkeypatch, budget):
@@ -267,6 +348,22 @@ class TestBlockMargin:
         blocks = ct._block_matrices(ct._kind_stacks(m + 1, m)["I"][1], lams)[:, 0]
         closed = (np.einsum("ka,ab->kab", lams**2, np.eye(m)) + lams[:, :, None] * lams[:, None, :]) / 2.0
         assert np.abs(blocks - np.eye(m) - closed).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_I_block_coefficients_closed_form(self, m):
+        # B_I - I = Lambda M Lambda with Lambda = diag(lambda) and M = (I + 1 1^T) / 2, read
+        # off the coefficients: lambda_a^2 carries M_aa at (a, a), lambda_a lambda_b carries
+        # M_ab at (a, b) and (b, a); M > 0, so B_I - I is PSD at every lambda (the es1 lemma)
+        coeffs = ct._kind_stacks(m + 1, m)["I"][1][:, 0]
+        M = (np.eye(m) + np.ones((m, m))) / 2.0
+        expected = np.zeros_like(coeffs)
+        expected[0] = np.eye(m)
+        for a in range(m):
+            expected[1 + a, a, a] = M[a, a]
+        for f, (a, b) in enumerate(itertools.combinations(range(m), 2), start=1 + m):
+            expected[f, a, b] = expected[f, b, a] = M[a, b]
+        assert np.array_equal(coeffs, expected)
+        assert np.linalg.eigvalsh(M)[0] >= 0.5 - 1e-15
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_I_margin_vanishes_at_flat_profile(self, m):
