@@ -138,6 +138,7 @@ _HOPF_Q[1, 1, 2] = _HOPF_Q[1, 2, 1] = 1.0
 _HOPF_Q[1, 0, 3] = _HOPF_Q[1, 3, 0] = -1.0
 _HOPF_Q[2, 0, 2] = _HOPF_Q[2, 2, 0] = 1.0
 _HOPF_Q[2, 1, 3] = _HOPF_Q[2, 3, 1] = 1.0
+_EYE4 = np.eye(4)
 
 
 def lawson_osserman() -> GraphImmersion:
@@ -166,11 +167,13 @@ def lawson_osserman() -> GraphImmersion:
 
     def hess(x):
         r = radius(x)[..., None, None, None]
-        e, de = eta(x), deta(x)
+        e = eta(x)[..., :, None, None]
+        de = deta(x)
+        xi, xj = x[..., None, :, None], x[..., None, None, :]
         out = 2.0 * _HOPF_Q / r
-        out = out - (np.einsum("...ai,...j->...aij", de, x) + np.einsum("...aj,...i->...aij", de, x)) / r**3
-        out = out - np.einsum("...a,ij->...aij", e, np.eye(4)) / r**3
-        out = out + 3.0 * np.einsum("...a,...i,...j->...aij", e, x, x) / r**5
+        out = out - (de[..., :, :, None] * xj + de[..., :, None, :] * xi) / r**3
+        out = out - e * _EYE4 / r**3
+        out = out + 3.0 * (e * xi * xj) / r**5
         return c * out
 
     return GraphImmersion(
@@ -294,33 +297,40 @@ def graph_from_spec(spec: dict) -> GraphImmersion:
 
 @dataclass(frozen=True)
 class PointGeometry:
+    """The pointwise geometry of a graph at x; the Gauss plane is built from `jac` when first read."""
     x: np.ndarray
     g: np.ndarray
     slope: float
-    gauss: grassmann.GrassmannPoint
+    jac: np.ndarray                # (m, n) Df
     lambdas: np.ndarray            # (m,) singular values of Df, descending
     h: certifier.HTensor           # adapted-frame second fundamental form
     mean_h: np.ndarray             # (m,)
     norm_b2: float
 
+    @functools.cached_property
+    def gauss(self) -> grassmann.GrassmannPoint:
+        """The tangent plane, the orthonormalized rows (I | Df^T); one QR on first access."""
+        # (I | Df^T) has singular values >= 1, so it needs no rank check
+        return grassmann.GrassmannPoint(grassmann._orthonormalize_rows(_tangent_rows(self.jac)))
+
 
 def point_geometry(G: GraphImmersion, x) -> PointGeometry:
     """All pointwise quantities in the base-plane frames of `_adapted_second_form`.
 
-    Repeated singular values keep whatever gauge the SVD returns, so only
-    gauge-invariant outputs should be compared across points.
+    Takes one Jacobian and one Hessian and orthonormalizes nothing: the Gauss
+    plane is built only if `PointGeometry.gauss` is read.  Repeated singular
+    values keep whatever gauge the SVD returns, so only gauge-invariant
+    outputs should be compared across points.
     """
     x = G.require(x)
     J = G.jac(x)
     g = _metric(J)
     lambdas, h = _adapted_second_form(J, G.hess(x))
-    # (I | Df^T) has singular values >= 1, so it needs no rank check
-    gauss = grassmann.GrassmannPoint(grassmann._orthonormalize_rows(_tangent_rows(J)))
     return PointGeometry(
         x=x,
         g=g,
         slope=math.sqrt(float(np.linalg.det(g))),
-        gauss=gauss,
+        jac=J,
         lambdas=lambdas,
         h=h,
         mean_h=np.einsum("aii->a", h.h),
@@ -338,13 +348,14 @@ def _adapted_second_form(J: np.ndarray, Hf: np.ndarray, P0: grassmann.GrassmannP
     unless w(gauss, P0) > 0.  h_{a,ij} pairs normal a with (0, D^2 f) at the
     coordinate parts of tangents i and j.
     """
-    m, n = J.shape
+    n = J.shape[1]
     if P0 is None:
-        Z, basis = J.T, np.eye(n + m)
+        # the chart basis is the identity, so the rows are already coordinates
+        rows, scale, lambdas = grassmann.chart_frames(J.T)
     else:
         Z = grassmann.chart_stack(_tangent_rows(J), P0, np.sqrt(np.linalg.det(_metric(J))))[0]
-        basis = np.vstack([P0.frame, P0.normal_frame])
-    rows, scale, lambdas = grassmann.chart_frames(Z, basis)
+        rows, scale, lambdas = grassmann.chart_frames(Z)
+        rows = rows @ np.vstack([P0.frame, P0.normal_frame])
     # contiguous, the three-operand einsum below runs about twice as fast
     coords = np.ascontiguousarray(rows[:n, :n])
     D2 = np.einsum("bkl,ik,jl->bij", Hf, coords, coords)
@@ -376,15 +387,24 @@ def graph_v(G: GraphImmersion, x, P0: grassmann.GrassmannPoint | None = None) ->
     """v(gauss(x), P0) at each point of an (..., n) stack, shape (...), without frames.
 
     P0 = None means the base plane, where v is the volume element
-    sqrt(det(I + Df^T Df)); otherwise v = 1 / w with w from
-    `grassmann.chart_stack` of the rows (I | Df^T).
+    sqrt(det(I + Df^T Df)); otherwise v = 1 / w with w the pairing of the
+    rows (I | Df^T) with P0 (`_v_from_jacobians`).
     """
     x = G.require(x)
     J = G.jac(x)
-    vol = np.sqrt(np.linalg.det(_metric(J)))
+    return _v_from_jacobians(J, np.sqrt(np.linalg.det(_metric(J))), P0)
+
+
+def _v_from_jacobians(J: np.ndarray, vol: np.ndarray, P0: grassmann.GrassmannPoint | None) -> np.ndarray:
+    """v(gauss, P0) over a stack of Jacobians J with volume elements vol = sqrt(det g).
+
+    At the base plane v is vol; otherwise v = 1 / w, w the
+    `grassmann._chart_pairing` of the rows (I | Df^T) with P0, which raises
+    OutOfChart unless every w > 0.  No chart matrix is solved for.
+    """
     if P0 is None:
         return vol
-    return 1.0 / grassmann.chart_stack(_tangent_rows(J), P0, vol)[1]
+    return 1.0 / grassmann._chart_pairing(_tangent_rows(J), P0, vol)[1]
 
 
 def laplacian_v_closed_form(
@@ -406,9 +426,10 @@ def _fd_stencil(n: int):
     """Index bookkeeping of the divergence-form stencil in dimension n.
 
     Returns the 2n^2 + 1 distinct integer offsets (row 0 the centre), the
-    index arrays a, b, c, d of shape (2, n, n) and the diagonal mask.  For
-    the half-step x + s (step/2) e_i, s = +1 then -1, the gradient component
-    j is (u[a] - u[b]) / step when j == i and (u[a] - u[b] + u[c] - u[d]) /
+    index arrays a, b, c, d of shape (2, n, n), the diagonal mask and the
+    2n half-step directions (e_i, then -e_i).  For the half-step
+    x + s (step/2) e_i, s = +1 then -1, the gradient component j is
+    (u[a] - u[b]) / step when j == i and (u[a] - u[b] + u[c] - u[d]) /
     (4 step) otherwise, u being the values at x + step * offsets.
     """
     eye = np.eye(n, dtype=int)
@@ -431,9 +452,10 @@ def _fd_stencil(n: int):
                                         index(eye[j]), index(-eye[j])]
     table = np.array(list(offsets), dtype=float)
     diag = np.eye(n, dtype=bool)
-    for arr in (table, abcd, diag):
+    halves = np.concatenate([np.eye(n), -np.eye(n)])
+    for arr in (table, abcd, diag, halves):
         arr.flags.writeable = False    # shared by every call through the cache
-    return table, abcd, diag
+    return table, abcd, diag, halves
 
 
 def laplacian_v_finite_difference(
@@ -446,24 +468,29 @@ def laplacian_v_finite_difference(
 
     Conservative second-order scheme: fluxes sqrt(det g) g^{ij} du/dx^j are
     evaluated at half-steps, cross derivatives by averaged central
-    differences.  The 2n^2 + 1 stencil values take one batched `graph_v`,
-    the 2n flux coefficients and the centre's volume element one batched
-    Jacobian.
+    differences.  The 2n^2 + 1 stencil points (row 0 the centre) and the 2n
+    half-steps take one batched Jacobian and one batch of metrics: the
+    stencil values of v come from `_v_from_jacobians`, as in `graph_v`, the
+    half-steps give the flux coefficients, and the centre the volume
+    element that divides the divergence.
     """
     x = G.require(x, margin=2.0 * step)
     n = G.n
-    offsets, (a, b, c, d), diag = _fd_stencil(n)
-    u = graph_v(G, x + step * offsets, P0)
+    offsets, (a, b, c, d), diag, halves = _fd_stencil(n)
+    stencil = G.require(x + step * offsets)
+    size = len(offsets)
+    J = G.jac(np.concatenate([stencil, x + (0.5 * step) * halves]))
+    g = _metric(J)
+    vol = np.sqrt(np.linalg.det(g[:size]))
+    u = _v_from_jacobians(J[:size], vol, P0)
     first = u[a] - u[b]
     grad = np.where(diag, first / step, (first + u[c] - u[d]) / (4.0 * step))   # (2, n, n)
 
-    half = (0.5 * step) * np.concatenate([np.eye(n), -np.eye(n)])
-    g = _metric(G.jac(x + np.vstack([half, np.zeros(n)])))
-    coeff = _flux_coefficients(g[:-1]).reshape(2, n, n, n)
+    coeff = _flux_coefficients(g[size:]).reshape(2, n, n, n)
     rows = coeff[:, np.arange(n), np.arange(n)]                                  # row i at half-step (s, i)
     flux = (rows[..., None, :] @ grad[..., :, None])[..., 0, 0]                  # (2, n)
     total = np.sum((flux[0] - flux[1]) / step)
-    return float(total / np.sqrt(np.linalg.det(g[-1])))
+    return float(total / vol[0])
 
 
 def ellipticity_check(

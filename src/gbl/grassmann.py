@@ -16,7 +16,8 @@ Conventions
   orthonormal completion as the normal basis; chart matrices Z are n x m
   and the represented plane is spanned by rows of (I | Z) in that basis.
   `chart_stack` is the one routine that charts planes (any stack of
-  spanning rows) and decides when a plane is out of chart.
+  spanning rows); its pairing step `_chart_pairing`, which callers that
+  need only w take alone, decides when a plane is out of chart.
 * Frames adapted to the principal angles towards P0 come from one SVD of
   the chart matrix (`chart_frames`).  Jordan data (`jordan_decompose`, by
   descending angle, left_i . right_j = cos(theta_i) delta_ij, the left basis
@@ -203,12 +204,10 @@ def from_chart(Z: np.ndarray, P0: GrassmannPoint) -> GrassmannPoint:
     return GrassmannPoint(_orthonormalize_rows(rows))
 
 
-def chart_stack(R: np.ndarray, P0: GrassmannPoint, vol) -> tuple[np.ndarray, np.ndarray]:
-    """Chart matrices around P0 of the planes spanned by a (..., n, n+m) stack of rows R, and w.
+def _chart_pairing(R: np.ndarray, P0: GrassmannPoint, vol) -> tuple[np.ndarray, np.ndarray]:
+    """A = R P0^T and the pairing w = det A / vol of a (..., n, n+m) stack of rows R with P0.
 
-    The rows need not be orthonormal: `vol` is sqrt(det(R R^T)) per plane (1
-    for orthonormal frames), so w = det(R P0^T) / vol is the pairing w(P, P0),
-    and Z = (R P0^T)^{-1} R N0^T with N0 the normal frame of P0.  Raises
+    `vol` is sqrt(det(R R^T)) per plane (1 for orthonormal frames).  Raises
     OutOfChart, naming how many planes fail, unless every w > CHART_TOL.
     """
     A = R @ P0.frame.T
@@ -216,6 +215,19 @@ def chart_stack(R: np.ndarray, P0: GrassmannPoint, vol) -> tuple[np.ndarray, np.
     out = w <= CHART_TOL
     if np.any(out):
         raise OutOfChart(f"{int(np.sum(out))} plane(s) outside the chart of P0 (w <= 0)")
+    return A, w
+
+
+def chart_stack(R: np.ndarray, P0: GrassmannPoint, vol) -> tuple[np.ndarray, np.ndarray]:
+    """Chart matrices around P0 of the planes spanned by a (..., n, n+m) stack of rows R, and w.
+
+    The rows need not be orthonormal: `vol` is sqrt(det(R R^T)) per plane (1
+    for orthonormal frames), so w = det(R P0^T) / vol is the pairing w(P, P0)
+    of `_chart_pairing`, and Z = (R P0^T)^{-1} R N0^T with N0 the normal frame
+    of P0.  Raises OutOfChart, naming how many planes fail, unless every
+    w > CHART_TOL.
+    """
+    A, w = _chart_pairing(R, P0, vol)
     return np.linalg.solve(A, R @ P0.normal_frame.T), w
 
 
@@ -282,15 +294,18 @@ class AdaptedFrames:
     lambdas: np.ndarray   # (m,)
 
 
-def chart_frames(Z: np.ndarray, basis: np.ndarray):
+def chart_frames(Z: np.ndarray):
     """Adapted rows of the plane spanned by T0 + Z N0, from one SVD of its n x m chart matrix Z.
 
-    `basis` stacks the chart's orthonormal rows T0 and N0.  With Z = U diag(s)
-    V^T (s zero-padded past min(n, m)), tangent row i is U_i^T T0 + s_i V_i^T
-    N0 and normal row a is -s_a U_a^T T0 + V_a^T N0, signs fixed so that
-    V_aa >= 0 and, for unpaired tangents, U_ii >= 0.
-    Returns these rows unscaled, tangents first, as one (n+m, n+m) stack,
-    the scales 1 / sqrt(1 + s^2) that make them orthonormal at every angle,
+    T0 and N0 are the chart's orthonormal tangent and normal rows.  With
+    Z = U diag(s) V^T (s zero-padded past min(n, m)), tangent row i is
+    U_i^T T0 + s_i V_i^T N0 and normal row a is -s_a U_a^T T0 + V_a^T N0,
+    signs fixed so that V_aa >= 0 and, for unpaired tangents, U_ii >= 0.
+    Returns these rows unscaled, tangents first, as one (n+m, n+m) stack of
+    coordinates in the chart basis (T0; N0): a caller multiplies them by
+    that basis to get rows of R^(n+m), and around the coordinate plane,
+    whose basis is the identity, uses them as they are.  Also returns the
+    scales 1 / sqrt(1 + s^2) that make the rows orthonormal at every angle,
     and the (m,) lambdas s = tan theta.
     """
     n, m = Z.shape
@@ -306,20 +321,20 @@ def chart_frames(Z: np.ndarray, basis: np.ndarray):
     for i in range(m, n):
         if Ut[i, i] < 0.0:
             Ut[i] *= -1.0
-    K = np.zeros((n + m, n + m))     # the rows in the basis (T0; N0)
+    K = np.zeros((n + m, n + m))
     K[:n, :n] = Ut
     K[n:, n:] = V.T
     K[:p, n:] = s[:, None] * V.T[:p]
     K[n : n + p, :n] = -s[:, None] * Ut[:p]
     lam = np.zeros(n + m)
     lam[:p] = lam[n : n + p] = s
-    return K @ basis, 1.0 / np.sqrt(1.0 + lam**2), lam[n:]
+    return K, 1.0 / np.sqrt(1.0 + lam**2), lam[n:]
 
 
 def adapted_frames(P: GrassmannPoint, P0: GrassmannPoint) -> AdaptedFrames:
     """`chart_frames` of P around P0, scaled; raises OutOfChart unless w(P, P0) > 0."""
-    rows, scale, lambdas = chart_frames(to_chart(P, P0), np.vstack([P0.frame, P0.normal_frame]))
-    rows = rows * scale[:, None]
+    rows, scale, lambdas = chart_frames(to_chart(P, P0))
+    rows = (rows @ np.vstack([P0.frame, P0.normal_frame])) * scale[:, None]
     return AdaptedFrames(tangent=rows[: P.n], normal=rows[P.n :], lambdas=lambdas)
 
 

@@ -88,6 +88,10 @@ class TestBatchedDerivatives:
             stacked = method(X)
             assert stacked.shape == (40,) + shape
             assert np.abs(stacked - np.stack([method(x) for x in X])).max() <= 1e-15
+        # the FD Laplacian takes one Jacobian of its whole stencil, and the
+        # point functions one of a single point: both must give the same bits
+        for method in (G.jac, G.hess):
+            assert method(X).tobytes() == np.stack([method(x) for x in X]).tobytes()
         assert G.hess(X.reshape(4, 10, G.n)).shape == (4, 10, G.m, G.n, G.n)
 
     def test_contains_on_a_stack(self):
@@ -123,6 +127,34 @@ class TestBatchedDerivatives:
 
 
 class TestPointGeometry:
+    @pytest.mark.parametrize("name", ["affine", "holomorphic_pair", "lawson_osserman"])
+    def test_gauss_is_the_qr_frame(self, name):
+        G = gg.builtin(name)
+        for x in substream(21, 5).uniform(0.2, 0.9, (10, G.n)):
+            eager = gr._orthonormalize_rows(np.hstack([np.eye(G.n), G.jac(x).T]))
+            assert gg.point_geometry(G, x).gauss.frame.tobytes() == eager.tobytes()
+
+    def test_qr_only_when_gauss_is_read(self, monkeypatch):
+        # guards the lazy Gauss plane: the per-point path orthonormalizes nothing
+        calls = [0]
+        qr = gr._orthonormalize_rows
+
+        def counted(rows):
+            calls[0] += 1
+            return qr(rows)
+
+        monkeypatch.setattr(gr, "_orthonormalize_rows", counted)
+        G = gg.builtin("lawson_osserman")
+        x = np.array([0.5, -0.3, 0.4, 0.6])
+        pg = gg.point_geometry(G, x)
+        gg.laplacian_v_closed_form(G, x)
+        gg.laplacian_v_finite_difference(G, x)
+        assert calls[0] == 0
+        frame = pg.gauss.frame
+        assert calls[0] == 1
+        assert pg.gauss.frame is frame
+        assert calls[0] == 1
+
     def test_affine_flat(self):
         A = np.array([[0.5, -0.25, 0.0], [0.1, 0.3, -0.2]])
         G = gg.builtin("affine", A=A)
@@ -233,7 +265,40 @@ class TestClosedForm:
             gg.laplacian_v_closed_form(G, np.array([0.3, 0.2, 0.7]), gr.GrassmannPoint(frame))
 
 
+def two_batch_fd(G, x, P0, step):
+    """The divergence-form FD Laplacian with the stencil values and the fluxes from two Jacobian batches."""
+    x = G.require(x, margin=2.0 * step)
+    n = G.n
+    offsets, (a, b, c, d), diag, _ = gg._fd_stencil(n)
+    J = G.jac(G.require(x + step * offsets))
+    vol = np.sqrt(np.linalg.det(np.eye(n) + np.swapaxes(J, -1, -2) @ J))
+    if P0 is None:
+        u = vol
+    else:
+        rows = np.concatenate([np.broadcast_to(np.eye(n), J.shape[:-2] + (n, n)), np.swapaxes(J, -1, -2)], axis=-1)
+        u = 1.0 / gr.chart_stack(rows, P0, vol)[1]
+    first = u[a] - u[b]
+    grad = np.where(diag, first / step, (first + u[c] - u[d]) / (4.0 * step))
+    half = (0.5 * step) * np.concatenate([np.eye(n), -np.eye(n)])
+    Jh = G.jac(x + np.vstack([half, np.zeros(n)]))
+    g = np.eye(n) + np.swapaxes(Jh, -1, -2) @ Jh
+    coeff = (np.sqrt(np.linalg.det(g[:-1]))[..., None, None] * np.linalg.inv(g[:-1])).reshape(2, n, n, n)
+    rows = coeff[:, np.arange(n), np.arange(n)]
+    flux = (rows[..., None, :] @ grad[..., :, None])[..., 0, 0]
+    total = np.sum((flux[0] - flux[1]) / step)
+    return float(total / np.sqrt(np.linalg.det(g[-1])))
+
+
 class TestFiniteDifference:
+    @pytest.mark.parametrize("name", ["affine", "holomorphic_pair", "lawson_osserman"])
+    def test_one_batch_matches_two_batches(self, name):
+        G = gg.builtin(name)
+        P0 = gr.from_chart(np.full((G.n, G.m), 0.05), gr.standard_plane(G.n, G.m))
+        for x in substream(23, 3).uniform(0.2, 0.9, (20, G.n)):
+            for Q in (None, P0):
+                one = gg.laplacian_v_finite_difference(G, x, Q, step=1e-3)
+                assert np.float64(one).tobytes() == np.float64(two_batch_fd(G, x, Q, 1e-3)).tobytes()
+
     def test_affine_vanishes(self):
         G = gg.builtin("affine")
         assert abs(gg.laplacian_v_finite_difference(G, np.array([0.1, -0.2, 0.3]))) < 1e-10
@@ -285,7 +350,7 @@ class TestFiniteDifference:
         assert abs(cf - fd) / abs(cf) < 1e-3
 
     def test_jacobian_calls_independent_of_n(self):
-        # the stencil and the flux coefficients each take one batched Jacobian
+        # the stencil and the flux coefficients share one batched Jacobian
         calls = []
         for G in (gg.builtin("holomorphic_pair"), gg.builtin("lawson_osserman"),
                   gg.affine_graph(substream(23, 2).uniform(-1, 1, (3, 6)))):
@@ -299,7 +364,7 @@ class TestFiniteDifference:
             x = np.full(G.n, 0.45)
             assert gg.laplacian_v_finite_difference(W, x) == gg.laplacian_v_finite_difference(G, x)
             calls.append(count[0])
-        assert calls == [2, 2, 2]
+        assert calls == [1, 1, 1]
 
     def test_domain_margin(self):
         G = gg.builtin("lawson_osserman")
