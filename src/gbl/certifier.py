@@ -45,28 +45,6 @@ PRUNE_SLACK = 1e-9
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class LambdaProfile:
-    """Nonnegative singular values at an evaluation point; the n - m others are 0."""
-    n: int
-    m: int
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        object.__setattr__(self, "lambdas", lam)
-        if not (1 <= self.m <= self.n):
-            raise DimensionMismatch(f"need 1 <= m <= n, got n={self.n}, m={self.m}")
-        if lam.shape != (self.m,):
-            raise DimensionMismatch(f"lambdas must have shape ({self.m},)")
-        if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
-            raise PreconditionViolated("lambdas must be finite and nonnegative")
-
-    @property
-    def v(self) -> float:
-        return float(np.prod(np.sqrt(1.0 + self.lambdas**2)))
-
-
 class HTensor:
     """Second-fundamental-form coefficients h[a, i, j], symmetric in (i, j)."""
 
@@ -125,34 +103,22 @@ def flatten_h(h: np.ndarray) -> np.ndarray:
     return flat.reshape(*h.shape[:-3], -1)
 
 
-def unflatten_h(u: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Inverse of `flatten_h` (single vector)."""
-    pairs, _, weights = _pair_table(n)
-    u = np.asarray(u, dtype=float).reshape(m, len(pairs)) / weights
-    h = np.zeros((m, n, n))
-    for k, (i, j) in enumerate(pairs):
-        h[:, i, j] = u[:, k]
-        h[:, j, i] = u[:, k]
-    return h
-
-
 # ---------------------------------------------------------------------------
 # direct evaluation
 
-def laplacian_v(lam: LambdaProfile, h: HTensor) -> float:
-    """Delta v for one profile/tensor pair."""
-    if (lam.n, lam.m) != (h.n, h.m):
-        raise DimensionMismatch(f"profile ({lam.n},{lam.m}) vs tensor ({h.n},{h.m})")
-    return float(laplacian_v_batch(lam.lambdas[None, :], h.h[None, ...])[0])
-
-
 def laplacian_v_batch(lams: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Vectorised Delta v = v sum_j X_j^T (Hess v / v) X_j; lams (K, m), hs (K, m, n, n) symmetric.
+    """Delta v = v sum_j X_j^T (Hess v / v) X_j of profiles lams (K, m) with symmetric hs (K, m, n, n).
 
-    (X_j)_{i,a} = h_{a,ij} sits at slot i*m + a of `grassmann.hessian_over_v`.
+    One profile is the stack lams (m,) with hs (m, n, n); it gives a scalar,
+    bitwise row 0 of its K = 1 stack.  (X_j)_{i,a} = h_{a,ij} sits at slot
+    i*m + a of `grassmann.hessian_over_v`.
     """
     lams = np.asarray(lams, dtype=float)
     hs = np.asarray(hs, dtype=float)
+    if lams.ndim not in (1, 2) or hs.shape[:-2] != lams.shape or hs.shape[-1] != hs.shape[-2]:
+        raise DimensionMismatch(f"profiles {lams.shape} vs tensors {hs.shape}")
+    if lams.ndim == 1:
+        return laplacian_v_batch(lams[None], hs[None])[0]
     K, m, n = hs.shape[:3]
     X = hs.transpose(0, 3, 2, 1).reshape(K, n, n * m)
     quad = np.empty(K)
@@ -376,11 +342,13 @@ class TermDecomposition:
         )
 
 
-def decompose_terms(lam: LambdaProfile, h: HTensor) -> TermDecomposition:
-    """Evaluate each named group exactly as u_B^T B(lambda) u_B; their sum is v^{-1} Delta v."""
-    if (lam.n, lam.m) != (h.n, h.m):
-        raise DimensionMismatch(f"profile ({lam.n},{lam.m}) vs tensor ({h.n},{h.m})")
+def decompose_terms(lams: np.ndarray, h: HTensor) -> TermDecomposition:
+    """Evaluate each named group at the profile lams (m,) exactly as u_B^T B(lambda) u_B;
+    their sum is v^{-1} Delta v."""
+    lams = np.asarray(lams, dtype=float)
     n, m = h.n, h.m
+    if lams.shape != (m,):
+        raise DimensionMismatch(f"profile {lams.shape} vs tensor ({n},{m})")
     u = h.flatten()
     stacks = _kind_stacks(n, m)
 
@@ -389,7 +357,7 @@ def decompose_terms(lam: LambdaProfile, h: HTensor) -> TermDecomposition:
             return np.zeros(0)
         slots, stack = stacks[kind]
         x = u[slots]
-        return np.einsum("bi,bij,bj->b", x, _block_matrices(stack, lam.lambdas), x)
+        return np.einsum("bi,bij,bj->b", x, _block_matrices(stack, lams), x)
 
     return TermDecomposition(
         float(values("pure").sum()),
@@ -402,11 +370,6 @@ def decompose_terms(lam: LambdaProfile, h: HTensor) -> TermDecomposition:
 
 # ---------------------------------------------------------------------------
 # the full quadratic form
-
-def quadratic_form_matrix(lam: LambdaProfile) -> np.ndarray:
-    """Symmetric matrix M with u^T M u = Delta v for u = flatten_h(h)."""
-    return quadratic_form_batch(lam.n, lam.m, lam.lambdas[None, :])[0]
-
 
 def quadratic_form_batch(n: int, m: int, lams: np.ndarray) -> np.ndarray:
     """Dense form matrices (K, D, D), scattered from the block catalogue.
@@ -466,35 +429,6 @@ def block_margin(kind: str, lams: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return 2.0 * low - (3.0 - np.asarray(vs, dtype=float))
 
 
-def lambda_pair_bound_check(v_bound: float, samples: int, m: int = 2, seed: int = 0) -> float:
-    """Worst margin of lambda_a lambda_b <= v - 1 over sampled admissible profiles: the II `block_margin`.
-
-    The tight configuration lambda_a = lambda_b = sqrt(v_bound - 1) is always
-    included, so the returned margin is at most ~0.
-    """
-    if v_bound < 1.0:
-        raise PreconditionViolated("v_bound must be >= 1")
-    if m < 2:
-        raise PreconditionViolated("need at least two singular values")
-    lams = sample_admissible_lambdas(m, v_bound, samples, substream(seed, 0))
-    tight = np.zeros((1, m))
-    tight[0, :2] = math.sqrt(v_bound - 1.0)
-    lams = np.vstack([lams, tight])
-    return float(np.min(block_margin("II", lams, np.prod(np.sqrt(1.0 + lams**2), axis=1))))
-
-
-def verify_III(lams3, v: float) -> float:
-    """Smallest eigenvalue of the triple block minus (3 - v) I.
-
-    Precondition: prod(1 + lambda^2) <= v^2 <= 9.
-    """
-    lams3 = np.asarray(lams3, dtype=float)
-    prod = float(np.prod(1.0 + lams3**2))
-    if prod > v * v * (1.0 + 1e-12) or v * v > 9.0 * (1.0 + 1e-12):
-        raise PreconditionViolated(f"need prod(1+lambda^2) <= v^2 <= 9, got {prod:.6f} vs {v * v:.6f}")
-    return float(block_margin("III", lams3[None, :], np.array([v]))[0])
-
-
 def verify_omega_sup(v: float, C: float, grid: int = 256) -> float:
     """Numerical sup of f = 1/(v-x) + 1/(v-y) + 1/(v-z) on the constrained slab.
 
@@ -541,32 +475,16 @@ def verify_omega_sup(v: float, C: float, grid: int = 256) -> float:
 
 # ---------------------------------------------------------------------------
 # diagonal block (the 2m-1 dimensional reduced form)
-#
-# In h coordinates the subtracted term weighs h_{a,aa} and h_{a,bb} by 1 and
-# h_{b,ba} by 2.  In flattened coordinates those weights are the identity, so
-# the IV block B_IV = E^{-1/2} A E^{-1/2} carries eps0 as a plain shift.
-# Sampling with exchangeable random profiles makes alpha = 0 fully general.
-
-def verify_IV(lam: LambdaProfile, eps0: float, alpha: int = 0) -> float:
-    """lambda_min(B_IV,alpha) - eps0: the smallest eigenvalue of the diagonal block, minus eps0.
-
-    Precondition: prod(1 + lambda^2) <= 9 and 0 <= eps0 < 1.
-    """
-    if not (0.0 <= eps0 < 1.0):
-        raise PreconditionViolated("need 0 <= eps0 < 1")
-    if float(np.prod(1.0 + lam.lambdas**2)) > 9.0 * (1.0 + 1e-12):
-        raise PreconditionViolated("profile exceeds v <= 3")
-    if not (0 <= alpha < lam.m):
-        raise PreconditionViolated("alpha out of range")
-    stack = _kind_stacks(lam.m, lam.m)["IV"][1][:, alpha : alpha + 1]
-    return float(_block_min_eigs([stack], lam.lambdas[None, :])[0][0, 0]) - eps0
-
 
 def iv_eps0_bound(lams: np.ndarray) -> np.ndarray:
-    """Per-sample supremum of feasible eps0: lambda_min(B_IV).
+    """Per-sample supremum of feasible eps0: lambda_min(B_IV,0) at profiles (K, m).
 
-    A - eps E >= 0 in h coordinates iff eps <= lambda_min(E^{-1/2} A E^{-1/2}),
-    which is the flattened block.
+    In h coordinates the subtracted term eps0 E weighs h_{a,aa} and h_{a,bb}
+    by 1 and h_{b,ba} by 2, and A - eps E >= 0 iff eps <= lambda_min(E^{-1/2}
+    A E^{-1/2}).  In flattened coordinates those weights are the identity, so
+    the flattened block B_IV = E^{-1/2} A E^{-1/2} carries eps0 as a plain
+    shift.  Sampling with exchangeable random profiles makes alpha = 0 fully
+    general.
     """
     m = np.shape(lams)[-1]
     return _block_min_eigs([_kind_stacks(m, m)["IV"][1][:, :1]], lams)[0][:, 0]
@@ -663,8 +581,8 @@ class CertificateReport:
     m: int
     beta0: float
     k0: float
-    k0_closed_form: float
-    closed_form_gap: float
+    k0_closed_form: float | None
+    closed_form_gap: float | None
     argmin_lambda: list
     v_at_argmin: float
     min_eigenvalue_trace: list
@@ -674,14 +592,19 @@ class CertificateReport:
     evaluations: int
 
 
-def k0_closed_form(m: int, beta0: float) -> float:
-    """K0 in closed form: min(1, beta0 (3 - beta0) / 2) for m >= 2, and 1 for m = 1.
+def k0_closed_form(n: int, m: int, beta0: float) -> float | None:
+    """K0 in closed form: min(1, beta0 (3 - beta0) / 2) for m >= 2, 1 for m = 1, None at n = m = 2.
 
     For m >= 2 it is the II-block eigenvalue v (1 - lambda_a lambda_b / 2)
-    at v = beta0 with the pair bound lambda_a lambda_b <= v - 1.  With m = 1
-    there is no II block, and the search returns exactly 1 at every beta0.
-    Reports carry it beside the searched k0 as information, not as a check.
+    at v = beta0 with the pair bound lambda_a lambda_b <= v - 1; at n = m >= 3
+    the III block attains the same value.  With m = 1 there is no II block,
+    and the search returns exactly 1 at every beta0.  At n = m = 2 the
+    catalogue holds only the two IV blocks, whose minimum has no closed form
+    here and lies above the pair value.  Reports carry it beside the searched
+    k0 as information, not as a check.
     """
+    if n == m == 2:
+        return None
     return 1.0 if m == 1 else min(1.0, beta0 * (3.0 - beta0) / 2.0)
 
 
@@ -771,16 +694,16 @@ def compute_K0(
             trace.append({"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val})
         worst_violation = low - best_val
 
-    closed = k0_closed_form(m, beta0)
+    closed = k0_closed_form(n, m, beta0)
     return CertificateReport(
         n=n,
         m=m,
         beta0=beta0,
         k0=best_val,
         k0_closed_form=closed,
-        closed_form_gap=best_val - closed,
+        closed_form_gap=None if closed is None else best_val - closed,
         argmin_lambda=best_lam.tolist(),
-        v_at_argmin=LambdaProfile(n, m, best_lam).v,
+        v_at_argmin=float(np.prod(np.sqrt(1.0 + best_lam**2))),
         min_eigenvalue_trace=trace,
         sample_count=audit_samples,
         worst_violation=worst_violation,

@@ -418,7 +418,7 @@ def laplacian_v_closed_form(
     """
     x = G.require(x)
     lambdas, h = _adapted_second_form(G.jac(x), G.hess(x), P0)
-    return certifier.laplacian_v(certifier.LambdaProfile(G.n, G.m, lambdas), h)
+    return float(certifier.laplacian_v_batch(lambdas, h.h))
 
 
 @functools.lru_cache(maxsize=None)

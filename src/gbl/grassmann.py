@@ -21,7 +21,7 @@ Conventions
 * Frames adapted to the principal angles towards P0 come from one SVD of
   the chart matrix (`chart_frames`).  Jordan data (`jordan_decompose`, by
   descending angle, left_i . right_j = cos(theta_i) delta_ij, the left basis
-  positively oriented) serves only the geodesics, `distance`, `in_bjx` and
+  positively oriented) serves only the geodesics, `distance` and
   `shrinking.shrink_center`.
 * Repeated angles make principal bases non-unique; whichever gauge the
   SVD returns is kept, and only gauge-invariant quantities should be
@@ -381,14 +381,6 @@ def geodesic_velocity(Q: GrassmannPoint, P1: GrassmannPoint, frames: AdaptedFram
         return TangentVector(Q, np.zeros((Q.n, Q.m)))
     vel = (angles / L)[:, None] * u
     return TangentVector(Q, (frames.tangent @ left.T) @ (vel @ frames.normal.T))
-
-
-def in_bjx(P: GrassmannPoint, P0: GrassmannPoint) -> bool:
-    """True iff every pairwise sum of principal angles to P0 is below pi/2."""
-    dec = jordan_decompose(P, P0)
-    if dec.thetas.size == 1:
-        return bool(dec.thetas[0] < np.pi / 2)
-    return bool(dec.thetas[0] + dec.thetas[1] < np.pi / 2)
 
 
 def log_volume(s2: np.ndarray) -> np.ndarray:

@@ -8,36 +8,76 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from gbl import certifier as ct
+from gbl import graphs as gg
 from gbl import grassmann as gr
 from gbl.errors import DimensionMismatch, PreconditionViolated
 from gbl.rng import substream
 
 
+def v_of(lams):
+    """v = prod sqrt(1 + lambda^2) of one profile."""
+    return float(np.prod(np.sqrt(1.0 + lams**2)))
+
+
+def unflatten_h(u, n, m):
+    """Inverse of `flatten_h` for one vector."""
+    pairs, _, weights = ct._pair_table(n)
+    u = np.asarray(u, dtype=float).reshape(m, len(pairs)) / weights
+    h = np.zeros((m, n, n))
+    for k, (i, j) in enumerate(pairs):
+        h[:, i, j] = u[:, k]
+        h[:, j, i] = u[:, k]
+    return h
+
+
 class TestLaplacian:
     def test_flat_profile_gives_norm(self):
         rng = substream(10, 0)
-        lam = ct.LambdaProfile(3, 2, np.zeros(2))
         h = ct.HTensor.random(3, 2, rng)
-        assert ct.laplacian_v(lam, h) == pytest.approx(h.norm2, rel=1e-13)
+        assert ct.laplacian_v_batch(np.zeros(2), h.h) == pytest.approx(h.norm2, rel=1e-13)
 
     def test_zero_tensor(self):
-        lam = ct.LambdaProfile(3, 2, np.array([0.5, 0.3]))
         h = ct.HTensor(np.zeros((2, 3, 3)))
-        assert ct.laplacian_v(lam, h) == 0.0
+        assert ct.laplacian_v_batch(np.array([0.5, 0.3]), h.h) == 0.0
 
     def test_grouped_sum_oracle(self):
         rng = substream(10, 1)
         for _ in range(50):
-            lam = ct.LambdaProfile(3, 3, rng.uniform(0, 1.3, 3))
+            lams = rng.uniform(0, 1.3, 3)
             h = ct.HTensor.random(3, 3, rng)
-            dv = ct.laplacian_v(lam, h)
-            assert ct.decompose_terms(lam, h).total() * lam.v == pytest.approx(
+            dv = ct.laplacian_v_batch(lams, h.h)
+            assert ct.decompose_terms(lams, h).total() * v_of(lams) == pytest.approx(
                 dv, rel=1e-10, abs=1e-10
             )
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):
-            ct.laplacian_v(ct.LambdaProfile(3, 2, np.zeros(2)), ct.HTensor(np.zeros((3, 3, 3))))
+            ct.laplacian_v_batch(np.zeros(2), np.zeros((3, 3, 3)))
+        with pytest.raises(DimensionMismatch):
+            ct.laplacian_v_batch(np.zeros((4, 2)), np.zeros((4, 3, 3, 3)))
+        with pytest.raises(DimensionMismatch):
+            ct.laplacian_v_batch(np.zeros((4, 3)), np.zeros((5, 3, 3, 3)))
+        with pytest.raises(DimensionMismatch):
+            ct.decompose_terms(np.zeros(2), ct.HTensor(np.zeros((3, 3, 3))))
+
+    @pytest.mark.parametrize("name", ["affine", "holomorphic_pair", "lawson_osserman"])
+    def test_one_profile_is_row_zero_of_its_stack(self, name):
+        # the per-point closed form passes one (m,) profile: bitwise the K = 1 stack
+        G = gg.builtin(name)
+        rng = substream(10, 20 + len(name))
+        tilted = gr.from_chart(np.full((G.n, G.m), 0.05), gr.standard_plane(G.n, G.m))
+        checked = 0
+        while checked < 10:
+            x = rng.uniform(-0.8, 0.8, G.n)
+            if not G.contains(x):
+                continue
+            checked += 1
+            for P0 in (None, tilted):
+                lams, h = gg._adapted_second_form(G.jac(x), G.hess(x), P0)
+                one = ct.laplacian_v_batch(lams, h.h)
+                assert np.shape(one) == ()
+                assert one.tobytes() == ct.laplacian_v_batch(lams[None], h.h[None])[0].tobytes()
+                assert gg.laplacian_v_closed_form(G, x, P0) == one
 
     @pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (4, 3)])
     def test_hessian_contraction(self, n, m):
@@ -49,15 +89,14 @@ class TestLaplacian:
             h = ct.HTensor.random(n, m, rng)
             X = h.h.transpose(2, 1, 0).reshape(n, n * m)
             quad = np.einsum("jp,pq,jq->", X, gr.hessian_v(P, P0), X)
-            lam = ct.LambdaProfile(n, m, gr.adapted_frames(P, P0).lambdas)
-            assert quad == pytest.approx(ct.laplacian_v(lam, h), rel=1e-13)
+            lams = gr.adapted_frames(P, P0).lambdas
+            assert quad == pytest.approx(ct.laplacian_v_batch(lams, h.h), rel=1e-13)
 
 
 class TestQuadraticForm:
     def test_flat_profile_identity(self):
-        lam = ct.LambdaProfile(4, 2, np.zeros(2))
         D = ct.form_dimension(4, 2)
-        assert np.abs(ct.quadratic_form_matrix(lam) - np.eye(D)).max() == 0.0
+        assert np.abs(ct.quadratic_form_batch(4, 2, np.zeros((1, 2)))[0] - np.eye(D)).max() == 0.0
 
     @pytest.mark.parametrize("n,m", [(3, 2), (4, 3), (5, 4)])
     def test_form_matches_evaluation(self, n, m):
@@ -76,12 +115,12 @@ class TestQuadraticForm:
         h = ct.HTensor.random(4, 3, rng)
         u = h.flatten()
         assert u @ u == pytest.approx(h.norm2, rel=1e-13)
-        assert np.abs(ct.unflatten_h(u, 4, 3) - h.h).max() < 1e-13
+        assert np.abs(unflatten_h(u, 4, 3) - h.h).max() < 1e-13
 
     def test_critical_slope_boundary(self):
         # v = 3 at lambda = (sqrt(2), sqrt(2), 0): the form degenerates but stays PSD
-        lam = ct.LambdaProfile(4, 3, np.array([math.sqrt(2), math.sqrt(2), 0.0]))
-        eig = np.linalg.eigvalsh(ct.quadratic_form_matrix(lam))[0]
+        lams = np.array([[math.sqrt(2), math.sqrt(2), 0.0]])
+        eig = np.linalg.eigvalsh(ct.quadratic_form_batch(4, 3, lams)[0])[0]
         assert eig >= -1e-9
         assert eig < 1e-6
 
@@ -89,13 +128,13 @@ class TestQuadraticForm:
 class TestDecomposition:
     def test_codimension_one_empty_groups(self):
         rng = substream(12, 0)
-        lam = ct.LambdaProfile(3, 1, np.array([0.8]))
+        lams = np.array([0.8])
         h = ct.HTensor.random(3, 1, rng)
-        td = ct.decompose_terms(lam, h)
+        td = ct.decompose_terms(lams, h)
         assert td.II_terms.size == 0
         assert td.III_terms.size == 0
         assert td.IV_terms.shape == (1,)
-        assert td.total() * lam.v == pytest.approx(ct.laplacian_v(lam, h), rel=1e-12)
+        assert td.total() * v_of(lams) == pytest.approx(ct.laplacian_v_batch(lams, h.h), rel=1e-12)
 
     def test_high_index_group_bound(self):
         # I_j - 2 sum_a h_{a,aj}^2 is a perfect square plus positive terms
@@ -112,10 +151,10 @@ class TestDecomposition:
         rng = substream(12, 2 + seed)
         n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
         m = min(m, n)
-        lam = ct.LambdaProfile(n, m, rng.uniform(0, 1.5, m))
+        lams = rng.uniform(0, 1.5, m)
         h = ct.HTensor.random(n, m, rng)
-        dv = ct.laplacian_v(lam, h)
-        assert ct.decompose_terms(lam, h).total() * lam.v == pytest.approx(
+        dv = ct.laplacian_v_batch(lams, h.h)
+        assert ct.decompose_terms(lams, h).total() * v_of(lams) == pytest.approx(
             dv, rel=1e-10, abs=1e-10
         )
 
@@ -167,9 +206,27 @@ class TestBlockCatalogue:
     @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 3)])
     def test_report_closed_form_gap(self, n, m):
         cert = ct.compute_K0(n, m, 2.9, audit_samples=2_000, seed=8)
-        assert cert.k0_closed_form == ct.k0_closed_form(m, 2.9)
+        assert cert.k0_closed_form == ct.k0_closed_form(n, m, 2.9)
         assert cert.closed_form_gap == cert.k0 - cert.k0_closed_form
         assert abs(cert.closed_form_gap) <= 1e-6
+
+    @pytest.mark.parametrize("beta0", [1.0, 1.5, 2.5, 2.9, 2.99])
+    def test_closed_form_absent_at_two_two(self, beta0):
+        # n = m = 2 has only the two IV blocks: neither II nor III gives the pair value
+        assert [blk.kind for blk in ct.block_catalogue(2, 2)] == ["IV", "IV"]
+        assert ct.k0_closed_form(2, 2, beta0) is None
+
+    def test_report_without_closed_form(self):
+        cert = ct.compute_K0(2, 2, 2.9, audit_samples=2_000, seed=8)
+        assert cert.k0_closed_form is None and cert.closed_form_gap is None
+        # the searched k0 lies 0.028 above the pair value the other shapes reach
+        assert cert.k0 > ct.k0_closed_form(3, 2, 2.9) + 0.02
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (4, 4), (1, 1), (3, 1), (6, 1)])
+    @pytest.mark.parametrize("beta0", [1.0, 1.5, 2.5, 2.9, 2.99])
+    def test_closed_form_kept_elsewhere(self, n, m, beta0):
+        expected = 1.0 if m == 1 else min(1.0, beta0 * (3.0 - beta0) / 2.0)
+        assert ct.k0_closed_form(n, m, beta0) == expected
 
 
 class TestPrunedMinimum:
@@ -248,6 +305,18 @@ class TestK0Search:
         assert abs(k0 - recorded) <= 1e-9
         assert k0 <= recorded + 1e-12
 
+    @pytest.mark.parametrize("n,m,moves", [(2, 2, True), (4, 3, False), (5, 3, False), (6, 4, False)])
+    def test_where_the_compass_search_works(self, n, m, moves):
+        # trace[0] is the mesh-plus-pair minimum; at (2, 2) the compass lowers it
+        # from 0.32145 to 0.17296, elsewhere the pair profile is already the
+        # argmin and the compass moves k0 only by rounding (8.1e-16)
+        cert = ct.compute_K0(n, m, 2.9, audit_samples=0)
+        drop = cert.min_eigenvalue_trace[0]["value"] - cert.k0
+        if moves:
+            assert drop > 0.1
+        else:
+            assert abs(drop) < 1e-14
+
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_form_is_symmetric_in_lambda(self, m):
         # what lets the search visit non-increasing profiles only
@@ -270,7 +339,7 @@ class TestK0Search:
         cert = ct.compute_K0(9, 8, 2.9, budget=budget, audit_samples=0)
         assert cert.budget_exhausted
         assert cert.evaluations <= budget
-        assert abs(cert.k0 - ct.k0_closed_form(8, 2.9)) <= 1e-14
+        assert abs(cert.k0 - ct.k0_closed_form(9, 8, 2.9)) <= 1e-14
 
     def test_sorted_mesh_is_counted(self):
         mesh, spacing, cut = ct._sorted_mesh(3, 2.0, 10_000)
@@ -283,12 +352,22 @@ class TestK0Search:
         assert spacing == 2.0 / 6
 
 
+def worst_pair_margin(v_bound, samples, m=2, seed=0):
+    """Worst II `block_margin` over sampled admissible profiles plus the tight pair
+    lambda_a = lambda_b = sqrt(v_bound - 1), where the margin is ~0."""
+    lams = ct.sample_admissible_lambdas(m, v_bound, samples, substream(seed, 0))
+    tight = np.zeros((1, m))
+    tight[0, :2] = math.sqrt(v_bound - 1.0)
+    lams = np.vstack([lams, tight])
+    return float(np.min(ct.block_margin("II", lams, np.prod(np.sqrt(1.0 + lams**2), axis=1))))
+
+
 class TestPairBound:
     def test_worst_margin_nonnegative(self):
-        assert ct.lambda_pair_bound_check(3.0, 100_000, seed=0) >= -1e-12
+        assert worst_pair_margin(3.0, 100_000) >= -1e-12
 
     def test_degenerate_bound(self):
-        assert ct.lambda_pair_bound_check(1.0, 1000, seed=0) == pytest.approx(0.0, abs=1e-12)
+        assert worst_pair_margin(1.0, 1000) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("v_bound,expected", [(3.0, 2.0), (2.0, 1.0)])
     def test_max_product_by_optimization(self, v_bound, expected):
@@ -309,20 +388,17 @@ class TestPairBound:
 
 class TestTripleBlock:
     def test_flat_profile_zero_eigenvalue(self):
-        assert ct.verify_III(np.zeros(3), 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert ct.block_margin("III", np.zeros((1, 3)), np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_boundary_profile(self):
-        assert ct.verify_III(np.array([math.sqrt(2), math.sqrt(2), 0.0]), 3.0) >= -1e-9
+        lams = np.array([[math.sqrt(2), math.sqrt(2), 0.0]])
+        assert ct.block_margin("III", lams, np.array([3.0]))[0] >= -1e-9
 
     def test_sampled_admissible(self):
         rng = substream(13, 0)
         lams = ct.sample_admissible_lambdas(3, 3.0, 200_000, rng)
         vs = np.prod(np.sqrt(1.0 + lams**2), axis=1)
         assert float(ct.block_margin("III", lams, vs).min()) >= -1e-9
-
-    def test_precondition(self):
-        with pytest.raises(PreconditionViolated):
-            ct.verify_III(np.array([3.0, 3.0, 3.0]), 3.0)
 
     def test_pair_block_with_sampled_h(self):
         # 2 h1^2 + 2 h2^2 + 2 l1 l2 h1 h2 >= (3 - v)(h1^2 + h2^2) for v <= 3
@@ -411,8 +487,7 @@ class TestOmegaSup:
 
 class TestDiagonalBlock:
     def test_flat_profile_spectrum(self):
-        lam = ct.LambdaProfile(3, 3, np.zeros(3))
-        assert ct.verify_IV(lam, 0.0) == pytest.approx(1.0, abs=1e-13)
+        assert ct.iv_eps0_bound(np.zeros((1, 3)))[0] == pytest.approx(1.0, abs=1e-13)
 
     def test_sampled_psd_with_small_eps(self):
         rng = substream(15, 0)
@@ -440,10 +515,6 @@ class TestDiagonalBlock:
             # smaller sample runs may sit slightly above the 1e6 baseline
             assert res.eps0 >= value - 1e-6
             assert res.eps0 < 0.1
-
-    def test_alpha_out_of_range(self):
-        with pytest.raises(PreconditionViolated):
-            ct.verify_IV(ct.LambdaProfile(3, 3, np.zeros(3)), 0.0, alpha=5)
 
 
 class TestAuxiliaryExtrema:

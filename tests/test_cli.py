@@ -321,6 +321,17 @@ class TestCommands:
             assert row["k0_closed_form"] == min(1.0, row["beta0"] * (3.0 - row["beta0"]) / 2.0)
             assert abs(row["closed_form_gap"]) <= 1e-6
 
+    @pytest.mark.parametrize("command", ["certify", "sweep-k0"])
+    def test_no_closed_form_at_two_two(self, command):
+        # n = m = 2 has only the two IV blocks, so no closed form is claimed
+        proc = run_cli([command, "--n", "2", "--m", "2", "--samples", "1000"])
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)["payload"]
+        rows = payload["rows"] if command == "sweep-k0" else [payload["certificate"]]
+        for row in rows:
+            assert row["k0_closed_form"] is None and row["closed_form_gap"] is None
+        assert b'"k0_closed_form":null,"closed_form_gap":null' in proc.stdout
+
     def test_cross_validate(self):
         proc = run_cli(["cross-validate", "--example", "holomorphic_pair", "--samples", "20"])
         assert proc.returncode == 0
