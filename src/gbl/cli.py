@@ -31,10 +31,32 @@ _SHRINK_MAX_NM = 24
 
 
 def _apply_thread_cap() -> None:
-    """Honor GBL_THREADS as an upper bound on BLAS thread pools."""
+    """Set each BLAS thread variable that is unset to GBL_THREADS (default 1); a set one wins."""
     cap = os.environ.get("GBL_THREADS", "1")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, cap)
+
+
+# argparse keywords of every flag a subcommand may declare
+_FLAGS = {
+    "--n": dict(type=int, default=4),
+    "--m": dict(type=int, default=3),
+    "--beta0": dict(type=float, default=2.9),
+    "--a": dict(type=float, default=3.0),
+    "--b": dict(type=float, default=2.8),
+    "--samples": dict(type=int),
+    "--seed": dict(type=int, default=0),
+    "--fd-step": dict(type=float, default=1e-3),
+    "--example": dict(default="holomorphic_pair"),
+    "--point": {},
+    "--graph-spec": {},
+    "--which": dict(choices=("aux", "grouping", "es1", "es2", "pair", "iii", "iv", "all"), default="all"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--tolerance": dict(type=float),
+    "--out": {},
+}
+# flags every subcommand declares after its own
+_OUTPUT_FLAGS = ("--format", "--tolerance", "--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,70 +68,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser.add_argument("--version", action="version", version=f"gbl {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--n", type=int, default=4)
-        p.add_argument("--m", type=int, default=3)
-        p.add_argument("--beta0", type=float, default=2.9)
-        p.add_argument("--a", type=float, default=3.0)
-        p.add_argument("--b", type=float, default=2.8)
-        p.add_argument("--samples", type=int, default=100_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--fd-step", type=float, default=1e-3)
-        p.add_argument("--example", type=str, default="holomorphic_pair")
-        p.add_argument("--point", type=str, default=None)
-        p.add_argument("--graph-spec", type=str, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tolerance", type=float, default=None)
-
-    for name in ("certify", "lemmas", "graph", "shrink", "sweep-k0", "cross-validate"):
-        p = sub.add_parser(name)
-        common(p)
-        if name == "lemmas":
-            p.add_argument(
-                "--which",
-                choices=("aux", "grouping", "es1", "es2", "pair", "iii", "iv", "all"),
-                default="all",
-            )
+    for name, (_, flags, samples) in _COMMANDS.items():
+        # no abbreviations: `certify --b` must not read as --beta0
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags + _OUTPUT_FLAGS:
+            p.add_argument(flag, **_FLAGS[flag])
+        if samples:
+            p.set_defaults(samples=samples[0])
     return parser
 
 
 def _validate(args) -> dict:
     """The echoed config; raises UsageError on malformed input before any work.
 
-    Also parses --point into `args.coords` and reads --graph-spec into
-    `args.spec` (None when not given).
+    The config is every flag the subcommand declares but --out, in
+    declaration order.  Also parses --point into `args.coords` and reads
+    --graph-spec into `args.spec` (None when not given).
     """
-    cfg = {
-        "command": args.command,
-        "n": args.n,
-        "m": args.m,
-        "beta0": args.beta0,
-        "a": args.a,
-        "b": args.b,
-        "samples": args.samples,
-        "seed": args.seed,
-        "fd_step": args.fd_step,
-        "format": args.format,
-    }
-    if args.command == "lemmas":
-        cfg["which"] = args.which
-    if args.example:
-        cfg["example"] = args.example
-    if args.point:
-        cfg["point"] = args.point
-    if args.graph_spec:
-        cfg["graph_spec"] = args.graph_spec
-    if not (1 <= args.m <= args.n <= 16):
-        raise UsageError("need 1 <= m <= n <= 16")
-    if args.command in ("certify", "sweep-k0") and args.m > _K0_MAX_M:
-        raise UsageError(f"{args.command} requires m <= {_K0_MAX_M}")
-    for flag in ("beta0", "a", "b", "fd_step", "tolerance"):
-        value = getattr(args, flag)
-        if value is not None and not math.isfinite(value):
-            raise UsageError(f"--{flag.replace('_', '-')} must be finite, got {value}")
-    if args.command in ("certify",) and not (1.0 <= args.beta0 < 3.0):
+    _, flags, samples = _COMMANDS[args.command]
+    dests = [f[2:].replace("-", "_") for f in flags + _OUTPUT_FLAGS if f != "--out"]
+    cfg = {dest: getattr(args, dest) for dest in dests}
+    if "m" in cfg:
+        if not (1 <= args.m <= args.n <= 16):
+            raise UsageError("need 1 <= m <= n <= 16")
+        if args.command in ("certify", "sweep-k0") and args.m > _K0_MAX_M:
+            raise UsageError(f"{args.command} requires m <= {_K0_MAX_M}")
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{key.replace('_', '-')} must be finite, got {value}")
+    if args.command == "certify" and not (1.0 <= args.beta0 < 3.0):
         raise UsageError("certify requires 1 <= beta0 < 3")
     if args.command == "shrink":
         if not (args.a > 1.0 and 1.0 <= args.beta0 < args.a):
@@ -118,22 +105,22 @@ def _validate(args) -> dict:
             raise UsageError("shrink requires 1 <= b <= beta0")
         if args.n * args.m > _SHRINK_MAX_NM:
             raise UsageError(f"shrink requires n * m <= {_SHRINK_MAX_NM}")
-    sampled = (args.command in ("certify", "shrink", "sweep-k0", "cross-validate")
-               or (args.command == "lemmas" and args.which != "aux"))
-    if sampled and args.samples == 0:
-        raise UsageError(f"{args.command} requires samples >= 1: its checks read a sample")
-    if not (0 <= args.samples <= _MAX_SAMPLES):
-        raise UsageError(f"samples must lie in [0, {_MAX_SAMPLES}]")
-    if args.fd_step <= 0:
+    if samples:
+        # every sampled check reads a sample; only `lemmas --which aux` draws none
+        if args.samples == 0 and cfg.get("which") != "aux":
+            raise UsageError(f"{args.command} requires samples >= 1: its checks read a sample")
+        if not (0 <= args.samples <= samples[1]):
+            raise UsageError(f"samples must lie in [0, {samples[1]}]")
+    if "fd_step" in cfg and args.fd_step <= 0:
         raise UsageError("fd-step must be positive")
     args.coords = None
-    if args.point:
+    if cfg.get("point"):
         try:
             args.coords = [float(tok) for tok in args.point.split(",")]
         except ValueError:
             raise UsageError(f"--point needs comma-separated numbers, got {args.point!r}") from None
     args.spec = None
-    if args.graph_spec:
+    if cfg.get("graph_spec"):
         try:
             with open(args.graph_spec, "r", encoding="utf-8") as fh:
                 args.spec = json.load(fh)
@@ -313,7 +300,7 @@ def _cmd_cross_validate(args, report) -> None:
     tol = _tolerance(args, 1e-3)
     worst_rel = 0.0
     checked = 0
-    for _ in range(min(args.samples, 500)):
+    for _ in range(args.samples):
         if G.name == "lawson_osserman":
             x = rng.standard_normal(G.n)
             x *= rng.uniform(0.5, 2.0) / np.linalg.norm(x)
@@ -416,8 +403,7 @@ def _cmd_shrink(args, report) -> None:
     y = (args.b - 1.0) * Z0.ravel() / np.linalg.norm(Z0)
     Q = grassmann.from_chart(grassmann.t_embedding_inverse(y, args.n, args.m), P1)
     res = shrinking.shrink_center(P1, Q, params)
-    samples = min(args.samples, 50_000)
-    margin = shrinking.containment_check(P1, res.p2, params, samples=samples, seed=args.seed)
+    margin = shrinking.containment_check(P1, res.p2, params, samples=args.samples, seed=args.seed)
     report.payload["shrink_step"] = {
         "case": res.case,
         "t0": res.t0,
@@ -459,7 +445,7 @@ def _cmd_sweep_k0(args, report) -> None:
     monotone_margin = math.inf
     for beta0 in _K0_SWEEP_GRID:
         cert = certifier.compute_K0(
-            args.n, args.m, beta0, audit_samples=min(args.samples, 20_000), seed=args.seed
+            args.n, args.m, beta0, audit_samples=args.samples, seed=args.seed
         )
         rows.append(
             {
@@ -495,13 +481,19 @@ def _cmd_sweep_k0(args, report) -> None:
     report.add_margin("all_positive", min(r["k0"] for r in rows), 0.0, "K0 > 0 on the sweep")
 
 
+# each subcommand: its campaign, the flags it reads in declaration order, and
+# its --samples default and upper bound (sweep-k0 audits six beta0 values,
+# shrink's containment check draws chart matrices, and each cross-validate
+# point costs an FD Laplacian)
 _COMMANDS = {
-    "certify": _cmd_certify,
-    "lemmas": _cmd_lemmas,
-    "graph": _cmd_graph,
-    "shrink": _cmd_shrink,
-    "sweep-k0": _cmd_sweep_k0,
-    "cross-validate": _cmd_cross_validate,
+    "certify": (_cmd_certify, ("--n", "--m", "--beta0", "--samples", "--seed"), (100_000, _MAX_SAMPLES)),
+    "lemmas": (_cmd_lemmas, ("--which", "--samples", "--seed"), (100_000, _MAX_SAMPLES)),
+    "graph": (_cmd_graph, ("--example", "--graph-spec", "--point", "--fd-step"), None),
+    "shrink": (_cmd_shrink, ("--n", "--m", "--beta0", "--a", "--b", "--samples", "--seed", "--graph-spec"),
+               (50_000, 50_000)),
+    "sweep-k0": (_cmd_sweep_k0, ("--n", "--m", "--samples", "--seed"), (20_000, 20_000)),
+    "cross-validate": (_cmd_cross_validate, ("--example", "--graph-spec", "--samples", "--seed", "--fd-step"),
+                       (500, 500)),
 }
 
 
@@ -517,8 +509,7 @@ def _sweep_csv(report) -> str:
 
 def main(argv=None) -> int:
     _apply_thread_cap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
         config = _validate(args)
@@ -531,7 +522,7 @@ def main(argv=None) -> int:
 
     report = Report(command=args.command, config=config, version=__version__)
     try:
-        _COMMANDS[args.command](args, report)
+        _COMMANDS[args.command][0](args, report)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -287,6 +287,10 @@ def graph_from_spec(spec: dict) -> GraphImmersion:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed graph spec: {exc}") from exc
+    # the CLI's dimension bound (GraphImmersion asks m <= n): the FD Laplacian's
+    # (2n^2+2n+1) x n x n metric batch took `gbl graph` to 6.5 GB at n = 120
+    if n > 16:
+        raise DimensionMismatch(f"a graph spec needs n <= 16, got {n}")
     if len(comps) != m:
         raise DimensionMismatch(f"expected {m} components, got {len(comps)}")
     return polynomial_graph(n, m, comps)

@@ -1,13 +1,45 @@
+import argparse
 import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbl import certifier, cli, graphs, grassmann, shrinking
+from gbl import certifier, cli, errors, graphs, grassmann, shrinking
 from gbl.reporting import dumps
+
+
+# the flags each subcommand reads, besides --format, --tolerance and --out
+FLAGS_READ = {
+    "certify": ["--n", "--m", "--beta0", "--samples", "--seed"],
+    "lemmas": ["--which", "--samples", "--seed"],
+    "graph": ["--example", "--graph-spec", "--point", "--fd-step"],
+    "shrink": ["--n", "--m", "--beta0", "--a", "--b", "--samples", "--seed", "--graph-spec"],
+    "sweep-k0": ["--n", "--m", "--samples", "--seed"],
+    "cross-validate": ["--example", "--graph-spec", "--samples", "--seed", "--fd-step"],
+}
+OUTPUT_FLAGS = ["--format", "--tolerance", "--out"]
+# a well-formed value of every flag
+FLAG_VALUES = {
+    "--n": "3", "--m": "2", "--beta0": "2.5", "--a": "3", "--b": "2", "--samples": "10",
+    "--seed": "7", "--fd-step": "1e-4", "--example": "affine", "--point": "0.1,0.2,0.3",
+    "--graph-spec": "graph.json", "--which": "aux", "--format": "csv", "--tolerance": "1e-5",
+    "--out": "x.json",
+}
+
+
+def subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def declared(command):
+    """The settable actions of a subcommand, in declaration order."""
+    return [a for a in subparsers()[command]._actions if not isinstance(a, argparse._HelpAction)]
 
 
 def run_cli(args):
@@ -107,15 +139,60 @@ class TestExitCodes:
         monkeypatch.setattr(certifier, "sample_admissible_lambdas", no_sample)
         assert cli.main([command, "--n", "9", "--m", "9"]) == 2
 
-    @pytest.mark.parametrize("argv", [["lemmas", "--which", "iii"], ["certify"]])
+    @pytest.mark.parametrize("argv", [["lemmas", "--which", "iii"], ["certify"], ["sweep-k0"],
+                                      ["shrink"], ["cross-validate"]])
     def test_samples_above_cap_exit_two(self, monkeypatch, capsys, argv):
         # refused by _validate, before any sampler or array sized by --samples exists
         def no_sample(*args, **kwargs):
             raise AssertionError("sampled before the --samples check")
 
+        command = argv[0]
+        _, flags, (default, bound) = cli._COMMANDS[command]
+        assert default <= bound <= cli._MAX_SAMPLES
         monkeypatch.setattr(certifier, "sample_admissible_lambdas", no_sample)
-        assert cli.main(argv + ["--samples", str(cli._MAX_SAMPLES + 1)]) == 2
-        assert capsys.readouterr().err.startswith("usage error: samples must lie in")
+        monkeypatch.setitem(cli._COMMANDS, command, (no_sample, flags, (default, bound)))
+        assert cli.main(argv + ["--samples", str(bound + 1)]) == 2
+        assert capsys.readouterr().err == f"usage error: samples must lie in [0, {bound}]\n"
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in FLAGS_READ.items()
+        for flag in ["--n", "--m", "--beta0", "--a", "--b", "--samples", "--seed", "--fd-step",
+                     "--example", "--point", "--graph-spec", "--which"]
+        if flag not in flags
+    ])
+    def test_unread_flags_exit_two(self, monkeypatch, capsys, command, flag):
+        # argparse refuses a flag the subcommand does not read, before _validate or the campaign
+        def no_run(*args, **kwargs):
+            raise AssertionError(f"{command} ran with {flag}")
+
+        monkeypatch.setattr(cli, "_validate", no_run)
+        monkeypatch.setitem(cli._COMMANDS, command, (no_run, *cli._COMMANDS[command][1:]))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {flag} " in err
+
+    @pytest.mark.parametrize("command", ["graph", "cross-validate"])
+    def test_graph_spec_past_the_dimension_bound_exits_two(self, tmp_path, monkeypatch, capsys, command):
+        # refused before polynomial_graph builds the graph and checks its derivatives
+        built = []
+
+        def stop(n, m, components):
+            built.append(n)
+            raise errors.DimensionMismatch("stopped after the dimension check")
+
+        monkeypatch.setattr(graphs, "polynomial_graph", stop)
+        for n in (17, 16):
+            spec = {"n": n, "m": 1, "components": [{"monomials": [{"exponents": [2] + [0] * (n - 1), "coeff": 1.0}]}]}
+            path = tmp_path / f"graph{n}.json"
+            path.write_text(json.dumps(spec))
+            assert cli.main([command, "--graph-spec", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert ("needs n <= 16, got 17" in err) == (n == 17)
+        assert built == [16]
 
     def test_shrink_without_samples_exits_two(self, monkeypatch, capsys):
         # refused by _validate, before eps1 or the centre step runs
@@ -375,11 +452,41 @@ class TestConfigEcho:
         assert payload["config"]["which"] == "aux"
 
     def test_parser_covers_spec_flags(self):
-        parser = cli.build_parser()
-        args = parser.parse_args(
-            ["graph", "--n", "3", "--m", "2", "--beta0", "2.5", "--a", "3", "--b", "2",
-             "--samples", "10", "--seed", "7", "--fd-step", "1e-4", "--example", "affine",
-             "--point", "1,2,3", "--out", "x.json", "--format", "csv", "--tolerance", "1e-5"]
-        )
-        assert args.command == "graph"
-        assert args.tolerance == 1e-5
+        # each subcommand parses its full flag set
+        for command, flags in FLAGS_READ.items():
+            argv = [command]
+            for flag in flags + OUTPUT_FLAGS:
+                argv += [flag, FLAG_VALUES[flag]]
+            args = cli.build_parser().parse_args(argv)
+            assert args.command == command
+            assert args.tolerance == 1e-5
+            for action in declared(command):
+                value = FLAG_VALUES[action.option_strings[0]]
+                assert getattr(args, action.dest) == (action.type(value) if action.type else value)
+
+    def test_each_subcommand_declares_only_the_flags_it_reads(self):
+        flags = {command: [a.option_strings[0] for a in declared(command)] for command in subparsers()}
+        assert flags == {command: read + OUTPUT_FLAGS for command, read in FLAGS_READ.items()}
+        assert sum(map(len, flags.values())) == 47
+        assert all(len(a.option_strings) == 1 for command in flags for a in declared(command))
+
+    def test_readme_flag_table_matches_the_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([\w-]+)` \| `([^`]*)` \| ([^|]*) \|$", readme, flags=re.MULTILINE)
+        assert [command for command, _, _ in rows] == list(subparsers())
+        for command, flags, samples in rows:
+            actions = declared(command)
+            assert flags.split() == [a.option_strings[0] for a in actions
+                                     if a.option_strings[0] not in OUTPUT_FLAGS]
+            bounds = cli._COMMANDS[command][2]
+            expected = "none" if bounds is None else "{:,} / {:,}".format(*bounds)
+            assert samples == expected
+            if bounds is not None:
+                assert next(a for a in actions if a.dest == "samples").default == bounds[0]
+
+    @pytest.mark.parametrize("command", FLAGS_READ)
+    def test_config_echoes_the_declared_flags(self, command):
+        args = cli.build_parser().parse_args([command])
+        config = cli._validate(args)
+        assert list(config) == [a.dest for a in declared(command) if a.dest != "out"]
+        assert all(config[key] == getattr(args, key) for key in config)
