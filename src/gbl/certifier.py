@@ -15,9 +15,10 @@ the form blockwise, and estimates the strong-subharmonicity constant
 
 by a batched search over sorted profiles for the smallest form eigenvalue.
 
-K0 and eps0 are batch minima: `_batch_minimum` eigensolves only the blocks
+K0 and eps0 are batch minima: `_segment_minima` eigensolves only the blocks
 whose Gershgorin bound can reach the running minimum, and returns bitwise
-the argmin and minimum of the exhaustive per-profile values.
+the argmin and minimum of the exhaustive per-profile values, per segment of
+a batch (one per compass level of the K0 search).
 """
 from __future__ import annotations
 
@@ -292,32 +293,59 @@ def _pruning_stacks(n: int, m: int) -> tuple:
     return tuple(map(_with_gershgorin, _distinct_stacks(n, m)))
 
 
-def _batch_minimum(stacks, lams: np.ndarray, weights: np.ndarray) -> tuple[int, float]:
-    """First argmin and minimum over profiles (K, m) of weights (K,) times lambda_min over the
-    blocks of `_with_gershgorin` stacks, bitwise those of the exhaustive per-profile values.
+def _contract(features: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """np.tensordot(features, coeffs, axes=1) as the one `np.dot` it makes, without its
+    argument handling, which costs more than the product on a compass level's few rows."""
+    F = coeffs.shape[0]
+    return np.dot(features.reshape(-1, F), coeffs.reshape(F, -1)).reshape(features.shape[:-1] + coeffs.shape[1:])
 
-    Per CHUNK batch and stack, in order, only blocks whose weighted bound min_i (features . G)_i
-    is at most the running minimum plus PRUNE_SLACK are eigensolved, in one `eigvalsh` call;
-    the others lie above the minimum, so they can neither be nor tie it.
+
+def _segment_minima(stacks, lams: np.ndarray, weights: np.ndarray,
+                    cutoff: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """First argmin and minimum per segment of profiles (L, K, m) of weights (L, K) times
+    lambda_min over the blocks of `_with_gershgorin` stacks, as (L,) arrays.  A segment
+    minimum below `cutoff` and its first argmin are bitwise those of the exhaustive
+    per-profile values; a segment with no value below `cutoff` gives (-1, cutoff).
+
+    Per CHUNK // L rows of every segment and stack, in order, only blocks whose weighted bound
+    min_i (features . G)_i is at most their segment's cutoff, min(cutoff, running minimum),
+    plus PRUNE_SLACK are eigensolved, in one `eigvalsh` call (none when no block qualifies);
+    the others lie above it, so they can neither be nor tie a minimum below `cutoff`.
+    `eigvalsh` solves each matrix on its own, so a segment's values do not depend on the
+    segments solved beside it.
     """
     lams = np.asarray(lams, dtype=float)
-    if lams.shape[0] == 0 or not np.all(lams >= 0.0):
+    if lams.size == 0 or not np.all(lams >= 0.0):
         raise PreconditionViolated("need a nonempty batch of nonnegative profiles")
-    index, best = -1, math.inf
-    for start in range(0, lams.shape[0], CHUNK):
-        features = _features(lams[start : start + CHUNK])
-        w = weights[start : start + CHUNK]
-        low = np.full(features.shape[0], math.inf)
+    segments, K = lams.shape[:2]
+    index, best = np.full(segments, -1), np.full(segments, cutoff)
+    rows = max(CHUNK // segments, 1)
+    for start in range(0, K, rows):
+        features = _features(lams[:, start : start + rows])
+        w = weights[:, start : start + rows]
+        low = np.full(w.shape, math.inf)
         for stack, G in stacks:
-            need = w[:, None] * np.tensordot(features, G, axes=1).min(axis=-1) <= min(best, low.min()) + PRUNE_SLACK
-            B = np.tensordot(features, stack, axes=1)
+            cut = np.minimum(best, low.min(axis=1)) + PRUNE_SLACK
+            need = w[..., None] * _contract(features, G).min(axis=-1) <= cut[:, None, None]
+            if not need.any():
+                continue
+            B = _contract(features, stack)
             vals = np.full(need.shape, math.inf)
             vals[need] = np.linalg.eigvalsh(B if need.all() else B[need])[..., 0].reshape(-1)
-            low = np.minimum(low, w * vals.min(axis=1))
-        k = int(np.argmin(low))
-        if low[k] < best:
-            index, best = start + k, float(low[k])
+            low = np.minimum(low, w * vals.min(axis=-1))
+        k = np.argmin(low, axis=1)
+        low_k = low[np.arange(segments), k]
+        better = low_k < best
+        index[better], best[better] = start + k[better], low_k[better]
     return index, best
+
+
+def _batch_minimum(stacks, lams: np.ndarray, weights: np.ndarray) -> tuple[int, float]:
+    """First argmin and minimum over profiles (K, m) of weights (K,) times lambda_min over the
+    blocks of `_with_gershgorin` stacks, bitwise those of the exhaustive per-profile values:
+    the one-segment case of `_segment_minima`, with no cutoff."""
+    index, best = _segment_minima(stacks, np.asarray(lams, dtype=float)[None], np.asarray(weights)[None])
+    return int(index[0]), float(best[0])
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +670,20 @@ def compute_K0(
     degenerate boundary probe.  The form is symmetric in lambda, so the
     search visits sorted profiles: `_sorted_mesh` and, for m >= 2 and
     beta0 > 2, the closed-form pair profile in one batch, then a compass
-    search with one batch of moves +-h e_i per level, each clipped at 0,
-    pulled radially in u = log1p(lambda^2) back into the set and sorted.
+    search with moves +-h e_i per level, each clipped at 0, pulled radially
+    in u = log1p(lambda^2) back into the set and sorted; h halves after a
+    level that does not improve.
+
+    While no level improves, the next levels are known in advance, so one
+    `_segment_minima` batch solves `depth` halvings of h, those still within
+    COMPASS_TOL and the budget, each cut off at the best value.  The levels
+    are walked in order: the first that improves makes the serial loop's
+    move with its h, and the levels after it are discarded.  The depth is 1
+    after a move and doubles after a batch without one; at most 34 levels
+    lie between the mesh spacing and COMPASS_TOL lambda_max, so a batch
+    holds at most 16.  `evaluations`
+    counts 2m profiles for each level walked, and the report is bitwise that
+    of one eigensolve round per level.
     """
     if not (1.0 <= beta0 <= 3.0):
         raise PreconditionViolated("need 1 <= beta0 <= 3")
@@ -665,23 +705,34 @@ def compute_K0(
 
     log_cap = 2.0 * math.log(beta0)
     steps = np.vstack([np.eye(m), -np.eye(m)])
+    stacks = _pruning_stacks(n, m)
+    depth = 1
     while lam_max > 0.0 and h >= COMPASS_TOL * lam_max:
         if evaluations + 2 * m > budget:
             budget_exhausted = True
             break
-        moves = np.clip(best_lam + h * steps, 0.0, None)
+        hs = [h]
+        while (len(hs) < depth and 0.5 * hs[-1] >= COMPASS_TOL * lam_max
+               and evaluations + 2 * m * (len(hs) + 1) <= budget):
+            hs.append(0.5 * hs[-1])
+        moves = np.clip(best_lam + np.array(hs)[:, None, None] * steps, 0.0, None)
         u = np.log1p(moves**2)
-        total = u.sum(axis=1)
+        total = u.sum(axis=-1)
         over = total > log_cap
-        moves[over] = np.sqrt(np.expm1(u[over] * (log_cap / total[over, None])))
-        moves = -np.sort(-moves, axis=1)
-        k, val = min_form_eigenvalue(n, m, moves)
-        evaluations += 2 * m
-        if val < best_val:
-            best_val, best_lam = val, moves[k]
+        moves[over] = np.sqrt(np.expm1(u[over] * (log_cap / total[over][:, None])))
+        moves = -np.sort(-moves, axis=-1)
+        index, low = _segment_minima(stacks, moves, np.prod(np.sqrt(1.0 + moves**2), axis=-1), best_val)
+        moved = np.flatnonzero(low < best_val)
+        if moved.size:
+            j = int(moved[0])
+            evaluations += 2 * m * (j + 1)
+            h, best_val, best_lam = hs[j], float(low[j]), moves[j, index[j]]
             trace.append({"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val})
+            depth = 1
         else:
-            h *= 0.5
+            evaluations += 2 * m * len(hs)
+            h = 0.5 * hs[-1]
+            depth *= 2
 
     worst_violation = float("inf")
     if audit_samples > 0:

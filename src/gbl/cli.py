@@ -82,8 +82,9 @@ def _validate(args) -> dict:
     """The echoed config; raises UsageError on malformed input before any work.
 
     The config is every flag the subcommand declares but --out, in
-    declaration order.  Also parses --point into `args.coords` and reads
-    --graph-spec into `args.spec` (None when not given).
+    declaration order.  Also parses --point into `args.coords`, reads
+    --graph-spec into `args.spec` (None when not given) and, for shrink,
+    checks it into `args.graph` with `_cloud_graph`.
     """
     _, flags, samples = _COMMANDS[args.command]
     dests = [f[2:].replace("-", "_") for f in flags + _OUTPUT_FLAGS if f != "--out"]
@@ -119,14 +120,46 @@ def _validate(args) -> dict:
             args.coords = [float(tok) for tok in args.point.split(",")]
         except ValueError:
             raise UsageError(f"--point needs comma-separated numbers, got {args.point!r}") from None
-    args.spec = None
+    args.spec = args.graph = None
     if cfg.get("graph_spec"):
         try:
             with open(args.graph_spec, "r", encoding="utf-8") as fh:
                 args.spec = json.load(fh)
         except (OSError, ValueError) as exc:
             raise UsageError(f"--graph-spec {args.graph_spec}: {exc}") from None
+        if args.command == "shrink":
+            args.graph = _cloud_graph(args)
     return cfg
+
+
+def _cloud_graph(args):
+    """The graph a shrink --graph-spec describes, or None for a list of chart matrices.
+
+    Raises UsageError unless the graph, or every chart matrix, has the
+    dimensions (--n, --m) of the cloud it stands for.
+    """
+    import numpy as np
+
+    from . import graphs
+
+    graph = None
+    if isinstance(args.spec, list):
+        if not args.spec:
+            raise UsageError("the supplied cloud is empty")
+        try:
+            dims = [np.shape(Z) for Z in args.spec]
+        except ValueError as exc:
+            raise UsageError(f"--graph-spec {args.graph_spec}: {exc}") from None
+    else:
+        try:
+            graph = graphs.graph_from_spec(args.spec)
+        except GBLError as exc:
+            raise UsageError(f"--graph-spec {args.graph_spec}: {exc}") from None
+        dims = [(graph.n, graph.m)]
+    for dim in dims:
+        if dim != (args.n, args.m):
+            raise UsageError(f"cloud dimensions {dim} do not match --n/--m")
+    return graph
 
 
 def _tolerance(args, default: float) -> float:
@@ -342,7 +375,8 @@ def _shrink_cloud(args, P1):
     """Gauss-image cloud for the iteration.
 
     --graph-spec may hold a JSON array of chart matrices (a cloud as such),
-    or a graph description whose Gauss image is sampled over a small ball;
+    or a graph description whose Gauss image is sampled over a small ball
+    (`args.graph`, built and checked against --n/--m by `_validate`);
     otherwise a synthetic sublevel cloud is drawn.
     """
     import numpy as np
@@ -351,11 +385,10 @@ def _shrink_cloud(args, P1):
     from .rng import substream
 
     if args.graph_spec:
-        data = args.spec
-        if isinstance(data, list):
-            cloud = [grassmann.from_chart(np.asarray(Z, dtype=float), P1) for Z in data]
+        if args.graph is None:
+            cloud = [grassmann.from_chart(np.asarray(Z, dtype=float), P1) for Z in args.spec]
         else:
-            G = graphs.graph_from_spec(data)
+            G = args.graph
             rng = substream(args.seed, 53)
             cloud = []
             for _ in range(32):
@@ -364,10 +397,6 @@ def _shrink_cloud(args, P1):
                     cloud.append(graphs.point_geometry(G, x).gauss)
         if not cloud:
             raise UsageError("the supplied cloud is empty")
-        if (cloud[0].n, cloud[0].m) != (P1.n, P1.m):
-            raise UsageError(
-                f"cloud dimensions ({cloud[0].n}, {cloud[0].m}) do not match --n/--m"
-            )
         if max(grassmann.v_value(pt, P1) for pt in cloud) > args.beta0:
             raise UsageError("supplied cloud exceeds the beta0 sublevel set")
         return cloud

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from gbl import certifier as ct
+from gbl import cli
 from gbl import graphs as gg
 from gbl import grassmann as gr
 from gbl.errors import DimensionMismatch, PreconditionViolated
@@ -350,6 +352,105 @@ class TestK0Search:
         # C(10, 3) = 120 profiles for 8 values exceed 100; 7 values give C(9, 3) = 84
         assert mesh.shape == (math.comb(9, 3), 3) and cut
         assert spacing == 2.0 / 6
+
+
+def serial_compute_K0(n, m, beta0, budget=300_000, audit_samples=100_000, seed=0):
+    """`compute_K0` with one `min_form_eigenvalue` call per compass level: the search the
+    batched levels must reproduce bitwise."""
+    bound2 = beta0 * beta0 * (1.0 + 1e-12)
+    lam_max = math.sqrt(max(beta0 * beta0 - 1.0, 0.0))
+    mesh, h, budget_exhausted = ct._sorted_mesh(m, lam_max, budget)
+    mesh = mesh[np.prod(1.0 + mesh**2, axis=1) <= bound2]
+    if m >= 2 and beta0 > 2.0:
+        pair = np.zeros((1, m))
+        pair[0, :2] = math.sqrt(beta0 - 1.0)
+        mesh = np.vstack([mesh, pair])
+    k, best_val = ct.min_form_eigenvalue(n, m, mesh)
+    best_lam = mesh[k]
+    evaluations = mesh.shape[0]
+    trace = [{"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val}]
+    log_cap = 2.0 * math.log(beta0)
+    steps = np.vstack([np.eye(m), -np.eye(m)])
+    while lam_max > 0.0 and h >= ct.COMPASS_TOL * lam_max:
+        if evaluations + 2 * m > budget:
+            budget_exhausted = True
+            break
+        moves = np.clip(best_lam + h * steps, 0.0, None)
+        u = np.log1p(moves**2)
+        total = u.sum(axis=1)
+        over = total > log_cap
+        moves[over] = np.sqrt(np.expm1(u[over] * (log_cap / total[over, None])))
+        moves = -np.sort(-moves, axis=1)
+        k, val = ct.min_form_eigenvalue(n, m, moves)
+        evaluations += 2 * m
+        if val < best_val:
+            best_val, best_lam = val, moves[k]
+            trace.append({"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val})
+        else:
+            h *= 0.5
+    worst_violation = float("inf")
+    if audit_samples > 0:
+        audit = ct.sample_admissible_lambdas(m, beta0, audit_samples, substream(seed, 3))
+        k, low = ct.min_form_eigenvalue(n, m, audit)
+        evaluations += audit.shape[0]
+        if low < best_val:
+            best_val, best_lam = low, audit[k].copy()
+            trace.append({"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val})
+        worst_violation = low - best_val
+    closed = ct.k0_closed_form(n, m, beta0)
+    return ct.CertificateReport(
+        n=n, m=m, beta0=beta0, k0=best_val, k0_closed_form=closed,
+        closed_form_gap=None if closed is None else best_val - closed,
+        argmin_lambda=best_lam.tolist(), v_at_argmin=float(np.prod(np.sqrt(1.0 + best_lam**2))),
+        min_eigenvalue_trace=trace, sample_count=audit_samples, worst_violation=worst_violation,
+        budget_exhausted=budget_exhausted, evaluations=evaluations,
+    )
+
+
+def eigensolved(monkeypatch, search, *args, **kwargs):
+    """`eigvalsh` calls and the matrices they solve during one search."""
+    handed = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        handed.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", counting)
+        search(*args, **kwargs)
+    return len(handed), sum(handed)
+
+
+class TestBatchedCompass:
+    """The compass levels of `compute_K0`, solved several per batch, against the serial loop."""
+
+    @pytest.mark.parametrize(
+        "n,m,beta0",
+        [(2, 2, 2.5), (2, 2, 2.9), (2, 2, 2.99), (3, 1, 2.9)]
+        + [(4, 3, beta0) for beta0 in cli._K0_SWEEP_GRID]
+        + [(5, 3, 2.9), (6, 4, 2.9), (8, 8, 2.9)],
+    )
+    @pytest.mark.parametrize("audit", [0, 200])
+    def test_report_is_bitwise_the_serial_one(self, n, m, beta0, audit):
+        # floats compare by ==, the trace included; the small budgets stop the
+        # search before, inside and after the compass
+        for budget in (1, 9, 50, 100, 236, 300_000):
+            batched = dataclasses.asdict(ct.compute_K0(n, m, beta0, budget=budget, audit_samples=audit))
+            serial = dataclasses.asdict(serial_compute_K0(n, m, beta0, budget=budget, audit_samples=audit))
+            assert batched == serial, (budget, batched, serial)
+
+    def test_batches_cut_the_eigensolve_calls(self, monkeypatch):
+        # the serial loop makes 132 calls: one per distinct block size and level
+        calls, _ = eigensolved(monkeypatch, ct.compute_K0, 4, 3, 2.9, audit_samples=0)
+        assert calls <= 50
+
+    @pytest.mark.parametrize("beta0", [2.5, 2.9])
+    def test_discarded_levels_stay_cheap_where_the_search_moves(self, monkeypatch, beta0):
+        # at (2, 2) the compass moves 11-16 times; the levels solved past a move are discarded
+        _, batched = eigensolved(monkeypatch, ct.compute_K0, 2, 2, beta0, audit_samples=0)
+        _, serial = eigensolved(monkeypatch, serial_compute_K0, 2, 2, beta0, audit_samples=0)
+        assert batched <= 1.5 * serial
 
 
 def worst_pair_margin(v_bound, samples, m=2, seed=0):

@@ -120,11 +120,16 @@ class TestExitCodes:
         ["lemmas", "--which", "aux", "--tolerance", "nan"],
         ["lemmas", "--which", "aux", "--tolerance", "inf"],
         ["graph", "--example", "lawson_osserman", "--point", "1,0,0,0", "--fd-step", "nan"],
+        ["shrink", "--n", "2", "--m", "2", "--graph-spec", "{unknown_graph}"],
+        ["shrink", "--n", "2", "--m", "2", "--graph-spec", "{empty_cloud}"],
+        ["shrink", "--n", "2", "--m", "2", "--graph-spec", "{ragged_cloud}"],
     ])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
-        bad_json = tmp_path / "bad.json"
-        bad_json.write_text('{"n": 2,')
-        paths = {"{missing}": str(tmp_path / "missing.json"), "{bad_json}": str(bad_json)}
+        paths = {"{missing}": str(tmp_path / "missing.json")}
+        for name, text in [("bad_json", '{"n": 2,'), ("unknown_graph", '{"name": "catenoid"}'),
+                           ("empty_cloud", "[]"), ("ragged_cloud", "[[[0.1, 0.0], [0.2]]]")]:
+            (tmp_path / f"{name}.json").write_text(text)
+            paths[f"{{{name}}}"] = str(tmp_path / f"{name}.json")
         assert cli.main([paths.get(arg, arg) for arg in argv]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -202,6 +207,24 @@ class TestExitCodes:
         monkeypatch.setattr(shrinking, "compute_epsilon1", no_eps1)
         assert cli.main(["shrink", "--n", "1", "--m", "1", "--samples", "0"]) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("spec,dims", [
+        ({"name": "holomorphic_pair"}, "(3, 2)"),
+        ([[[0.3, 0.1], [0.0, 0.2]], [[0.0, 0.0], [0.0, 0.0]]], "(2, 2)"),
+    ])
+    def test_shrink_refuses_a_cloud_of_other_dimensions(self, tmp_path, monkeypatch, capsys, spec, dims):
+        # refused by _validate at the default (4, 3), before eps1, the centre
+        # step and the containment check run
+        def no_eps1(*args, **kwargs):
+            raise AssertionError("eps1 computed before the cloud dimension check")
+
+        monkeypatch.setattr(shrinking, "compute_epsilon1", no_eps1)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["shrink", "--graph-spec", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: cloud dimensions {dims} do not match --n/--m\n"
 
     @pytest.mark.parametrize("argv,name", [
         (["certify", "--n", "3", "--m", "2"], "compute_K0"),
