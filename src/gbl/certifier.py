@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+# minimize is not called here: perfbench/tracing.py wraps certifier.minimize by name
+from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
 from . import grassmann
 from .errors import DimensionMismatch, PreconditionViolated
@@ -238,11 +239,6 @@ def _stack(blocks) -> np.ndarray:
     return np.stack([blk.coeffs for blk in blocks], axis=1)
 
 
-def _block_matrices(coeffs: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """B(lambda) at profiles (..., m) from coefficients (F, ...) of one block or a stack."""
-    return np.tensordot(_features(lams), coeffs, axes=1)
-
-
 @lru_cache(maxsize=None)
 def _kind_stacks(n: int, m: int) -> dict:
     """kind -> (slots (nb, s), coefficient stack) over every block of that kind."""
@@ -274,7 +270,7 @@ def _block_min_eigs(stacks, lams: np.ndarray) -> list[np.ndarray]:
     for start in range(0, lams.shape[0], CHUNK):
         features = _features(lams[start : start + CHUNK])
         for low, stack in zip(out, stacks):
-            low[start : start + CHUNK] = np.linalg.eigvalsh(np.tensordot(features, stack, axes=1))[..., 0]
+            low[start : start + CHUNK] = np.linalg.eigvalsh(_contract(features, stack))[..., 0]
     return out
 
 
@@ -294,8 +290,9 @@ def _pruning_stacks(n: int, m: int) -> tuple:
 
 
 def _contract(features: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """np.tensordot(features, coeffs, axes=1) as the one `np.dot` it makes, without its
-    argument handling, which costs more than the product on a compass level's few rows."""
+    """B(lambda) = features (..., F) . coeffs (F, ...) of one block or a stack: the one `np.dot`
+    that np.tensordot(features, coeffs, axes=1) makes, without its argument handling, which
+    costs more than the product on a compass level's few rows."""
     F = coeffs.shape[0]
     return np.dot(features.reshape(-1, F), coeffs.reshape(F, -1)).reshape(features.shape[:-1] + coeffs.shape[1:])
 
@@ -385,7 +382,7 @@ def decompose_terms(lams: np.ndarray, h: HTensor) -> TermDecomposition:
             return np.zeros(0)
         slots, stack = stacks[kind]
         x = u[slots]
-        return np.einsum("bi,bij,bj->b", x, _block_matrices(stack, lams), x)
+        return np.einsum("bi,bij,bj->b", x, _contract(_features(lams), stack), x)
 
     return TermDecomposition(
         float(values("pure").sum()),
@@ -409,7 +406,7 @@ def quadratic_form_batch(n: int, m: int, lams: np.ndarray) -> np.ndarray:
     D = form_dimension(n, m)
     M = np.zeros((lams.shape[0], D, D))
     for slots, stack in _kind_stacks(n, m).values():
-        M[:, slots[:, :, None], slots[:, None, :]] = _block_matrices(stack, lams)
+        M[:, slots[:, :, None], slots[:, None, :]] = _contract(_features(lams), stack)
     v = np.prod(np.sqrt(1.0 + lams**2), axis=-1)
     return v[:, None, None] * M
 
@@ -457,11 +454,18 @@ def block_margin(kind: str, lams: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return 2.0 * low - (3.0 - np.asarray(vs, dtype=float))
 
 
-def verify_omega_sup(v: float, C: float, grid: int = 256) -> float:
-    """Numerical sup of f = 1/(v-x) + 1/(v-y) + 1/(v-z) on the constrained slab.
+def verify_omega_sup(v: float, C: float) -> float:
+    """Sup of f = 1/(v-x) + 1/(v-y) + 1/(v-z) on the constrained slab, in closed form.
 
     Domain: 1 <= x, y < v, z > v, xyz = C.  Returns -inf when the domain is
     empty (C <= v forces z <= v).  The claimed bound is sup <= 2/(v-1).
+
+    The sup is the corner value f(1, 1, C) = 2/(v-1) + 1/(v-C).  Along xy = P,
+    1/(v - e^s) is convex in s = log x, so 1/(v-x) + 1/(v-y) is convex in
+    log x and largest at an end, x = 1 or y = 1.  That leaves
+    h(P) = 1/(v-1) + 1/(v-P) + 1/(v - C/P) on 1 <= P < C/v, where
+    h'(P) = 1/(v-P)^2 - C/(vP - C)^2 <= 0, since C - vP <= sqrt(C)(v - P)
+    reduces to -sqrt(C) <= P when C <= v^2.  So P = 1 attains the sup.
     """
     if v <= 1.0:
         raise PreconditionViolated("need v > 1")
@@ -469,36 +473,7 @@ def verify_omega_sup(v: float, C: float, grid: int = 256) -> float:
         raise PreconditionViolated("need 1 <= C <= v^2")
     if C <= v * (1.0 + 1e-15):
         return -np.inf
-
-    def f_of(x: float, y: float) -> float:
-        if not (1.0 <= x < v and 1.0 <= y < v):
-            return -np.inf
-        z = C / (x * y)
-        if z <= v:
-            return -np.inf
-        return 1.0 / (v - x) + 1.0 / (v - y) + 1.0 / (v - z)
-
-    axis = np.linspace(1.0, v - (v - 1.0) * 1e-6, grid)
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
-    Z = C / (X * Y)
-    feasible = Z > v * (1.0 + 1e-15)
-    vals = np.full_like(X, -np.inf)
-    vals[feasible] = (
-        1.0 / (v - X[feasible]) + 1.0 / (v - Y[feasible]) + 1.0 / (v - Z[feasible])
-    )
-    best = float(vals.max())
-    bi, bj = np.unravel_index(int(vals.argmax()), vals.shape)
-    res = minimize(
-        lambda xy: -f_of(xy[0], xy[1]) if np.isfinite(f_of(xy[0], xy[1])) else 1e9,
-        x0=np.array([axis[bi], axis[bj]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-13, "maxfev": 2000},
-    )
-    if np.isfinite(res.fun) and -res.fun > best:
-        best = float(-res.fun)
-    # boundary-reduction cross-check: the corner (1, 1, C) is always feasible here
-    best = max(best, f_of(1.0, 1.0))
-    return best
+    return 2.0 / (v - 1.0) + 1.0 / (v - C)
 
 
 # ---------------------------------------------------------------------------
@@ -636,29 +611,47 @@ def k0_closed_form(n: int, m: int, beta0: float) -> float | None:
     return 1.0 if m == 1 else min(1.0, beta0 * (3.0 - beta0) / 2.0)
 
 
-# axis values of the K0 mesh when the budget allows; the compass refinement
-# stops once its step falls below COMPASS_TOL lambda_max
+# axis values of the K0 mesh; the compass refinement stops once its step falls
+# below COMPASS_TOL lambda_max, or before its evaluations pass EVALUATION_CAP,
+# since the number of its moves has no a-priori bound
 MESH_AXIS = 17
 COMPASS_TOL = 1e-10
+EVALUATION_CAP = 300_000
+# most rows the K0 mesh may keep: at most 298,775 at m <= 16 with beta0 >= 1 + 1e-10;
+# nearer 1 the 1e-12 slack of the admissibility test admits up to C(16 + m, m) rows
+# (735,471 at m = 8), and the search is refused
+MESH_ROWS = 300_000
 
 
-def _sorted_mesh(m: int, lam_max: float, budget: int) -> tuple[np.ndarray, float, bool]:
-    """Non-increasing profiles over g <= MESH_AXIS even values on [0, lam_max], the
-    spacing, and whether the budget cut g; C(g + m - 1, m) is checked before building."""
+def _admissible_mesh(m: int, lam_max: float, bound2: float) -> np.ndarray:
+    """Non-increasing profiles over MESH_AXIS even values on [0, lam_max] (only 0 when
+    lam_max = 0) with prod(1 + lambda^2) <= bound2: bitwise, and in the same order, the
+    admissible rows of the full `combinations_with_replacement` mesh, never built.
+
+    Each level extends the kept index prefixes, in order, by each index from their last on
+    and keeps those whose running product of 1 + lambda^2 stays <= bound2; the factors are
+    >= 1, so the rounded product never falls along a row and no admissible row is cut.
+    """
     g = MESH_AXIS if lam_max > 0.0 else 1
-    while g > 1 and math.comb(g + m - 1, m) > budget:
-        g -= 1
-    index = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(g), m))
     axis = np.linspace(0.0, lam_max, g)[::-1]
-    mesh = axis[np.fromiter(index, dtype=np.intp).reshape(-1, m)]
-    return mesh, lam_max / max(g - 1, 1), g < MESH_AXIS and lam_max > 0.0
+    index, prod, last = np.zeros((1, 0), dtype=np.intp), np.ones(1), np.zeros(1, dtype=np.intp)
+    for _ in range(m):
+        counts = g - last
+        parent = np.repeat(np.arange(last.size), counts)
+        child = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts - last, counts)
+        prod = prod[parent] * (1.0 + axis[child] ** 2)
+        keep = prod <= bound2
+        if np.count_nonzero(keep) > MESH_ROWS:
+            raise PreconditionViolated(f"the K0 mesh at m = {m} passes {MESH_ROWS} rows: beta0 is too near 1")
+        index, prod, last = np.column_stack([index[parent[keep]], child[keep]]), prod[keep], child[keep]
+    mesh = axis[index]
+    return mesh[np.prod(1.0 + mesh**2, axis=1) <= bound2]
 
 
 def compute_K0(
     n: int,
     m: int,
     beta0: float,
-    budget: int = 300_000,
     audit_samples: int = 100_000,
     seed: int = 0,
 ) -> CertificateReport:
@@ -667,33 +660,35 @@ def compute_K0(
     K0 = min over {lambda >= 0, prod(1+lambda^2) <= beta0^2} of the smallest
     eigenvalue of the Delta-v form; since the flattening is norm-preserving
     this bounds Delta v / |B|^2 from below.  beta0 = 3 is allowed as a
-    degenerate boundary probe.  The form is symmetric in lambda, so the
-    search visits sorted profiles: `_sorted_mesh` and, for m >= 2 and
-    beta0 > 2, the closed-form pair profile in one batch, then a compass
-    search with moves +-h e_i per level, each clipped at 0, pulled radially
-    in u = log1p(lambda^2) back into the set and sorted; h halves after a
-    level that does not improve.
+    degenerate boundary probe; m > 16 is refused (289,227 mesh rows at m = 16,
+    beta0 = 1.001, 528,236 at m = 20), and so is a mesh of more than MESH_ROWS
+    rows.  The form is symmetric in lambda, so the search visits sorted
+    profiles: `_admissible_mesh` and, for m >= 2 and beta0 > 2, the
+    closed-form pair profile in one batch, then a compass search with moves
+    +-h e_i per level, each clipped at 0, pulled radially in
+    u = log1p(lambda^2) back into the set and sorted; h halves after a level
+    that does not improve.
 
     While no level improves, the next levels are known in advance, so one
     `_segment_minima` batch solves `depth` halvings of h, those still within
-    COMPASS_TOL and the budget, each cut off at the best value.  The levels
+    COMPASS_TOL and EVALUATION_CAP, each cut off at the best value.  The levels
     are walked in order: the first that improves makes the serial loop's
     move with its h, and the levels after it are discarded.  The depth is 1
-    after a move and doubles after a batch without one; at most 34 levels
-    lie between the mesh spacing and COMPASS_TOL lambda_max, so a batch
-    holds at most 16.  `evaluations`
-    counts 2m profiles for each level walked, and the report is bitwise that
-    of one eigensolve round per level.
+    after a move and doubles after a batch without one; at most 30 levels
+    lie between the mesh spacing lambda_max / 16 and COMPASS_TOL lambda_max,
+    so a batch holds at most 15.  `evaluations` counts the mesh rows and 2m
+    profiles for each level walked, and the report is bitwise that of one
+    eigensolve round per level.  `budget_exhausted` says EVALUATION_CAP
+    stopped the compass.
     """
     if not (1.0 <= beta0 <= 3.0):
         raise PreconditionViolated("need 1 <= beta0 <= 3")
-    if not (1 <= m <= n):
-        raise PreconditionViolated("need 1 <= m <= n")
+    if not (1 <= m <= min(n, 16)):
+        raise PreconditionViolated("need 1 <= m <= n and m <= 16")
     bound2 = beta0 * beta0 * (1.0 + 1e-12)
     lam_max = math.sqrt(max(beta0 * beta0 - 1.0, 0.0))
 
-    mesh, h, budget_exhausted = _sorted_mesh(m, lam_max, budget)
-    mesh = mesh[np.prod(1.0 + mesh**2, axis=1) <= bound2]
+    mesh = _admissible_mesh(m, lam_max, bound2)
     if m >= 2 and beta0 > 2.0:
         pair = np.zeros((1, m))
         pair[0, :2] = math.sqrt(beta0 - 1.0)
@@ -706,14 +701,16 @@ def compute_K0(
     log_cap = 2.0 * math.log(beta0)
     steps = np.vstack([np.eye(m), -np.eye(m)])
     stacks = _pruning_stacks(n, m)
+    h = lam_max / (MESH_AXIS - 1)
+    budget_exhausted = False
     depth = 1
     while lam_max > 0.0 and h >= COMPASS_TOL * lam_max:
-        if evaluations + 2 * m > budget:
+        if evaluations + 2 * m > EVALUATION_CAP:
             budget_exhausted = True
             break
         hs = [h]
         while (len(hs) < depth and 0.5 * hs[-1] >= COMPASS_TOL * lam_max
-               and evaluations + 2 * m * (len(hs) + 1) <= budget):
+               and evaluations + 2 * m * (len(hs) + 1) <= EVALUATION_CAP):
             hs.append(0.5 * hs[-1])
         moves = np.clip(best_lam + np.array(hs)[:, None, None] * steps, 0.0, None)
         u = np.log1p(moves**2)

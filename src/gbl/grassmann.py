@@ -41,11 +41,11 @@ from .errors import (
     DimensionMismatch,
     InversionFailure,
     OutOfChart,
+    PreconditionViolated,
     RankDeficient,
 )
 from .rng import child, rejection_sample
 
-ORTHO_TOL = 1e-10
 CHART_TOL = 1e-12
 CUT_TOL = 1e-8
 # singular values at least this close to 1 are snapped to exactly 1 so that
@@ -589,7 +589,7 @@ def sample_chart_sublevel(
     every returned Z satisfies the bound as `chart_v` computes it.
     """
     if v_bound < 1.0:
-        raise ValueError("v_bound must be >= 1")
+        raise PreconditionViolated("v_bound must be >= 1")
     if v_bound == 1.0:
         return np.zeros((count, n, m))
     N, p = max(n, m), min(n, m)

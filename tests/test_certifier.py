@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,38 +330,60 @@ class TestK0Search:
             assert np.abs(exhaustive_form_eigenvalues(m + 2, m, lams[:, perm]) - base).max() <= 1e-13
             assert abs(ct.min_form_eigenvalue(m + 2, m, lams[:, perm])[1] - low) <= 1e-13
 
-    @pytest.mark.parametrize("budget", [9, 1000])
-    def test_budget_never_allocates_the_full_mesh(self, monkeypatch, budget):
-        # 17 axis values at m = 8 are C(24, 8) = 735,471 sorted profiles (17^8 unsorted);
-        # budget 9 leaves a 2-value axis and no compass level, so only the pair
-        # profile can reach the closed form
-        def no_grid(*args, **kwargs):
-            raise AssertionError("a dense mesh was built")
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("beta0", [1.0, 1.5, 2.0, 2.2, 2.5, 2.9, 2.99])
+    def test_mesh_is_the_filtered_sorted_mesh(self, m, beta0):
+        # every sorted row over the 17 axis values, then the admissibility filter: the
+        # same rows, bitwise and in the same order
+        lam_max = math.sqrt(beta0 * beta0 - 1.0)
+        bound2 = beta0 * beta0 * (1.0 + 1e-12)
+        g = ct.MESH_AXIS if lam_max > 0.0 else 1
+        index = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(g), m))
+        full = np.linspace(0.0, lam_max, g)[::-1][np.fromiter(index, dtype=np.intp).reshape(-1, m)]
+        expected = full[np.prod(1.0 + full**2, axis=1) <= bound2]
+        mesh = ct._admissible_mesh(m, lam_max, bound2)
+        assert mesh.shape == expected.shape and mesh.tobytes() == expected.tobytes()
 
-        monkeypatch.setattr(np, "meshgrid", no_grid)
-        cert = ct.compute_K0(9, 8, 2.9, budget=budget, audit_samples=0)
-        assert cert.budget_exhausted
-        assert cert.evaluations <= budget
+    def test_mesh_at_m_eight_builds_admissible_rows_only(self):
+        # the full sorted mesh is C(24, 8) = 735,471 rows of 8 floats (47 MB), of which
+        # 2,506 are admissible at beta0 = 2.9
+        tracemalloc.start()
+        mesh = ct._admissible_mesh(8, math.sqrt(2.9**2 - 1.0), 2.9**2 * (1.0 + 1e-12))
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert mesh.shape == (2_506, 8)
+        assert peak < 2_000_000
+
+    def test_mesh_past_its_row_cap_is_refused(self):
+        # within 1e-13 of beta0 = 1 the 1e-12 slack of the admissibility test admits
+        # nearly all C(24, 8) = 735,471 sorted rows at m = 8
+        with pytest.raises(PreconditionViolated):
+            ct.compute_K0(8, 8, 1.0 + 1e-14, audit_samples=0)
+
+    def test_k0_refuses_m_past_sixteen_before_building(self, monkeypatch):
+        def no_mesh(*args):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(ct, "_admissible_mesh", no_mesh)
+        with pytest.raises(PreconditionViolated):
+            ct.compute_K0(17, 17, 2.9, audit_samples=0)
+
+    def test_the_evaluation_cap_stops_only_the_compass(self, monkeypatch):
+        # the mesh and pair profile (2,507 rows at m = 8) are solved whatever the cap
+        monkeypatch.setattr(ct, "EVALUATION_CAP", 9)
+        cert = ct.compute_K0(9, 8, 2.9, audit_samples=0)
+        assert cert.budget_exhausted and cert.evaluations == 2_507
         assert abs(cert.k0 - ct.k0_closed_form(9, 8, 2.9)) <= 1e-14
-
-    def test_sorted_mesh_is_counted(self):
-        mesh, spacing, cut = ct._sorted_mesh(3, 2.0, 10_000)
-        assert mesh.shape == (math.comb(19, 3), 3) and not cut
-        assert np.all(np.diff(mesh, axis=1) <= 0.0)
-        assert spacing == 2.0 / 16
-        mesh, spacing, cut = ct._sorted_mesh(3, 2.0, 100)
-        # C(10, 3) = 120 profiles for 8 values exceed 100; 7 values give C(9, 3) = 84
-        assert mesh.shape == (math.comb(9, 3), 3) and cut
-        assert spacing == 2.0 / 6
+        monkeypatch.setattr(ct, "EVALUATION_CAP", 300_000)
+        assert not ct.compute_K0(9, 8, 2.9, audit_samples=0).budget_exhausted
 
 
-def serial_compute_K0(n, m, beta0, budget=300_000, audit_samples=100_000, seed=0):
+def serial_compute_K0(n, m, beta0, audit_samples=100_000, seed=0):
     """`compute_K0` with one `min_form_eigenvalue` call per compass level: the search the
     batched levels must reproduce bitwise."""
     bound2 = beta0 * beta0 * (1.0 + 1e-12)
     lam_max = math.sqrt(max(beta0 * beta0 - 1.0, 0.0))
-    mesh, h, budget_exhausted = ct._sorted_mesh(m, lam_max, budget)
-    mesh = mesh[np.prod(1.0 + mesh**2, axis=1) <= bound2]
+    mesh = ct._admissible_mesh(m, lam_max, bound2)
     if m >= 2 and beta0 > 2.0:
         pair = np.zeros((1, m))
         pair[0, :2] = math.sqrt(beta0 - 1.0)
@@ -371,8 +394,10 @@ def serial_compute_K0(n, m, beta0, budget=300_000, audit_samples=100_000, seed=0
     trace = [{"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val}]
     log_cap = 2.0 * math.log(beta0)
     steps = np.vstack([np.eye(m), -np.eye(m)])
+    h = lam_max / 16
+    budget_exhausted = False
     while lam_max > 0.0 and h >= ct.COMPASS_TOL * lam_max:
-        if evaluations + 2 * m > budget:
+        if evaluations + 2 * m > ct.EVALUATION_CAP:
             budget_exhausted = True
             break
         moves = np.clip(best_lam + h * steps, 0.0, None)
@@ -432,13 +457,14 @@ class TestBatchedCompass:
         + [(5, 3, 2.9), (6, 4, 2.9), (8, 8, 2.9)],
     )
     @pytest.mark.parametrize("audit", [0, 200])
-    def test_report_is_bitwise_the_serial_one(self, n, m, beta0, audit):
-        # floats compare by ==, the trace included; the small budgets stop the
+    def test_report_is_bitwise_the_serial_one(self, monkeypatch, n, m, beta0, audit):
+        # floats compare by ==, the trace included; the small caps stop the
         # search before, inside and after the compass
-        for budget in (1, 9, 50, 100, 236, 300_000):
-            batched = dataclasses.asdict(ct.compute_K0(n, m, beta0, budget=budget, audit_samples=audit))
-            serial = dataclasses.asdict(serial_compute_K0(n, m, beta0, budget=budget, audit_samples=audit))
-            assert batched == serial, (budget, batched, serial)
+        for cap in (1, 9, 50, 100, 236, 300_000):
+            monkeypatch.setattr(ct, "EVALUATION_CAP", cap)
+            batched = dataclasses.asdict(ct.compute_K0(n, m, beta0, audit_samples=audit))
+            serial = dataclasses.asdict(serial_compute_K0(n, m, beta0, audit_samples=audit))
+            assert batched == serial, (cap, batched, serial)
 
     def test_batches_cut_the_eigensolve_calls(self, monkeypatch):
         # the serial loop makes 132 calls: one per distinct block size and level
@@ -522,7 +548,7 @@ class TestBlockMargin:
         # B_I - I = (diag(lambda^2) + lambda lambda^T) / 2, PSD at every lambda:
         # the es1 lemma holds off the admissible set too
         lams = substream(14, 2).uniform(0.0, 2.0, (50, m))
-        blocks = ct._block_matrices(ct._kind_stacks(m + 1, m)["I"][1], lams)[:, 0]
+        blocks = ct._contract(ct._features(lams), ct._kind_stacks(m + 1, m)["I"][1])[:, 0]
         closed = (np.einsum("ka,ab->kab", lams**2, np.eye(m)) + lams[:, :, None] * lams[:, None, :]) / 2.0
         assert np.abs(blocks - np.eye(m) - closed).max() <= 1e-15
 
@@ -563,7 +589,7 @@ class TestBlockMargin:
         # the (4, 3) stacks carry the same triple block as the (3, 3) ones
         lams = ct.sample_admissible_lambdas(3, 3.0, 20_000, substream(14, 1))
         vs = np.prod(np.sqrt(1.0 + lams**2), axis=1)
-        low = np.linalg.eigvalsh(ct._block_matrices(ct._kind_stacks(3, 3)["III"][1], lams))[:, 0, 0]
+        low = np.linalg.eigvalsh(ct._contract(ct._features(lams), ct._kind_stacks(3, 3)["III"][1]))[:, 0, 0]
         margin = ct.block_margin("III", lams, vs)
         assert np.array_equal(margin, 2.0 * low - (3.0 - vs))
 
@@ -583,7 +609,27 @@ class TestOmegaSup:
         for _ in range(25):
             v = float(rng.uniform(1.2, 3.0))
             C = float(rng.uniform(v * 1.01, v * v))
-            assert ct.verify_omega_sup(v, C, grid=128) <= 2.0 / (v - 1.0) + 1e-8
+            assert ct.verify_omega_sup(v, C) <= 2.0 / (v - 1.0) + 1e-8
+
+    @pytest.mark.parametrize("v,C", [(1.2, 1.3), (1.2, 1.44), (1.5, 2.0), (2.0, 3.9), (2.5, 6.25), (3.0, 9.0)])
+    def test_closed_form_is_the_max_of_a_dense_grid(self, v, C):
+        # f = a + b + c on a 1001^2 grid of (x, y) in [1, v), kept where z = C / (xy) > v.
+        # The corner (1, 1, C) gives the closed form's bits.  No point exceeds it by more
+        # than 4 eps S, S = |a| + |b| + |c| (1 + z / (z - v)): each term carries a few
+        # roundings, and c also the relative 2 eps of z, amplified by z / (z - v).  At
+        # C = v^2 the whole edge x = 1 attains the sup, and rounding lifts f above it there
+        # by up to 0.6 eps S.
+        axis = np.linspace(1.0, v, 1002)[:-1]
+        X, Y = np.meshgrid(axis, axis, indexing="ij")
+        Z = C / (X * Y)
+        feasible = Z > v
+        X, Y, Z = X[feasible], Y[feasible], Z[feasible]
+        a, b, c = 1.0 / (v - X), 1.0 / (v - Y), 1.0 / (v - Z)
+        f = a + b + c
+        sup = ct.verify_omega_sup(v, C)
+        assert (X[0], Y[0]) == (1.0, 1.0) and f[0] == sup
+        S = np.abs(a) + np.abs(b) + np.abs(c) * (1.0 + Z / (Z - v))
+        assert np.all(f <= sup + 4.0 * np.finfo(float).eps * S)
 
 
 class TestDiagonalBlock:

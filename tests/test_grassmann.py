@@ -9,7 +9,8 @@ from scipy.optimize import minimize
 from scipy.stats import ks_2samp
 
 from gbl import grassmann as gr
-from gbl.errors import CutLocus, DimensionMismatch, InversionFailure, OutOfChart, RankDeficient
+from gbl.errors import (CutLocus, DimensionMismatch, InversionFailure, OutOfChart, PreconditionViolated,
+                        RankDeficient)
 from gbl.rng import substream
 
 
@@ -474,6 +475,11 @@ class TestChartSampler:
         assert Zs.shape == (3_000, n, m)
         assert np.all(gr.chart_v(Zs) <= 2.9)
         assert np.unique(Zs[:, 0, 0]).size == 3_000
+
+    def test_bound_below_one_is_a_precondition_error(self):
+        # the CLI turns a GBLError into exit code 2; a bare ValueError would escape it
+        with pytest.raises(PreconditionViolated):
+            gr.sample_chart_sublevel(2, 2, 0.5, 10, substream(12, 0))
 
     @pytest.mark.parametrize("p,excess", [(1, 0), (1, 2), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 2), (6, 0)])
     @pytest.mark.parametrize("v_bound", [1.1, 2.9, 20.0])
