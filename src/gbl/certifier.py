@@ -13,12 +13,12 @@ the form blockwise, and estimates the strong-subharmonicity constant
 
     K0(beta0) = min { Delta v / |h|^2 : prod(1 + lambda^2) <= beta0^2 }
 
-by a batched search over sorted profiles for the smallest form eigenvalue.
+by one batch minimum of the smallest form eigenvalue over sorted profiles,
+plus a line search on the boundary face at n = m = 2.
 
-K0 and eps0 are batch minima: `_segment_minima` eigensolves only the blocks
+K0 and eps0 are batch minima: `_batch_minimum` eigensolves only the blocks
 whose Gershgorin bound can reach the running minimum, and returns bitwise
-the argmin and minimum of the exhaustive per-profile values, per segment of
-a batch (one per compass level of the K0 search).
+the argmin and minimum of the exhaustive per-profile values.
 """
 from __future__ import annotations
 
@@ -47,37 +47,6 @@ PRUNE_SLACK = 1e-9
 _SQRT2 = math.sqrt(2.0)
 
 
-class HTensor:
-    """Second-fundamental-form coefficients h[a, i, j], symmetric in (i, j)."""
-
-    __slots__ = ("n", "m", "h")
-
-    def __init__(self, h: np.ndarray):
-        h = np.asarray(h, dtype=float)
-        if h.ndim != 3 or h.shape[1] != h.shape[2]:
-            raise DimensionMismatch(f"h must be (m, n, n), got {h.shape}")
-        h = 0.5 * (h + h.transpose(0, 2, 1))
-        h.flags.writeable = False
-        self.m, self.n = h.shape[0], h.shape[1]
-        self.h = h
-
-    @property
-    def norm2(self) -> float:
-        return float(np.sum(self.h**2))
-
-    def flatten(self) -> np.ndarray:
-        """Flatten over (a, i <= j) with sqrt(2) on off-diagonal pairs.
-
-        The weights make the flattened Euclidean norm equal sum_{a,i,j} h^2
-        over ordered index pairs, i.e. |B|^2 literally.
-        """
-        return flatten_h(self.h)
-
-    @classmethod
-    def random(cls, n: int, m: int, rng: np.random.Generator) -> "HTensor":
-        return cls(rng.standard_normal((m, n, n)))
-
-
 @lru_cache(maxsize=None)
 def _pair_table(n: int):
     """Upper-triangle pair ordering, weights, and the (i, j) -> slot map."""
@@ -95,7 +64,11 @@ def form_dimension(n: int, m: int) -> int:
 
 
 def flatten_h(h: np.ndarray) -> np.ndarray:
-    """Batched symmetric flattening; h has shape (..., m, n, n)."""
+    """Batched symmetric flattening over (a, i <= j); h has shape (..., m, n, n).
+
+    The sqrt(2) weight on off-diagonal pairs makes the flattened Euclidean
+    norm equal sum_{a,i,j} h^2 over ordered index pairs, i.e. |B|^2 literally.
+    """
     h = np.asarray(h, dtype=float)
     n = h.shape[-1]
     pairs, _, weights = _pair_table(n)
@@ -292,57 +265,41 @@ def _pruning_stacks(n: int, m: int) -> tuple:
 def _contract(features: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """B(lambda) = features (..., F) . coeffs (F, ...) of one block or a stack: the one `np.dot`
     that np.tensordot(features, coeffs, axes=1) makes, without its argument handling, which
-    costs more than the product on a compass level's few rows."""
+    costs more than the product on the one-row batches of the K0 face search."""
     F = coeffs.shape[0]
     return np.dot(features.reshape(-1, F), coeffs.reshape(F, -1)).reshape(features.shape[:-1] + coeffs.shape[1:])
 
 
-def _segment_minima(stacks, lams: np.ndarray, weights: np.ndarray,
-                    cutoff: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
-    """First argmin and minimum per segment of profiles (L, K, m) of weights (L, K) times
-    lambda_min over the blocks of `_with_gershgorin` stacks, as (L,) arrays.  A segment
-    minimum below `cutoff` and its first argmin are bitwise those of the exhaustive
-    per-profile values; a segment with no value below `cutoff` gives (-1, cutoff).
+def _batch_minimum(stacks, lams: np.ndarray, weights: np.ndarray) -> tuple[int, float]:
+    """First argmin and minimum over profiles (K, m) of weights (K,) times lambda_min over the
+    blocks of `_with_gershgorin` stacks, bitwise those of the exhaustive per-profile values.
 
-    Per CHUNK // L rows of every segment and stack, in order, only blocks whose weighted bound
-    min_i (features . G)_i is at most their segment's cutoff, min(cutoff, running minimum),
-    plus PRUNE_SLACK are eigensolved, in one `eigvalsh` call (none when no block qualifies);
-    the others lie above it, so they can neither be nor tie a minimum below `cutoff`.
-    `eigvalsh` solves each matrix on its own, so a segment's values do not depend on the
-    segments solved beside it.
+    Per CHUNK rows and stack, in order, only blocks whose weighted bound min_i (features . G)_i
+    is at most the running minimum plus PRUNE_SLACK are eigensolved, in one `eigvalsh` call
+    (none when no block qualifies); the others lie above it, so they can neither be nor tie
+    the minimum.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.size == 0 or not np.all(lams >= 0.0):
         raise PreconditionViolated("need a nonempty batch of nonnegative profiles")
-    segments, K = lams.shape[:2]
-    index, best = np.full(segments, -1), np.full(segments, cutoff)
-    rows = max(CHUNK // segments, 1)
-    for start in range(0, K, rows):
-        features = _features(lams[:, start : start + rows])
-        w = weights[:, start : start + rows]
+    weights = np.asarray(weights)
+    index, best = -1, math.inf
+    for start in range(0, lams.shape[0], CHUNK):
+        features = _features(lams[start : start + CHUNK])
+        w = weights[start : start + CHUNK]
         low = np.full(w.shape, math.inf)
         for stack, G in stacks:
-            cut = np.minimum(best, low.min(axis=1)) + PRUNE_SLACK
-            need = w[..., None] * _contract(features, G).min(axis=-1) <= cut[:, None, None]
+            need = w[:, None] * _contract(features, G).min(axis=-1) <= min(best, low.min()) + PRUNE_SLACK
             if not need.any():
                 continue
             B = _contract(features, stack)
             vals = np.full(need.shape, math.inf)
             vals[need] = np.linalg.eigvalsh(B if need.all() else B[need])[..., 0].reshape(-1)
             low = np.minimum(low, w * vals.min(axis=-1))
-        k = np.argmin(low, axis=1)
-        low_k = low[np.arange(segments), k]
-        better = low_k < best
-        index[better], best[better] = start + k[better], low_k[better]
+        k = int(np.argmin(low))
+        if low[k] < best:
+            index, best = start + k, float(low[k])
     return index, best
-
-
-def _batch_minimum(stacks, lams: np.ndarray, weights: np.ndarray) -> tuple[int, float]:
-    """First argmin and minimum over profiles (K, m) of weights (K,) times lambda_min over the
-    blocks of `_with_gershgorin` stacks, bitwise those of the exhaustive per-profile values:
-    the one-segment case of `_segment_minima`, with no cutoff."""
-    index, best = _segment_minima(stacks, np.asarray(lams, dtype=float)[None], np.asarray(weights)[None])
-    return int(index[0]), float(best[0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +324,15 @@ class TermDecomposition:
         )
 
 
-def decompose_terms(lams: np.ndarray, h: HTensor) -> TermDecomposition:
-    """Evaluate each named group at the profile lams (m,) exactly as u_B^T B(lambda) u_B;
-    their sum is v^{-1} Delta v."""
+def decompose_terms(lams: np.ndarray, h: np.ndarray) -> TermDecomposition:
+    """Evaluate each named group at the profile lams (m,) and symmetric h (m, n, n) exactly
+    as u_B^T B(lambda) u_B; their sum is v^{-1} Delta v."""
     lams = np.asarray(lams, dtype=float)
-    n, m = h.n, h.m
-    if lams.shape != (m,):
-        raise DimensionMismatch(f"profile {lams.shape} vs tensor ({n},{m})")
-    u = h.flatten()
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 3 or h.shape[1] != h.shape[2] or lams.shape != h.shape[:1]:
+        raise DimensionMismatch(f"profile {lams.shape} vs tensor {h.shape}")
+    m, n = h.shape[:2]
+    u = flatten_h(h)
     stacks = _kind_stacks(n, m)
 
     def values(kind: str) -> np.ndarray:
@@ -611,12 +569,8 @@ def k0_closed_form(n: int, m: int, beta0: float) -> float | None:
     return 1.0 if m == 1 else min(1.0, beta0 * (3.0 - beta0) / 2.0)
 
 
-# axis values of the K0 mesh; the compass refinement stops once its step falls
-# below COMPASS_TOL lambda_max, or before its evaluations pass EVALUATION_CAP,
-# since the number of its moves has no a-priori bound
+# axis values of the K0 mesh
 MESH_AXIS = 17
-COMPASS_TOL = 1e-10
-EVALUATION_CAP = 300_000
 # most rows the K0 mesh may keep: at most 298,775 at m <= 16 with beta0 >= 1 + 1e-10;
 # nearer 1 the 1e-12 slack of the admissibility test admits up to C(16 + m, m) rows
 # (735,471 at m = 8), and the search is refused
@@ -664,22 +618,14 @@ def compute_K0(
     beta0 = 1.001, 528,236 at m = 20), and so is a mesh of more than MESH_ROWS
     rows.  The form is symmetric in lambda, so the search visits sorted
     profiles: `_admissible_mesh` and, for m >= 2 and beta0 > 2, the
-    closed-form pair profile in one batch, then a compass search with moves
-    +-h e_i per level, each clipped at 0, pulled radially in
-    u = log1p(lambda^2) back into the set and sorted; h halves after a level
-    that does not improve.
+    closed-form pair profile in one batch minimum.
 
-    While no level improves, the next levels are known in advance, so one
-    `_segment_minima` batch solves `depth` halvings of h, those still within
-    COMPASS_TOL and EVALUATION_CAP, each cut off at the best value.  The levels
-    are walked in order: the first that improves makes the serial loop's
-    move with its h, and the levels after it are discarded.  The depth is 1
-    after a move and doubles after a batch without one; at most 30 levels
-    lie between the mesh spacing lambda_max / 16 and COMPASS_TOL lambda_max,
-    so a batch holds at most 15.  `evaluations` counts the mesh rows and 2m
-    profiles for each level walked, and the report is bitwise that of one
-    eigensolve round per level.  `budget_exhausted` says EVALUATION_CAP
-    stopped the compass.
+    At n = m = 2, where the catalogue holds only the two IV blocks and
+    `k0_closed_form` is None, a bounded scalar search then minimises along
+    the sorted face u_1 + u_2 = 2 log beta0, u = log1p(lambda^2), over
+    u_1 in [log beta0, 2 log beta0].  `evaluations` counts the mesh rows, the
+    face evaluations and the audit samples; `budget_exhausted` says the face
+    search stopped at scipy's iteration cap.
     """
     if not (1.0 <= beta0 <= 3.0):
         raise PreconditionViolated("need 1 <= beta0 <= 3")
@@ -698,38 +644,20 @@ def compute_K0(
     evaluations = mesh.shape[0]
     trace = [{"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val}]
 
-    log_cap = 2.0 * math.log(beta0)
-    steps = np.vstack([np.eye(m), -np.eye(m)])
-    stacks = _pruning_stacks(n, m)
-    h = lam_max / (MESH_AXIS - 1)
     budget_exhausted = False
-    depth = 1
-    while lam_max > 0.0 and h >= COMPASS_TOL * lam_max:
-        if evaluations + 2 * m > EVALUATION_CAP:
-            budget_exhausted = True
-            break
-        hs = [h]
-        while (len(hs) < depth and 0.5 * hs[-1] >= COMPASS_TOL * lam_max
-               and evaluations + 2 * m * (len(hs) + 1) <= EVALUATION_CAP):
-            hs.append(0.5 * hs[-1])
-        moves = np.clip(best_lam + np.array(hs)[:, None, None] * steps, 0.0, None)
-        u = np.log1p(moves**2)
-        total = u.sum(axis=-1)
-        over = total > log_cap
-        moves[over] = np.sqrt(np.expm1(u[over] * (log_cap / total[over][:, None])))
-        moves = -np.sort(-moves, axis=-1)
-        index, low = _segment_minima(stacks, moves, np.prod(np.sqrt(1.0 + moves**2), axis=-1), best_val)
-        moved = np.flatnonzero(low < best_val)
-        if moved.size:
-            j = int(moved[0])
-            evaluations += 2 * m * (j + 1)
-            h, best_val, best_lam = hs[j], float(low[j]), moves[j, index[j]]
+    if n == m == 2 and beta0 > 1.0:
+        log_b = math.log(beta0)
+
+        def face(u1: float) -> np.ndarray:
+            return np.sqrt(np.expm1(np.array([[u1, 2.0 * log_b - u1]])))
+
+        res = minimize_scalar(lambda u1: min_form_eigenvalue(2, 2, face(u1))[1], bounds=(log_b, 2.0 * log_b),
+                              method="bounded", options={"xatol": 1e-12})
+        evaluations += res.nfev
+        budget_exhausted = not res.success
+        if res.fun < best_val:
+            best_val, best_lam = float(res.fun), face(res.x)[0]
             trace.append({"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val})
-            depth = 1
-        else:
-            evaluations += 2 * m * len(hs)
-            h = 0.5 * hs[-1]
-            depth *= 2
 
     worst_violation = float("inf")
     if audit_samples > 0:

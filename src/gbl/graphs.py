@@ -213,16 +213,21 @@ def polynomial_graph(n: int, m: int, components) -> GraphImmersion:
     """Graph whose components are monomial sums; derivatives are symbolic.
 
     `components` is a length-m list; each entry is a list of (coeff, exponents)
-    with exponents a length-n tuple of nonnegative integers.
+    with a finite coeff and exponents a length-n tuple of nonnegative integers.
     """
     comps = []
     for comp in components:
         rows = []
         for coeff, exps in comp:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != n or any(e < 0 for e in exps):
-                raise DimensionMismatch(f"bad exponent tuple {exps}")
-            rows.append((float(coeff), exps))
+            try:
+                coeff, exps = float(coeff), tuple(float(e) for e in exps)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DimensionMismatch(f"malformed graph spec: {exc}") from exc
+            if not math.isfinite(coeff):
+                raise DimensionMismatch(f"malformed graph spec: coefficient {coeff} is not finite")
+            if len(exps) != n or not all(e.is_integer() and e >= 0 for e in exps):
+                raise DimensionMismatch(f"malformed graph spec: bad exponent tuple {exps}")
+            rows.append((coeff, tuple(map(int, exps))))
         comps.append(rows)
 
     def mono(x, coeff, exps):
@@ -307,7 +312,7 @@ class PointGeometry:
     slope: float
     jac: np.ndarray                # (m, n) Df
     lambdas: np.ndarray            # (m,) singular values of Df, descending
-    h: certifier.HTensor           # adapted-frame second fundamental form
+    h: np.ndarray                  # (m, n, n) adapted-frame second fundamental form, symmetric
     mean_h: np.ndarray             # (m,)
     norm_b2: float
 
@@ -337,8 +342,8 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
         jac=J,
         lambdas=lambdas,
         h=h,
-        mean_h=np.einsum("aii->a", h.h),
-        norm_b2=h.norm2,
+        mean_h=np.einsum("aii->a", h),
+        norm_b2=float(np.sum(h**2)),
     )
 
 
@@ -350,7 +355,8 @@ def _adapted_second_form(J: np.ndarray, Hf: np.ndarray, P0: grassmann.GrassmannP
     rows (-s_a V_a, U_a) / sqrt(1 + s_a^2).  Around another P0 it is the
     `grassmann.chart_stack` of the rows (I | Df^T), which raises OutOfChart
     unless w(gauss, P0) > 0.  h_{a,ij} pairs normal a with (0, D^2 f) at the
-    coordinate parts of tangents i and j.
+    coordinate parts of tangents i and j; h is returned as an (m, n, n) array
+    symmetrised in (i, j).
     """
     n = J.shape[1]
     if P0 is None:
@@ -367,7 +373,7 @@ def _adapted_second_form(J: np.ndarray, Hf: np.ndarray, P0: grassmann.GrassmannP
     h_raw *= scale[n:, None, None]
     h_raw *= scale[None, :n, None]
     h_raw *= scale[None, None, :n]
-    return lambdas, certifier.HTensor(h_raw)
+    return lambdas, 0.5 * (h_raw + h_raw.transpose(0, 2, 1))
 
 
 def _metric(J: np.ndarray) -> np.ndarray:
@@ -422,7 +428,7 @@ def laplacian_v_closed_form(
     """
     x = G.require(x)
     lambdas, h = _adapted_second_form(G.jac(x), G.hess(x), P0)
-    return float(certifier.laplacian_v_batch(lambdas, h.h))
+    return float(certifier.laplacian_v_batch(lambdas, h))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from gbl import certifier as ct
-from gbl import cli
 from gbl import graphs as gg
 from gbl import grassmann as gr
 from gbl.errors import DimensionMismatch, PreconditionViolated
@@ -20,6 +18,12 @@ from gbl.rng import substream
 def v_of(lams):
     """v = prod sqrt(1 + lambda^2) of one profile."""
     return float(np.prod(np.sqrt(1.0 + lams**2)))
+
+
+def random_h(n, m, rng):
+    """A standard normal (m, n, n) tensor, symmetrised in (i, j)."""
+    h = rng.standard_normal((m, n, n))
+    return 0.5 * (h + h.transpose(0, 2, 1))
 
 
 def unflatten_h(u, n, m):
@@ -36,19 +40,18 @@ def unflatten_h(u, n, m):
 class TestLaplacian:
     def test_flat_profile_gives_norm(self):
         rng = substream(10, 0)
-        h = ct.HTensor.random(3, 2, rng)
-        assert ct.laplacian_v_batch(np.zeros(2), h.h) == pytest.approx(h.norm2, rel=1e-13)
+        h = random_h(3, 2, rng)
+        assert ct.laplacian_v_batch(np.zeros(2), h) == pytest.approx(np.sum(h**2), rel=1e-13)
 
     def test_zero_tensor(self):
-        h = ct.HTensor(np.zeros((2, 3, 3)))
-        assert ct.laplacian_v_batch(np.array([0.5, 0.3]), h.h) == 0.0
+        assert ct.laplacian_v_batch(np.array([0.5, 0.3]), np.zeros((2, 3, 3))) == 0.0
 
     def test_grouped_sum_oracle(self):
         rng = substream(10, 1)
         for _ in range(50):
             lams = rng.uniform(0, 1.3, 3)
-            h = ct.HTensor.random(3, 3, rng)
-            dv = ct.laplacian_v_batch(lams, h.h)
+            h = random_h(3, 3, rng)
+            dv = ct.laplacian_v_batch(lams, h)
             assert ct.decompose_terms(lams, h).total() * v_of(lams) == pytest.approx(
                 dv, rel=1e-10, abs=1e-10
             )
@@ -61,7 +64,9 @@ class TestLaplacian:
         with pytest.raises(DimensionMismatch):
             ct.laplacian_v_batch(np.zeros((4, 3)), np.zeros((5, 3, 3, 3)))
         with pytest.raises(DimensionMismatch):
-            ct.decompose_terms(np.zeros(2), ct.HTensor(np.zeros((3, 3, 3))))
+            ct.decompose_terms(np.zeros(2), np.zeros((3, 3, 3)))
+        with pytest.raises(DimensionMismatch):
+            ct.decompose_terms(np.zeros(3), np.zeros((3, 3, 4)))
 
     @pytest.mark.parametrize("name", ["affine", "holomorphic_pair", "lawson_osserman"])
     def test_one_profile_is_row_zero_of_its_stack(self, name):
@@ -77,9 +82,9 @@ class TestLaplacian:
             checked += 1
             for P0 in (None, tilted):
                 lams, h = gg._adapted_second_form(G.jac(x), G.hess(x), P0)
-                one = ct.laplacian_v_batch(lams, h.h)
+                one = ct.laplacian_v_batch(lams, h)
                 assert np.shape(one) == ()
-                assert one.tobytes() == ct.laplacian_v_batch(lams[None], h.h[None])[0].tobytes()
+                assert one.tobytes() == ct.laplacian_v_batch(lams[None], h[None])[0].tobytes()
                 assert gg.laplacian_v_closed_form(G, x, P0) == one
 
     @pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (4, 3)])
@@ -89,11 +94,11 @@ class TestLaplacian:
         P0 = gr.random_point(n, m, rng)
         for _ in range(20):
             P = gr.from_chart(rng.uniform(-1.0, 1.0, (n, m)), P0)
-            h = ct.HTensor.random(n, m, rng)
-            X = h.h.transpose(2, 1, 0).reshape(n, n * m)
+            h = random_h(n, m, rng)
+            X = h.transpose(2, 1, 0).reshape(n, n * m)
             quad = np.einsum("jp,pq,jq->", X, gr.hessian_v(P, P0), X)
             lams = gr.adapted_frames(P, P0).lambdas
-            assert quad == pytest.approx(ct.laplacian_v_batch(lams, h.h), rel=1e-13)
+            assert quad == pytest.approx(ct.laplacian_v_batch(lams, h), rel=1e-13)
 
 
 class TestQuadraticForm:
@@ -115,10 +120,10 @@ class TestQuadraticForm:
 
     def test_flatten_preserves_norm(self):
         rng = substream(11, 99)
-        h = ct.HTensor.random(4, 3, rng)
-        u = h.flatten()
-        assert u @ u == pytest.approx(h.norm2, rel=1e-13)
-        assert np.abs(unflatten_h(u, 4, 3) - h.h).max() < 1e-13
+        h = random_h(4, 3, rng)
+        u = ct.flatten_h(h)
+        assert u @ u == pytest.approx(np.sum(h**2), rel=1e-13)
+        assert np.abs(unflatten_h(u, 4, 3) - h).max() < 1e-13
 
     def test_critical_slope_boundary(self):
         # v = 3 at lambda = (sqrt(2), sqrt(2), 0): the form degenerates but stays PSD
@@ -132,12 +137,12 @@ class TestDecomposition:
     def test_codimension_one_empty_groups(self):
         rng = substream(12, 0)
         lams = np.array([0.8])
-        h = ct.HTensor.random(3, 1, rng)
+        h = random_h(3, 1, rng)
         td = ct.decompose_terms(lams, h)
         assert td.II_terms.size == 0
         assert td.III_terms.size == 0
         assert td.IV_terms.shape == (1,)
-        assert td.total() * v_of(lams) == pytest.approx(ct.laplacian_v_batch(lams, h.h), rel=1e-12)
+        assert td.total() * v_of(lams) == pytest.approx(ct.laplacian_v_batch(lams, h), rel=1e-12)
 
     def test_high_index_group_bound(self):
         # I_j - 2 sum_a h_{a,aj}^2 is a perfect square plus positive terms
@@ -155,8 +160,8 @@ class TestDecomposition:
         n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
         m = min(m, n)
         lams = rng.uniform(0, 1.5, m)
-        h = ct.HTensor.random(n, m, rng)
-        dv = ct.laplacian_v_batch(lams, h.h)
+        h = random_h(n, m, rng)
+        dv = ct.laplacian_v_batch(lams, h)
         assert ct.decompose_terms(lams, h).total() * v_of(lams) == pytest.approx(
             dv, rel=1e-10, abs=1e-10
         )
@@ -309,16 +314,52 @@ class TestK0Search:
         assert k0 <= recorded + 1e-12
 
     @pytest.mark.parametrize("n,m,moves", [(2, 2, True), (4, 3, False), (5, 3, False), (6, 4, False)])
-    def test_where_the_compass_search_works(self, n, m, moves):
-        # trace[0] is the mesh-plus-pair minimum; at (2, 2) the compass lowers it
-        # from 0.32145 to 0.17296, elsewhere the pair profile is already the
-        # argmin and the compass moves k0 only by rounding (8.1e-16)
+    def test_where_the_face_search_works(self, n, m, moves):
+        # trace[0] is the mesh-plus-pair minimum; at (2, 2) the face search lowers it
+        # from 0.32145 to 0.17296, elsewhere no search follows the batch
         cert = ct.compute_K0(n, m, 2.9, audit_samples=0)
         drop = cert.min_eigenvalue_trace[0]["value"] - cert.k0
         if moves:
-            assert drop > 0.1
+            assert drop > 0.1 and len(cert.min_eigenvalue_trace) == 2
         else:
-            assert abs(drop) < 1e-14
+            assert drop == 0.0 and len(cert.min_eigenvalue_trace) == 1
+
+    @pytest.mark.parametrize("beta0", [1.5, 2.0, 2.09, 2.1, 2.19, 2.195, 2.5, 2.9, 2.99, 3.0])
+    def test_two_two_is_below_a_dense_oracle(self, beta0):
+        # every point of a 401^2 grid in u = log1p(lambda^2) over the admissible triangle and
+        # of a 20,001-point line on its face u_1 + u_2 = 2 log beta0; a search that stays at
+        # lambda = 0 reports k0 = 1 at 2.09-2.195, up to 7.7 % above this minimum
+        cap = 2.0 * math.log(beta0)
+        axis = np.linspace(0.0, cap, 401)
+        U1, U2 = np.meshgrid(axis, axis, indexing="ij")
+        inside = U1 + U2 <= cap
+        face = np.linspace(0.0, cap, 20_001)
+        u = np.vstack([np.column_stack([U1[inside], U2[inside]]), np.column_stack([face, cap - face])])
+        _, oracle = ct.min_form_eigenvalue(2, 2, np.sqrt(np.expm1(u)))
+        cert = ct.compute_K0(2, 2, beta0, audit_samples=0)
+        assert cert.k0 <= oracle + 1e-12
+        assert not cert.budget_exhausted
+        assert v_of(np.array(cert.argmin_lambda)) <= beta0 * (1.0 + 1e-12)
+
+    def test_face_search_counts_its_evaluations(self):
+        # the 83 mesh rows at beta0 = 2.9, then one row per face evaluation
+        cert = ct.compute_K0(2, 2, 2.9, audit_samples=0)
+        assert cert.min_eigenvalue_trace[0]["evaluations"] == 83
+        assert cert.evaluations == cert.min_eigenvalue_trace[1]["evaluations"]
+        assert 83 < cert.evaluations <= 83 + 40
+
+    def test_iteration_cap_exhausts_the_budget(self, monkeypatch):
+        # the face search stopped by scipy's iteration cap says so; its best point still counts
+        minimize_scalar = ct.minimize_scalar
+
+        def capped(*args, **kwargs):
+            return minimize_scalar(*args, **{**kwargs, "options": {**kwargs["options"], "maxiter": 2}})
+
+        monkeypatch.setattr(ct, "minimize_scalar", capped)
+        cert = ct.compute_K0(2, 2, 2.9, audit_samples=0)
+        assert cert.budget_exhausted
+        assert cert.k0 < cert.min_eigenvalue_trace[0]["value"]
+        assert not ct.compute_K0(4, 3, 2.9, audit_samples=0).budget_exhausted
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_form_is_symmetric_in_lambda(self, m):
@@ -367,116 +408,6 @@ class TestK0Search:
         monkeypatch.setattr(ct, "_admissible_mesh", no_mesh)
         with pytest.raises(PreconditionViolated):
             ct.compute_K0(17, 17, 2.9, audit_samples=0)
-
-    def test_the_evaluation_cap_stops_only_the_compass(self, monkeypatch):
-        # the mesh and pair profile (2,507 rows at m = 8) are solved whatever the cap
-        monkeypatch.setattr(ct, "EVALUATION_CAP", 9)
-        cert = ct.compute_K0(9, 8, 2.9, audit_samples=0)
-        assert cert.budget_exhausted and cert.evaluations == 2_507
-        assert abs(cert.k0 - ct.k0_closed_form(9, 8, 2.9)) <= 1e-14
-        monkeypatch.setattr(ct, "EVALUATION_CAP", 300_000)
-        assert not ct.compute_K0(9, 8, 2.9, audit_samples=0).budget_exhausted
-
-
-def serial_compute_K0(n, m, beta0, audit_samples=100_000, seed=0):
-    """`compute_K0` with one `min_form_eigenvalue` call per compass level: the search the
-    batched levels must reproduce bitwise."""
-    bound2 = beta0 * beta0 * (1.0 + 1e-12)
-    lam_max = math.sqrt(max(beta0 * beta0 - 1.0, 0.0))
-    mesh = ct._admissible_mesh(m, lam_max, bound2)
-    if m >= 2 and beta0 > 2.0:
-        pair = np.zeros((1, m))
-        pair[0, :2] = math.sqrt(beta0 - 1.0)
-        mesh = np.vstack([mesh, pair])
-    k, best_val = ct.min_form_eigenvalue(n, m, mesh)
-    best_lam = mesh[k]
-    evaluations = mesh.shape[0]
-    trace = [{"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val}]
-    log_cap = 2.0 * math.log(beta0)
-    steps = np.vstack([np.eye(m), -np.eye(m)])
-    h = lam_max / 16
-    budget_exhausted = False
-    while lam_max > 0.0 and h >= ct.COMPASS_TOL * lam_max:
-        if evaluations + 2 * m > ct.EVALUATION_CAP:
-            budget_exhausted = True
-            break
-        moves = np.clip(best_lam + h * steps, 0.0, None)
-        u = np.log1p(moves**2)
-        total = u.sum(axis=1)
-        over = total > log_cap
-        moves[over] = np.sqrt(np.expm1(u[over] * (log_cap / total[over, None])))
-        moves = -np.sort(-moves, axis=1)
-        k, val = ct.min_form_eigenvalue(n, m, moves)
-        evaluations += 2 * m
-        if val < best_val:
-            best_val, best_lam = val, moves[k]
-            trace.append({"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val})
-        else:
-            h *= 0.5
-    worst_violation = float("inf")
-    if audit_samples > 0:
-        audit = ct.sample_admissible_lambdas(m, beta0, audit_samples, substream(seed, 3))
-        k, low = ct.min_form_eigenvalue(n, m, audit)
-        evaluations += audit.shape[0]
-        if low < best_val:
-            best_val, best_lam = low, audit[k].copy()
-            trace.append({"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val})
-        worst_violation = low - best_val
-    closed = ct.k0_closed_form(n, m, beta0)
-    return ct.CertificateReport(
-        n=n, m=m, beta0=beta0, k0=best_val, k0_closed_form=closed,
-        closed_form_gap=None if closed is None else best_val - closed,
-        argmin_lambda=best_lam.tolist(), v_at_argmin=float(np.prod(np.sqrt(1.0 + best_lam**2))),
-        min_eigenvalue_trace=trace, sample_count=audit_samples, worst_violation=worst_violation,
-        budget_exhausted=budget_exhausted, evaluations=evaluations,
-    )
-
-
-def eigensolved(monkeypatch, search, *args, **kwargs):
-    """`eigvalsh` calls and the matrices they solve during one search."""
-    handed = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a):
-        handed.append(int(np.prod(np.shape(a)[:-2])))
-        return eigvalsh(a)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eigvalsh", counting)
-        search(*args, **kwargs)
-    return len(handed), sum(handed)
-
-
-class TestBatchedCompass:
-    """The compass levels of `compute_K0`, solved several per batch, against the serial loop."""
-
-    @pytest.mark.parametrize(
-        "n,m,beta0",
-        [(2, 2, 2.5), (2, 2, 2.9), (2, 2, 2.99), (3, 1, 2.9)]
-        + [(4, 3, beta0) for beta0 in cli._K0_SWEEP_GRID]
-        + [(5, 3, 2.9), (6, 4, 2.9), (8, 8, 2.9)],
-    )
-    @pytest.mark.parametrize("audit", [0, 200])
-    def test_report_is_bitwise_the_serial_one(self, monkeypatch, n, m, beta0, audit):
-        # floats compare by ==, the trace included; the small caps stop the
-        # search before, inside and after the compass
-        for cap in (1, 9, 50, 100, 236, 300_000):
-            monkeypatch.setattr(ct, "EVALUATION_CAP", cap)
-            batched = dataclasses.asdict(ct.compute_K0(n, m, beta0, audit_samples=audit))
-            serial = dataclasses.asdict(serial_compute_K0(n, m, beta0, audit_samples=audit))
-            assert batched == serial, (cap, batched, serial)
-
-    def test_batches_cut_the_eigensolve_calls(self, monkeypatch):
-        # the serial loop makes 132 calls: one per distinct block size and level
-        calls, _ = eigensolved(monkeypatch, ct.compute_K0, 4, 3, 2.9, audit_samples=0)
-        assert calls <= 50
-
-    @pytest.mark.parametrize("beta0", [2.5, 2.9])
-    def test_discarded_levels_stay_cheap_where_the_search_moves(self, monkeypatch, beta0):
-        # at (2, 2) the compass moves 11-16 times; the levels solved past a move are discarded
-        _, batched = eigensolved(monkeypatch, ct.compute_K0, 2, 2, beta0, audit_samples=0)
-        _, serial = eigensolved(monkeypatch, serial_compute_K0, 2, 2, beta0, audit_samples=0)
-        assert batched <= 1.5 * serial
 
 
 def worst_pair_margin(v_bound, samples, m=2, seed=0):

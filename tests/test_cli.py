@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -199,6 +200,21 @@ class TestExitCodes:
             assert ("needs n <= 16, got 17" in err) == (n == 17)
         assert built == [16]
 
+    @pytest.mark.parametrize("command", ["graph", "cross-validate"])
+    @pytest.mark.parametrize("monomial", [{"exponents": [0, 2], "coeff": math.nan},
+                                          {"exponents": [2.5, 0], "coeff": 1.0},
+                                          {"exponents": [0, 2], "coeff": "abc"}])
+    def test_graph_spec_with_bad_monomial_exits_two(self, tmp_path, capsys, command, monomial):
+        # refused as a malformed spec: not a LinAlgError (NaN), a truncated exponent (2.5) or a
+        # ValueError traceback (a string)
+        spec = {"n": 2, "m": 1, "components": [{"monomials": [{"exponents": [2, 0], "coeff": 1.0}, monomial]}]}
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main([command, "--graph-spec", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "DimensionMismatch: malformed graph spec" in err
+
     def test_shrink_without_samples_exits_two(self, monkeypatch, capsys):
         # refused by _validate, before eps1 or the centre step runs
         def no_eps1(*args, **kwargs):
@@ -294,6 +310,15 @@ class TestDeterminism:
         d1 = json.loads(out1.stdout)
         d2 = json.loads(out2.stdout)
         assert d1["config"]["seed"] != d2["config"]["seed"]
+
+    def test_certify_two_two_reaches_the_face(self, capsys):
+        # the face minimum at beta0 = 2.1 is 0.98875; a search held at lambda = 0 reported 1,
+        # lowered only to 0.98886 by the default audit
+        assert cli.main(["certify", "--n", "2", "--m", "2", "--beta0", "2.1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["fail"] == 0
+        cert = report["payload"]["certificate"]
+        assert cert["k0"] <= 0.98875 and not cert["budget_exhausted"]
 
     def test_wall_time_not_in_payload(self):
         proc = run_cli(["lemmas", "--which", "aux"])

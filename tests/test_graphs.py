@@ -189,6 +189,9 @@ class TestPointGeometry:
                 x = rng.uniform(0.4, 1.0, G.n)
                 pg = gg.point_geometry(G, x)
                 assert pg.norm_b2 == pytest.approx(coordinate_norm_b2(G, x), rel=1e-8)
+                # h is the (m, n, n) array, exactly symmetric, whose squares sum to |B|^2
+                assert pg.h.shape == (G.m, G.n, G.n) and np.array_equal(pg.h, pg.h.transpose(0, 2, 1))
+                assert pg.norm_b2 == float(np.sum(pg.h**2))
 
     def test_cone_slope_direction_independent(self):
         G = gg.builtin("lawson_osserman")
@@ -453,3 +456,27 @@ class TestPolynomialGraphs:
     def test_malformed_spec(self, spec):
         with pytest.raises(DimensionMismatch):
             gg.graph_from_spec(spec)
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_is_malformed(self, coeff):
+        # NaN passes every comparison of the derivative check, and the graph then fails in linalg
+        comps = [[(1.0, (2, 0)), (coeff, (0, 2))]]
+        with pytest.raises(DimensionMismatch, match="malformed graph spec"):
+            gg.polynomial_graph(2, 1, comps)
+
+    @pytest.mark.parametrize("exps", [(2.5, 0), (1, 0.5), (math.nan, 0), (math.inf, 0), (-1, 2)])
+    def test_non_integer_or_negative_exponent_is_malformed(self, exps):
+        with pytest.raises(DimensionMismatch, match="malformed graph spec"):
+            gg.polynomial_graph(2, 1, [[(1.0, exps)]])
+
+    @pytest.mark.parametrize("coeff,exps", [("abc", (2, 0)), (None, (2, 0)), ([1.0], (2, 0)),
+                                            (10**400, (2, 0)), (1.0, ("a", 0)), (1.0, 5)])
+    def test_non_numeric_monomial_is_malformed(self, coeff, exps):
+        # JSON gives strings, null, lists and big integers as readily as numbers
+        with pytest.raises(DimensionMismatch, match="malformed graph spec"):
+            gg.polynomial_graph(2, 1, [[(coeff, exps)]])
+
+    def test_integral_float_exponent_is_kept(self):
+        # 2.0 is the integer 2, as JSON writers may emit it
+        G = gg.polynomial_graph(2, 1, [[(1.0, (2.0, 0.0))]])
+        assert G.f(np.array([0.5, 0.3]))[0] == 0.25
