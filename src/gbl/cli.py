@@ -502,12 +502,21 @@ def _cmd_sweep_k0(args, report) -> None:
         1e-15,
         "K0(1) = 1 exactly",
     )
-    report.add_margin(
-        "degenerates_at_three",
-        0.05 - rows[-1]["k0"],
-        0.0,
-        "K0(2.99) lies below 0.05: the constant degenerates towards beta0 = 3",
-    )
+    if args.m == 1:
+        # no II block: K0 = 1 at every beta0, and nothing degenerates
+        report.add_margin(
+            "matches_closed_form",
+            -max(abs(r["closed_form_gap"]) for r in rows),
+            1e-12,
+            "K0(beta0) equals its closed form 1 at every beta0 of the sweep",
+        )
+    else:
+        report.add_margin(
+            "degenerates_at_three",
+            0.05 - rows[-1]["k0"],
+            0.0,
+            "K0(2.99) lies below 0.05: the constant degenerates towards beta0 = 3",
+        )
     report.add_margin("all_positive", min(r["k0"] for r in rows), 0.0, "K0 > 0 on the sweep")
 
 

@@ -237,8 +237,18 @@ class TestBlockCatalogue:
         assert ct.k0_closed_form(n, m, beta0) == expected
 
 
+def probe_profiles(n, m):
+    """Sampled, zero, tied-lambda and pair-face profiles of the pruning tests."""
+    sampled = ct.sample_admissible_lambdas(m, 3.0, 300, substream(19, 10 * n + m))
+    tied = np.sqrt(np.expm1(np.log(np.array([1.5, 2.5, 2.9, 3.0]) ** 2) / m))[:, None] * np.ones(m)
+    faces = np.zeros((4, m))
+    if m >= 2:
+        faces[:, :2] = np.sqrt(np.array([1.5, 2.5, 2.9, 3.0]) - 1.0)[:, None]
+    return np.vstack([sampled, np.zeros((1, m)), tied, faces])
+
+
 class TestPrunedMinimum:
-    """The Gershgorin pruning of `_batch_minimum` and the premise it rests on."""
+    """The Gershgorin and LDL^T pruning of `_batch_minimum` and the premises they rest on."""
 
     def test_off_diagonal_coefficients_nonnegative(self):
         # with lambda >= 0 every feature is >= 0, so B(lambda) has no negative off-diagonal entry
@@ -250,13 +260,7 @@ class TestPrunedMinimum:
 
     @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 3), (6, 4), (9, 8)])
     def test_bound_is_below_lambda_min(self, n, m):
-        sampled = ct.sample_admissible_lambdas(m, 3.0, 300, substream(19, 10 * n + m))
-        tied = np.sqrt(np.expm1(np.log(np.array([1.5, 2.5, 2.9, 3.0]) ** 2) / m))[:, None] * np.ones(m)
-        faces = np.zeros((4, m))
-        if m >= 2:
-            faces[:, :2] = np.sqrt(np.array([1.5, 2.5, 2.9, 3.0]) - 1.0)[:, None]
-        lams = np.vstack([sampled, np.zeros((1, m)), tied, faces])
-        features = ct._features(lams)
+        features = ct._features(probe_profiles(n, m))
         for stack, G in ct._pruning_stacks(n, m):
             bound = np.tensordot(features, G, axes=1).min(axis=-1)
             assert np.all(bound <= np.linalg.eigvalsh(np.tensordot(features, stack, axes=1))[..., 0] + 1e-12)
@@ -284,6 +288,36 @@ class TestPrunedMinimum:
         with pytest.raises(PreconditionViolated):
             ct.min_form_eigenvalue(4, 3, np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 3), (6, 4), (9, 8)])
+    def test_threshold_test_clears_only_blocks_above_the_cut(self, n, m):
+        # a cleared block has lambda_min > shift - s^2 u |B|, far inside PRUNE_SLACK; at a shift of
+        # exactly lambda_min rounding decides, so the test starts 1e-12 above it
+        features = ct._features(probe_profiles(n, m))
+        for stack, _ in ct._pruning_stacks(n, m):
+            s = stack.shape[-1]
+            B = ct._contract(features, stack).reshape(-1, s, s)
+            low = np.linalg.eigvalsh(B)[:, 0]
+            for above in (1e-12, ct.PRUNE_SLACK, 1.0):
+                assert not ct._clears(B, low + above).any(), (s, above)
+            assert ct._clears(B, low - 1e-10).all(), s
+
+    def test_repeated_rows_are_skipped_only_with_equal_weights(self, monkeypatch):
+        rows = []
+        features = ct._features
+
+        def counting(lams):
+            rows.append(len(lams))
+            return features(lams)
+
+        monkeypatch.setattr(ct, "_features", counting)
+        stacks = ct._pruning_stacks(4, 3)
+        lams = np.repeat(np.array([[0.9, 0.4, 0.1]]), 4, axis=0)
+        assert ct._batch_minimum(stacks, lams, np.full(4, 2.0))[0] == 0
+        assert rows == [1]
+        rows.clear()
+        assert ct._batch_minimum(stacks, lams, np.array([3.0, 2.0, 2.0, 1.0]))[0] == 3
+        assert rows == [3]
+
     def test_k0_search_prunes_half_the_eigensolves(self, monkeypatch):
         handed = []
         eigvalsh = np.linalg.eigvalsh
@@ -293,9 +327,12 @@ class TestPrunedMinimum:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        cert = ct.compute_K0(4, 3, 2.9, audit_samples=2_000, seed=8)
-        exhaustive = cert.evaluations * sum(stack.shape[1] for stack in ct._distinct_stacks(4, 3))
-        assert 0 < sum(handed) <= exhaustive // 2
+        ct.compute_K0(4, 3, 2.9, audit_samples=2_000, seed=8)
+        assert 0 < sum(handed) <= 3_000
+        handed.clear()
+        # the beta0 = 1 mesh and audit are one zero profile each, 9 distinct blocks
+        ct.compute_K0(4, 3, 1.0, audit_samples=2_000, seed=8)
+        assert sum(handed) == 18
 
 
 class TestK0Search:

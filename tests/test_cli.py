@@ -446,6 +446,14 @@ class TestCommands:
             assert row["k0_closed_form"] == min(1.0, row["beta0"] * (3.0 - row["beta0"]) / 2.0)
             assert abs(row["closed_form_gap"]) <= 1e-6
 
+    def test_sweep_at_one_column_matches_its_closed_form(self):
+        # with m = 1 there is no II block: K0 = 1 at every beta0 and does not degenerate at 2.99
+        proc = run_cli(["sweep-k0", "--n", "3", "--m", "1", "--samples", "1000"])
+        assert proc.returncode == 0
+        checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+        assert "degenerates_at_three" not in checks
+        assert checks["matches_closed_form"]["status"] == "PASS"
+
     @pytest.mark.parametrize("command", ["certify", "sweep-k0"])
     def test_no_closed_form_at_two_two(self, command):
         # n = m = 2 has only the two IV blocks, so no closed form is claimed
