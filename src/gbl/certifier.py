@@ -16,11 +16,11 @@ the form blockwise, and estimates the strong-subharmonicity constant
 by one batch minimum of the smallest form eigenvalue over sorted profiles,
 plus a line search on the boundary face at n = m = 2.
 
-K0 and eps0 are batch minima: `_batch_minimum` skips a profile that repeats
-the one before it, drops the blocks that a Gershgorin bound and then an
-LDL^T threshold test place above the running minimum, eigensolves the rest,
-and returns bitwise the argmin and minimum of the exhaustive per-profile
-values.
+K0, eps0 and the block-lemma margins are batch minima: `_batch_minimum`
+skips a profile that repeats the one before it, drops the blocks that a
+Gershgorin bound and then an LDL^T threshold test place above the running
+minimum, eigensolves the rest, and returns bitwise the argmin and minimum of
+the exhaustive per-profile values.
 """
 from __future__ import annotations
 
@@ -238,31 +238,13 @@ def _distinct_stacks(n: int, m: int) -> tuple:
     return tuple(_stack(blks) for _, blks in sorted(sizes.items()))
 
 
-def _block_min_eigs(stacks, lams: np.ndarray) -> list[np.ndarray]:
-    """lambda_min of every block of each coefficient stack (F, nb, s, s) at profiles (K, m):
-    one (K, nb) array per stack.  The stacks share each CHUNK batch's features."""
-    lams = np.asarray(lams, dtype=float)
-    out = [np.empty((lams.shape[0], stack.shape[1])) for stack in stacks]
-    for start in range(0, lams.shape[0], CHUNK):
-        features = _features(lams[start : start + CHUNK])
-        for low, stack in zip(out, stacks):
-            low[start : start + CHUNK] = np.linalg.eigvalsh(_contract(features, stack))[..., 0]
-    return out
-
-
-def _with_gershgorin(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A coefficient stack (F, nb, s, s) and its rows G = 2 diag(C) - rowsum(C), shape (F, nb, s).
+def _gershgorin(C: np.ndarray) -> np.ndarray:
+    """Rows G = 2 diag(C) - rowsum(C) of a coefficient stack C (F, nb, s, s), shape (F, nb, s).
 
     No off-diagonal coefficient of the catalogue is negative, nor any feature at lambda >= 0, so
     row i of features . G is Gershgorin's bound B_ii - sum_{j != i} |B_ij| <= lambda_min(B).
     """
-    return stack, 2.0 * np.diagonal(stack, axis1=-2, axis2=-1) - stack.sum(axis=-1)
-
-
-@lru_cache(maxsize=None)
-def _pruning_stacks(n: int, m: int) -> tuple:
-    """`_with_gershgorin` of each of the `_distinct_stacks`, the blocks of `min_form_eigenvalue`."""
-    return tuple(map(_with_gershgorin, _distinct_stacks(n, m)))
+    return 2.0 * np.diagonal(C, axis1=-2, axis2=-1) - C.sum(axis=-1)
 
 
 def _contract(features: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -296,39 +278,44 @@ def _clears(B: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _batch_minimum(stacks, lams: np.ndarray, weights: np.ndarray) -> tuple[int, float]:
-    """First argmin and minimum over profiles (K, m) of weights (K,) times lambda_min over the
-    blocks of `_with_gershgorin` stacks, bitwise those of the exhaustive per-profile values.
+def _batch_minimum(stacks, lams: np.ndarray, weights, offsets) -> tuple[int, float]:
+    """First argmin and minimum over profiles (K, m) of w lambda_min(B) - o over the blocks B of
+    coefficient stacks (F, nb, s, s), with weights w > 0 and offsets o scalars or (K,): bitwise
+    those of the exhaustive per-profile values w min_B lambda_min(B) - o.
 
-    A row whose profile and weight equal the row before it ties with an earlier row and is
-    skipped.  Per CHUNK rows and stack, in order, with cut = running minimum + PRUNE_SLACK, a
-    block is dropped when its weighted bound min_i (features . G)_i exceeds the cut or, once the
-    cut is finite (an infinite one clears nothing), when `_clears` finds B - (cut / w) I
-    positive definite; the rest go to one `eigvalsh` call (none if none is left).  A floating
-    LDL^T that completes is exact for a matrix within about s^2 u |B| of B (Higham, ch. 10; at
-    most 4e-13 for the 15 x 15 blocks at m = 8, |B| <= 17), far inside the slack, so a dropped
-    block can neither be nor tie the minimum.  Rounding is monotone and w > 0, so folding
-    w lambda_min per block into the row minimum gives bitwise w times the block minimum.
+    A row whose profile, weight and offset equal the row before it ties with an earlier row and
+    is skipped.  Per CHUNK rows and stack, in order, with cut = running minimum + PRUNE_SLACK
+    and shift = (cut + o) / w, a block is dropped when its Gershgorin bound min_i
+    (features . G)_i, G its `_gershgorin` rows, exceeds the shift or, once the cut is finite (an
+    infinite one clears nothing), when `_clears` finds B - shift I positive definite; the rest
+    go to one `eigvalsh` call (none if none is left).  A floating LDL^T that completes is exact
+    for a matrix within about s^2 u |B| of B (Higham, ch. 10; at most 4e-13 for the 15 x 15
+    blocks at m = 8, |B| <= 17), far inside the slack, so a dropped block can neither be nor tie
+    the minimum.  Rounding is monotone and w > 0, so folding w lambda_min - o per block into the
+    row minimum gives bitwise w times the block minimum, minus o.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.size == 0 or not np.all(lams >= 0.0):
         raise PreconditionViolated("need a nonempty batch of nonnegative profiles")
-    weights = np.asarray(weights)
-    fresh = np.flatnonzero(np.r_[True, ~(_min_last(lams[1:] == lams[:-1]) & (weights[1:] == weights[:-1]))])
+    weights, offsets = np.full(lams.shape[0], weights, dtype=float), np.full(lams.shape[0], offsets, dtype=float)
+    repeat = _min_last(lams[1:] == lams[:-1]) & (weights[1:] == weights[:-1]) & (offsets[1:] == offsets[:-1])
+    fresh = np.flatnonzero(np.r_[True, ~repeat])
+    stacks = [(C, _gershgorin(C)) for C in stacks]
     index, best = -1, math.inf
     for start in range(0, fresh.size, CHUNK):
         chunk = fresh[start : start + CHUNK]
-        features, w = _features(lams[chunk]), weights[chunk]
+        features, w, o = _features(lams[chunk]), weights[chunk], offsets[chunk]
         low = np.full(w.shape, math.inf)
         for stack, G in stacks:
             cut = min(best, low.min()) + PRUNE_SLACK
-            rows, blocks = np.nonzero(w[:, None] * _min_last(_contract(features, G)) <= cut)
+            shift = (cut + o) / w
+            rows, blocks = np.nonzero(_min_last(_contract(features, G)) <= shift[:, None])
             B = _contract(features, stack)[rows, blocks]
             if math.isfinite(cut):
-                hard = ~_clears(B, cut / w[rows])
+                hard = ~_clears(B, shift[rows])
                 rows, B = rows[hard], B[hard]
             if rows.size:
-                np.minimum.at(low, rows, w[rows] * np.linalg.eigvalsh(B)[:, 0])
+                np.minimum.at(low, rows, w[rows] * np.linalg.eigvalsh(B)[:, 0] - o[rows])
         k = int(np.argmin(low))
         if low[k] < best:
             index, best = int(chunk[k]), float(low[k])
@@ -406,7 +393,7 @@ def min_form_eigenvalue(n: int, m: int, lams: np.ndarray) -> tuple[int, float]:
     """First argmin and minimum over profiles (K, m) of the Delta-v form's smallest eigenvalue,
     v times the smallest eigenvalue over the distinct blocks (`_batch_minimum`)."""
     lams = np.asarray(lams, dtype=float)
-    return _batch_minimum(_pruning_stacks(n, m), lams, np.prod(np.sqrt(1.0 + lams**2), axis=-1))
+    return _batch_minimum(_distinct_stacks(n, m), lams, np.prod(np.sqrt(1.0 + lams**2), axis=-1), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +415,9 @@ def sample_admissible_lambdas(
 # ---------------------------------------------------------------------------
 # the block lemmas
 
-def block_margin(kind: str, lams: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """c lambda_min(B_kind) - bound(v) of the worst block of one kind, at (K, m) profiles with their own v.
+def block_margin(kind: str, lams: np.ndarray, vs: np.ndarray) -> tuple[int, float]:
+    """First argmin and minimum over (K, m) profiles, with their own v, of c lambda_min(B_kind)
+    - bound(v) over the blocks of one kind (`_batch_minimum` with weight c, offset bound(v)).
 
     The lemmas in h coordinates, with blocks from `_kind_stacks(m + 1, m)`,
     whose one high index carries I and II (I ignores vs):
@@ -439,10 +427,10 @@ def block_margin(kind: str, lams: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """
     lams = np.asarray(lams, dtype=float)
     m = lams.shape[-1]
-    low = _block_min_eigs([_kind_stacks(m + 1, m)[kind][1]], lams)[0].min(axis=1)
+    stack = _kind_stacks(m + 1, m)[kind][1]
     if kind == "I":
-        return low - 1.0
-    return 2.0 * low - (3.0 - np.asarray(vs, dtype=float))
+        return _batch_minimum([stack], lams, 1.0, 1.0)
+    return _batch_minimum([stack], lams, 2.0, 3.0 - np.asarray(vs, dtype=float))
 
 
 def verify_omega_sup(v: float, C: float) -> float:
@@ -470,20 +458,6 @@ def verify_omega_sup(v: float, C: float) -> float:
 # ---------------------------------------------------------------------------
 # diagonal block (the 2m-1 dimensional reduced form)
 
-def iv_eps0_bound(lams: np.ndarray) -> np.ndarray:
-    """Per-sample supremum of feasible eps0: lambda_min(B_IV,0) at profiles (K, m).
-
-    In h coordinates the subtracted term eps0 E weighs h_{a,aa} and h_{a,bb}
-    by 1 and h_{b,ba} by 2, and A - eps E >= 0 iff eps <= lambda_min(E^{-1/2}
-    A E^{-1/2}).  In flattened coordinates those weights are the identity, so
-    the flattened block B_IV = E^{-1/2} A E^{-1/2} carries eps0 as a plain
-    shift.  Sampling with exchangeable random profiles makes alpha = 0 fully
-    general.
-    """
-    m = np.shape(lams)[-1]
-    return _block_min_eigs([_kind_stacks(m, m)["IV"][1][:, :1]], lams)[0][:, 0]
-
-
 @dataclass
 class Eps0Result:
     """eps0 on a sample of `samples` profiles at this m, and min(bound) - eps0 over it."""
@@ -496,14 +470,21 @@ class Eps0Result:
 def find_eps0(m: int, samples: int = 1_000_000, seed: int = 0) -> Eps0Result:
     """Largest eps0 keeping the diagonal block PSD on sampled admissible profiles (v <= 3).
 
-    The minimum per-sample bound lambda_min(B_IV), clipped to [0, 1 - 1e-9].
+    The minimum per-sample bound lambda_min(B_IV,0), clipped to [0, 1 - 1e-9].
     The margin is that minimum minus eps0: 0.0 unless eps0 was clipped, and
     negative exactly when the block is not PSD on the sample (eps0 = 0).
+
+    In h coordinates the subtracted term eps0 E weighs h_{a,aa} and h_{a,bb}
+    by 1 and h_{b,ba} by 2, and A - eps E >= 0 iff eps <= lambda_min(E^{-1/2}
+    A E^{-1/2}).  In flattened coordinates those weights are the identity, so
+    the flattened block B_IV = E^{-1/2} A E^{-1/2} carries eps0 as a plain
+    shift.  Sampling with exchangeable random profiles makes alpha = 0 fully
+    general.
     """
     if m < 2:
         raise PreconditionViolated("need m >= 2")
     lams = sample_admissible_lambdas(m, 3.0, samples, substream(seed, 2))
-    _, bound = _batch_minimum([_with_gershgorin(_kind_stacks(m, m)["IV"][1][:, :1])], lams, np.ones(samples))
+    _, bound = _batch_minimum([_kind_stacks(m, m)["IV"][1][:, :1]], lams, 1.0, 0.0)
     eps0 = min(max(bound, 0.0), 1.0 - 1e-9)
     return Eps0Result(m, eps0, bound - eps0, samples)
 

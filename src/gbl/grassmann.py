@@ -136,13 +136,11 @@ def w_pairing(P: GrassmannPoint, Q: GrassmannPoint) -> float:
 class JordanDecomposition:
     """Principal angles and pairwise-aligned bases between two planes.
 
-    thetas/mus hold the p = min(n, m) possibly-nonzero angles in
-    descending order; `pair_angles` repeats them padded with the n - p
-    exact zeros, matching basis row order. `orientation` is the sign of
-    det W folded out of the singular values.
+    `pair_angles` holds the n angles in descending order, the p = min(n, m)
+    possibly-nonzero ones first and then n - p exact zeros, matching basis
+    row order. `orientation` is the sign of det W folded out of the singular
+    values.
     """
-    thetas: np.ndarray
-    mus: np.ndarray
     left_basis: np.ndarray
     right_basis: np.ndarray
     orientation: float
@@ -152,7 +150,6 @@ class JordanDecomposition:
 def jordan_decompose(P: GrassmannPoint, Q: GrassmannPoint) -> JordanDecomposition:
     """SVD of W = P.frame Q.frame^T, angles sorted descending."""
     _check_same(P, Q)
-    n, m = P.n, P.m
     W = P.frame @ Q.frame.T
     U, s, Vh = np.linalg.svd(W)
     orientation = 1.0 if np.linalg.det(W) >= 0.0 else -1.0
@@ -166,17 +163,11 @@ def jordan_decompose(P: GrassmannPoint, Q: GrassmannPoint) -> JordanDecompositio
         Vh[-1, :] *= -1.0
     s = np.clip(s, 0.0, 1.0)
     s[s >= _SNAP_ONE] = 1.0
-    pair_angles = np.arccos(s)
-    p = min(n, m)
-    mus = s[:p].copy()
-    thetas = pair_angles[:p].copy()
     return JordanDecomposition(
-        thetas=thetas,
-        mus=mus,
         left_basis=U.T @ P.frame,
         right_basis=Vh @ Q.frame,
         orientation=orientation,
-        pair_angles=pair_angles,
+        pair_angles=np.arccos(s),
     )
 
 

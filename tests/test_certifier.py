@@ -167,14 +167,32 @@ class TestDecomposition:
         )
 
 
+def block_min_eigs(C, lams):
+    """Exhaustive oracle: lambda_min of every block of a coefficient stack C (F, nb, s, s) at
+    profiles (K, m), shape (K, nb)."""
+    return np.linalg.eigvalsh(ct._contract(ct._features(lams), C))[..., 0]
+
+
+def vs_of(lams):
+    """v = prod sqrt(1 + lambda^2) of each profile of a batch (K, m)."""
+    return np.prod(np.sqrt(1.0 + lams**2), axis=-1)
+
+
 def exhaustive_form_eigenvalues(n, m, lams):
     """Per-profile smallest form eigenvalue: v times lambda_min over every distinct block."""
-    low = np.concatenate(ct._block_min_eigs(ct._distinct_stacks(n, m), lams), axis=1).min(axis=1)
-    return np.prod(np.sqrt(1.0 + lams**2), axis=-1) * low
+    low = np.concatenate([block_min_eigs(C, lams) for C in ct._distinct_stacks(n, m)], axis=1).min(axis=1)
+    return vs_of(lams) * low
+
+
+def exhaustive_margins(kind, lams, vs):
+    """Per-profile `block_margin`: c lambda_min - bound(v) over the blocks of one kind."""
+    m = lams.shape[-1]
+    low = block_min_eigs(ct._kind_stacks(m + 1, m)[kind][1], lams).min(axis=1)
+    return low - 1.0 if kind == "I" else 2.0 * low - (3.0 - vs)
 
 
 def batch_minimum(values):
-    """The (first argmin, min) that `min_form_eigenvalue` returns."""
+    """The (first argmin, min) that `min_form_eigenvalue` and `block_margin` return."""
     return int(np.argmin(values)), float(values.min())
 
 
@@ -261,25 +279,34 @@ class TestPrunedMinimum:
     @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 3), (6, 4), (9, 8)])
     def test_bound_is_below_lambda_min(self, n, m):
         features = ct._features(probe_profiles(n, m))
-        for stack, G in ct._pruning_stacks(n, m):
-            bound = np.tensordot(features, G, axes=1).min(axis=-1)
+        for stack in ct._distinct_stacks(n, m):
+            bound = np.tensordot(features, ct._gershgorin(stack), axes=1).min(axis=-1)
             assert np.all(bound <= np.linalg.eigvalsh(np.tensordot(features, stack, axes=1))[..., 0] + 1e-12)
 
-    @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 3), (6, 4), (9, 8)])
+    @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 3), (6, 4), (9, 8), ("I", 3), ("II", 2), ("III", 3)])
     def test_batch_minimum_is_exhaustive(self, monkeypatch, n, m):
-        # a small CHUNK puts the ties of the batch in different chunks
+        # n is the form's n or a block-lemma kind; a small CHUNK puts the ties of the batch in
+        # different chunks
         monkeypatch.setattr(ct, "CHUNK", 64)
-        sampled = ct.sample_admissible_lambdas(m, 3.0, 150, substream(19, 100 + 10 * n + m))
-        worst = sampled[np.argmin(exhaustive_form_eigenvalues(n, m, sampled))]
+        if isinstance(n, str):
+            pruned = lambda lams: ct.block_margin(n, lams, vs_of(lams))
+            values = lambda lams: exhaustive_margins(n, lams, vs_of(lams))
+            stream = 200 + 10 * len(n) + m
+        else:
+            pruned = lambda lams: ct.min_form_eigenvalue(n, m, lams)
+            values = lambda lams: exhaustive_form_eigenvalues(n, m, lams)
+            stream = 100 + 10 * n + m
+        sampled = ct.sample_admissible_lambdas(m, 3.0, 150, substream(19, stream))
+        worst = sampled[np.argmin(values(sampled))]
         zeros = np.zeros((70, m))
         for lams in (
             np.vstack([zeros, sampled[:40], worst, sampled[40:], worst, zeros]),
             np.vstack([sampled[:60], np.repeat(worst[None], 10, axis=0), sampled[60:], zeros]),
             np.zeros((150, m)),
         ):
-            exhaustive = exhaustive_form_eigenvalues(n, m, lams)
+            exhaustive = values(lams)
             assert np.count_nonzero(exhaustive == exhaustive.min()) >= 2
-            assert ct.min_form_eigenvalue(n, m, lams) == batch_minimum(exhaustive)
+            assert pruned(lams) == batch_minimum(exhaustive)
 
     def test_negative_or_empty_batch_rejected(self):
         # the bound assumes lambda >= 0
@@ -293,7 +320,7 @@ class TestPrunedMinimum:
         # a cleared block has lambda_min > shift - s^2 u |B|, far inside PRUNE_SLACK; at a shift of
         # exactly lambda_min rounding decides, so the test starts 1e-12 above it
         features = ct._features(probe_profiles(n, m))
-        for stack, _ in ct._pruning_stacks(n, m):
+        for stack in ct._distinct_stacks(n, m):
             s = stack.shape[-1]
             B = ct._contract(features, stack).reshape(-1, s, s)
             low = np.linalg.eigvalsh(B)[:, 0]
@@ -310,12 +337,16 @@ class TestPrunedMinimum:
             return features(lams)
 
         monkeypatch.setattr(ct, "_features", counting)
-        stacks = ct._pruning_stacks(4, 3)
+        stacks = ct._distinct_stacks(4, 3)
         lams = np.repeat(np.array([[0.9, 0.4, 0.1]]), 4, axis=0)
-        assert ct._batch_minimum(stacks, lams, np.full(4, 2.0))[0] == 0
+        assert ct._batch_minimum(stacks, lams, np.full(4, 2.0), 0.0)[0] == 0
         assert rows == [1]
         rows.clear()
-        assert ct._batch_minimum(stacks, lams, np.array([3.0, 2.0, 2.0, 1.0]))[0] == 3
+        assert ct._batch_minimum(stacks, lams, np.array([3.0, 2.0, 2.0, 1.0]), 0.0)[0] == 3
+        assert rows == [3]
+        rows.clear()
+        # equal profiles and weights, but not offsets
+        assert ct._batch_minimum(stacks, lams, 2.0, np.array([0.0, 0.0, 0.5, 1.0]))[0] == 3
         assert rows == [3]
 
     def test_k0_search_prunes_half_the_eigensolves(self, monkeypatch):
@@ -333,6 +364,22 @@ class TestPrunedMinimum:
         # the beta0 = 1 mesh and audit are one zero profile each, 9 distinct blocks
         ct.compute_K0(4, 3, 1.0, audit_samples=2_000, seed=8)
         assert sum(handed) == 18
+
+    def test_lemma_margin_prunes_its_eigensolves(self, monkeypatch):
+        # the first chunk meets an infinite cut and eigensolves its CHUNK triple blocks; the
+        # later chunks' blocks lie above the cut but for a few
+        handed = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            handed.append(int(np.prod(np.shape(a)[:-2])))
+            return eigvalsh(a)
+
+        lams = ct.sample_admissible_lambdas(3, 3.0, 100_000, substream(19, 300))
+        vs = vs_of(lams)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        ct.block_margin("III", lams, vs)
+        assert 0 < sum(handed) <= ct.CHUNK + 100
 
 
 class TestK0Search:
@@ -454,7 +501,7 @@ def worst_pair_margin(v_bound, samples, m=2, seed=0):
     tight = np.zeros((1, m))
     tight[0, :2] = math.sqrt(v_bound - 1.0)
     lams = np.vstack([lams, tight])
-    return float(np.min(ct.block_margin("II", lams, np.prod(np.sqrt(1.0 + lams**2), axis=1))))
+    return ct.block_margin("II", lams, vs_of(lams))[1]
 
 
 class TestPairBound:
@@ -483,17 +530,17 @@ class TestPairBound:
 
 class TestTripleBlock:
     def test_flat_profile_zero_eigenvalue(self):
-        assert ct.block_margin("III", np.zeros((1, 3)), np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-14)
+        assert ct.block_margin("III", np.zeros((1, 3)), np.array([1.0]))[1] == pytest.approx(0.0, abs=1e-14)
 
     def test_boundary_profile(self):
         lams = np.array([[math.sqrt(2), math.sqrt(2), 0.0]])
-        assert ct.block_margin("III", lams, np.array([3.0]))[0] >= -1e-9
+        assert ct.block_margin("III", lams, np.array([3.0]))[1] >= -1e-9
 
     def test_sampled_admissible(self):
         rng = substream(13, 0)
         lams = ct.sample_admissible_lambdas(3, 3.0, 200_000, rng)
         vs = np.prod(np.sqrt(1.0 + lams**2), axis=1)
-        assert float(ct.block_margin("III", lams, vs).min()) >= -1e-9
+        assert ct.block_margin("III", lams, vs)[1] >= -1e-9
 
     def test_pair_block_with_sampled_h(self):
         # 2 h1^2 + 2 h2^2 + 2 l1 l2 h1 h2 >= (3 - v)(h1^2 + h2^2) for v <= 3
@@ -538,28 +585,33 @@ class TestBlockMargin:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_I_margin_vanishes_at_flat_profile(self, m):
-        assert np.array_equal(ct.block_margin("I", np.zeros((2, m)), np.ones(2)), np.zeros(2))
+        lams, vs = np.zeros((2, m)), np.ones(2)
+        assert np.array_equal(exhaustive_margins("I", lams, vs), np.zeros(2))
+        assert ct.block_margin("I", lams, vs) == (0, 0.0)
 
     @pytest.mark.parametrize("v", [1.0, 1.5, 2.0, 2.5, 2.9, 3.0])
     @pytest.mark.parametrize("m", [2, 3])
     def test_II_margin_vanishes_on_pair_boundary(self, v, m):
         lams = np.zeros((1, m))
         lams[0, :2] = math.sqrt(v - 1.0)
-        assert abs(float(ct.block_margin("II", lams, np.array([v]))[0])) <= 1e-15
+        assert abs(ct.block_margin("II", lams, np.array([v]))[1]) <= 1e-15
 
     def test_II_margin_is_pair_product_bound(self):
         lams = ct.sample_admissible_lambdas(3, 3.0, 20_000, substream(14, 0))
         vs = np.prod(np.sqrt(1.0 + lams**2), axis=1)
         pair = np.min([vs - 1.0 - lams[:, a] * lams[:, b] for a, b in ((0, 1), (0, 2), (1, 2))], axis=0)
-        assert np.abs(ct.block_margin("II", lams, vs) - pair).max() <= 1e-14
+        margins = exhaustive_margins("II", lams, vs)
+        assert np.abs(margins - pair).max() <= 1e-14
+        assert ct.block_margin("II", lams, vs) == batch_minimum(margins)
 
     def test_III_margin_is_triple_block(self):
         # the (4, 3) stacks carry the same triple block as the (3, 3) ones
         lams = ct.sample_admissible_lambdas(3, 3.0, 20_000, substream(14, 1))
         vs = np.prod(np.sqrt(1.0 + lams**2), axis=1)
         low = np.linalg.eigvalsh(ct._contract(ct._features(lams), ct._kind_stacks(3, 3)["III"][1]))[:, 0, 0]
-        margin = ct.block_margin("III", lams, vs)
-        assert np.array_equal(margin, 2.0 * low - (3.0 - vs))
+        margins = exhaustive_margins("III", lams, vs)
+        assert np.array_equal(margins, 2.0 * low - (3.0 - vs))
+        assert ct.block_margin("III", lams, vs) == batch_minimum(margins)
 
 
 class TestOmegaSup:
@@ -600,14 +652,20 @@ class TestOmegaSup:
         assert np.all(f <= sup + 4.0 * np.finfo(float).eps * S)
 
 
+def iv_eps0_bounds(lams):
+    """Per-sample lambda_min(B_IV,0), the bound whose minimum `find_eps0` returns."""
+    m = lams.shape[-1]
+    return block_min_eigs(ct._kind_stacks(m, m)["IV"][1][:, :1], lams)[:, 0]
+
+
 class TestDiagonalBlock:
     def test_flat_profile_spectrum(self):
-        assert ct.iv_eps0_bound(np.zeros((1, 3)))[0] == pytest.approx(1.0, abs=1e-13)
+        assert iv_eps0_bounds(np.zeros((1, 3)))[0] == pytest.approx(1.0, abs=1e-13)
 
     def test_sampled_psd_with_small_eps(self):
         rng = substream(15, 0)
         lams = ct.sample_admissible_lambdas(3, 3.0, 200_000, rng)
-        assert float((ct.iv_eps0_bound(lams) - 1e-3).min()) >= -1e-9
+        assert float((iv_eps0_bounds(lams) - 1e-3).min()) >= -1e-9
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_find_eps0_positive(self, m):
@@ -619,7 +677,7 @@ class TestDiagonalBlock:
         # eps0 is the smallest per-sample bound over the sample it draws
         res = ct.find_eps0(3, samples=2_000, seed=7)
         lams = ct.sample_admissible_lambdas(3, 3.0, 2_000, substream(7, 2))
-        assert res.eps0 == float(ct.iv_eps0_bound(lams).min())
+        assert res.eps0 == float(iv_eps0_bounds(lams).min())
         assert res.verified_margin == 0.0
 
     def test_eps0_regression_baselines(self):

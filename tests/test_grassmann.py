@@ -30,7 +30,7 @@ def random_angle_point(P0, thetas, rng):
 
 def in_bjx(P, P0):
     """True iff every pairwise sum of principal angles to P0 is below pi/2."""
-    thetas = gr.jordan_decompose(P, P0).thetas
+    thetas = gr.jordan_decompose(P, P0).pair_angles[: min(P.n, P.m)]
     return bool(thetas[:2].sum() < np.pi / 2)
 
 
@@ -90,14 +90,14 @@ class TestJordan:
     def test_equal_planes_zero_angles(self):
         P = gr.random_point(4, 3, substream(2, 0))
         dec = gr.jordan_decompose(P, P)
-        assert np.abs(dec.thetas).max() == 0.0
+        assert np.abs(dec.pair_angles).max() == 0.0
 
     def test_single_rotation_block(self):
         theta = 0.9
         P = gr.make_point(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
         Q = gr.make_point(np.array([[math.cos(theta), 0, math.sin(theta)], [0, 1.0, 0]]))
         dec = gr.jordan_decompose(P, Q)
-        assert dec.thetas[0] == pytest.approx(theta, abs=1e-12)
+        assert dec.pair_angles[0] == pytest.approx(theta, abs=1e-12)
         assert dec.pair_angles[1:] == pytest.approx(0.0, abs=1e-7)
 
     def test_determinant_reconstruction(self):
@@ -165,7 +165,7 @@ class TestV:
         P0 = gr.standard_plane(3, 2)
         P = gr.from_chart(rng.uniform(-1, 1, (3, 2)), P0)
         dec = gr.jordan_decompose(P, P0)
-        assert gr.v_value(P, P0) == pytest.approx(float(np.prod(1.0 / dec.mus)), rel=1e-10)
+        assert gr.v_value(P, P0) == pytest.approx(float(np.prod(1.0 / np.cos(dec.pair_angles))), rel=1e-10)
 
     def test_out_of_chart(self):
         P0 = gr.standard_plane(1, 1)
@@ -215,7 +215,7 @@ class TestChart:
         Z = rng.uniform(-2, 2, (4, 2))
         dec = gr.jordan_decompose(gr.from_chart(Z, P0), P0)
         svals = np.sort(np.linalg.svd(Z, compute_uv=False))[::-1]
-        assert np.abs(np.tan(dec.thetas) - svals).max() < 1e-10
+        assert np.abs(np.tan(dec.pair_angles[:2]) - svals).max() < 1e-10
 
     def test_chart_v_formula(self):
         rng = substream(5, 2)
