@@ -5,7 +5,8 @@ second fundamental form h, the Laplacian of v = prod sqrt(1 + lambda_a^2) is
 
     Delta v = sum_j Hess v(X_j, X_j),    (X_j)_{i,a} = h_{a,ij},
 
-with Hess v / v from `grassmann.hessian_over_v`.  In the flattened
+with Hess v / v the matrix `grassmann.hessian_over_v` defines, which
+`laplacian_v_batch` sums in closed form without building it.  In the flattened
 coordinates of h the form is block diagonal.  This module writes those
 index-typed blocks once (`block_catalogue`), evaluates the term
 decomposition, the block lemmas (`block_margin`) and eps0 from them, solves
@@ -33,14 +34,12 @@ import numpy as np
 # minimize is not called here: perfbench/tracing.py wraps certifier.minimize by name
 from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
-from . import grassmann
 from .errors import DimensionMismatch, PreconditionViolated
 from .rng import rejection_sample, substream
 
 # single global slack absorbing eigensolver roundoff in PSD assertions
 PSD_TOL = 1e-9
-# profiles per batched eigensolve (CHUNK // (nm) per batch of nm x nm Hessians),
-# which bounds the memory of one batch
+# profiles per chunk of a batch minimum, which bounds the memory of one chunk's blocks
 CHUNK = 20_000
 # a block whose Gershgorin bound exceeds the running minimum by more than this,
 # or whose LDL^T test clears it by this, is not eigensolved; the slack absorbs
@@ -84,12 +83,30 @@ def flatten_h(h: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # direct evaluation
 
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum(x * y, axis=-1) as one BLAS dot per row, so that each row of a stack gives the bits it
+    gives alone (an einsum or a reduction over a stack may order its sums by the stack's shape)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def laplacian_v_batch(lams: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Delta v = v sum_j X_j^T (Hess v / v) X_j of profiles lams (K, m) with symmetric hs (K, m, n, n).
 
     One profile is the stack lams (m,) with hs (m, n, n); it gives a scalar,
     bitwise row 0 of its K = 1 stack.  (X_j)_{i,a} = h_{a,ij} sits at slot
-    i*m + a of `grassmann.hessian_over_v`.
+    i*m + a of `grassmann.hessian_over_v`, which is the identity plus, for
+    indices below p = min(n, m), 2 lambda_c^2 on slot (c, c) and lambda_a lambda_b
+    between slots (a, a)-(b, b) and (a, b)-(b, a), a != b.  So X_j^T (Hess v / v) X_j is
+
+        sum_{i,a} h_{a,ij}^2 + 2 sum_c lambda_c^2 h_{c,cj}^2
+          + sum_{a != b} lambda_a lambda_b (h_{a,aj} h_{b,bj} + h_{a,bj} h_{b,aj}),
+
+    and the diagonal terms split evenly between two squares: summed over j,
+
+        Delta v / v = |h|^2 + sum_j [ (sum_{c<p} lambda_c h_{c,cj})^2
+                                      + sum_{a,b<p} lambda_a lambda_b h_{a,bj} h_{b,aj} ].
+
+    Each sum is a `_row_dot`; no (nm) x (nm) matrix is built.
     """
     lams = np.asarray(lams, dtype=float)
     hs = np.asarray(hs, dtype=float)
@@ -98,14 +115,14 @@ def laplacian_v_batch(lams: np.ndarray, hs: np.ndarray) -> np.ndarray:
     if lams.ndim == 1:
         return laplacian_v_batch(lams[None], hs[None])[0]
     K, m, n = hs.shape[:3]
-    X = hs.transpose(0, 3, 2, 1).reshape(K, n, n * m)
-    quad = np.empty(K)
-    rows = max(CHUNK // (n * m), 1)
-    for start in range(0, K, rows):
-        x = X[start : start + rows]
-        H = grassmann.hessian_over_v(lams[start : start + rows], n)
-        quad[start : start + rows] = np.einsum("kjp,kjp->k", x @ H, x)
-    return np.prod(np.sqrt(1.0 + lams**2), axis=-1) * quad
+    p = min(n, m)
+    lam = lams[:, :p]
+    flat = hs.reshape(K, -1)
+    trace = _row_dot(np.diagonal(hs, axis1=1, axis2=2), lam[:, None, :])    # (K, n): sum_c lambda_c h_{c,cj}
+    y = lam[:, :, None, None] * hs[:, :p, :p]                               # lambda_a h_{a,bj}
+    cross = _row_dot(y.reshape(K, -1), y.transpose(0, 2, 1, 3).reshape(K, -1))
+    quad = _row_dot(flat, flat) + _row_dot(trace, trace) + cross
+    return _fold_last(np.multiply, np.sqrt(1.0 + lams**2)) * quad
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +272,13 @@ def _contract(features: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.dot(features.reshape(-1, F), coeffs.reshape(F, -1)).reshape(features.shape[:-1] + coeffs.shape[1:])
 
 
-def _min_last(x: np.ndarray) -> np.ndarray:
-    """x.min(axis=-1), or all(axis=-1) of booleans, as an in-place np.minimum fold: faster than the
-    reduction over a short last axis."""
+def _fold_last(ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(x, axis=-1) as an in-place left-to-right fold: bitwise the reduction for
+    np.minimum (all(axis=-1) of booleans) and np.multiply (np.prod), and faster over a short
+    last axis."""
     out = x[..., 0].copy()
     for i in range(1, x.shape[-1]):
-        np.minimum(out, x[..., i], out=out)
+        ufunc(out, x[..., i], out=out)
     return out
 
 
@@ -298,7 +316,8 @@ def _batch_minimum(stacks, lams: np.ndarray, weights, offsets) -> tuple[int, flo
     if lams.size == 0 or not np.all(lams >= 0.0):
         raise PreconditionViolated("need a nonempty batch of nonnegative profiles")
     weights, offsets = np.full(lams.shape[0], weights, dtype=float), np.full(lams.shape[0], offsets, dtype=float)
-    repeat = _min_last(lams[1:] == lams[:-1]) & (weights[1:] == weights[:-1]) & (offsets[1:] == offsets[:-1])
+    repeat = _fold_last(np.minimum, lams[1:] == lams[:-1])
+    repeat &= (weights[1:] == weights[:-1]) & (offsets[1:] == offsets[:-1])
     fresh = np.flatnonzero(np.r_[True, ~repeat])
     stacks = [(C, _gershgorin(C)) for C in stacks]
     index, best = -1, math.inf
@@ -309,7 +328,7 @@ def _batch_minimum(stacks, lams: np.ndarray, weights, offsets) -> tuple[int, flo
         for stack, G in stacks:
             cut = min(best, low.min()) + PRUNE_SLACK
             shift = (cut + o) / w
-            rows, blocks = np.nonzero(_min_last(_contract(features, G)) <= shift[:, None])
+            rows, blocks = np.nonzero(_fold_last(np.minimum, _contract(features, G)) <= shift[:, None])
             B = _contract(features, stack)[rows, blocks]
             if math.isfinite(cut):
                 hard = ~_clears(B, shift[rows])
@@ -385,7 +404,7 @@ def quadratic_form_batch(n: int, m: int, lams: np.ndarray) -> np.ndarray:
     M = np.zeros((lams.shape[0], D, D))
     for slots, stack in _kind_stacks(n, m).values():
         M[:, slots[:, :, None], slots[:, None, :]] = _contract(_features(lams), stack)
-    v = np.prod(np.sqrt(1.0 + lams**2), axis=-1)
+    v = _fold_last(np.multiply, np.sqrt(1.0 + lams**2))
     return v[:, None, None] * M
 
 
@@ -393,7 +412,7 @@ def min_form_eigenvalue(n: int, m: int, lams: np.ndarray) -> tuple[int, float]:
     """First argmin and minimum over profiles (K, m) of the Delta-v form's smallest eigenvalue,
     v times the smallest eigenvalue over the distinct blocks (`_batch_minimum`)."""
     lams = np.asarray(lams, dtype=float)
-    return _batch_minimum(_distinct_stacks(n, m), lams, np.prod(np.sqrt(1.0 + lams**2), axis=-1), 0.0)
+    return _batch_minimum(_distinct_stacks(n, m), lams, _fold_last(np.multiply, np.sqrt(1.0 + lams**2)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +428,7 @@ def sample_admissible_lambdas(
     if hi == 0.0:
         return np.zeros((count, m))
     return rejection_sample(count, (m,), lambda rows: rng.uniform(0.0, hi, size=(rows, m)),
-                            lambda lams: np.prod(1.0 + lams**2, axis=1) <= v_bound * v_bound)
+                            lambda lams: _fold_last(np.multiply, 1.0 + lams**2) <= v_bound * v_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +632,7 @@ def _admissible_mesh(m: int, lam_max: float, bound2: float) -> np.ndarray:
             raise PreconditionViolated(f"the K0 mesh at m = {m} passes {MESH_ROWS} rows: beta0 is too near 1")
         index, prod, last = np.column_stack([index[parent[keep]], child[keep]]), prod[keep], child[keep]
     mesh = axis[index]
-    return mesh[np.prod(1.0 + mesh**2, axis=1) <= bound2]
+    return mesh[_fold_last(np.multiply, 1.0 + mesh**2) <= bound2]
 
 
 def compute_K0(

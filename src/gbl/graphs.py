@@ -306,15 +306,20 @@ def graph_from_spec(spec: dict) -> GraphImmersion:
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """The pointwise geometry of a graph at x; the Gauss plane is built from `jac` when first read."""
+    """The pointwise geometry of a graph at x; the metric and the Gauss plane are built from `jac`
+    when first read."""
     x: np.ndarray
-    g: np.ndarray
     slope: float
     jac: np.ndarray                # (m, n) Df
     lambdas: np.ndarray            # (m,) singular values of Df, descending
     h: np.ndarray                  # (m, n, n) adapted-frame second fundamental form, symmetric
     mean_h: np.ndarray             # (m,)
     norm_b2: float
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        """The induced metric I + Df^T Df."""
+        return _metric(self.jac)
 
     @functools.cached_property
     def gauss(self) -> grassmann.GrassmannPoint:
@@ -327,18 +332,18 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
     """All pointwise quantities in the base-plane frames of `_adapted_second_form`.
 
     Takes one Jacobian and one Hessian and orthonormalizes nothing: the Gauss
-    plane is built only if `PointGeometry.gauss` is read.  Repeated singular
-    values keep whatever gauge the SVD returns, so only gauge-invariant
-    outputs should be compared across points.
+    plane is built only if `PointGeometry.gauss` is read.  The slope is
+    prod sqrt(1 + lambda^2), since det(I + Df^T Df) = prod (1 + s^2) over the
+    singular values s of Df.  Repeated singular values keep whatever gauge
+    the SVD returns, so only gauge-invariant outputs should be compared
+    across points.
     """
     x = G.require(x)
     J = G.jac(x)
-    g = _metric(J)
     lambdas, h = _adapted_second_form(J, G.hess(x))
     return PointGeometry(
         x=x,
-        g=g,
-        slope=math.sqrt(float(np.linalg.det(g))),
+        slope=math.prod(np.sqrt(1.0 + lambdas**2).tolist()),
         jac=J,
         lambdas=lambdas,
         h=h,
@@ -348,31 +353,36 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
 
 
 def _adapted_second_form(J: np.ndarray, Hf: np.ndarray, P0: grassmann.GrassmannPoint | None = None):
-    """Lambdas and second fundamental form h of one point in `grassmann.chart_frames` of its Gauss plane.
+    """Lambdas and second fundamental form h of one point in the adapted frames of its Gauss plane.
 
     Around the base plane (P0 = None) the chart is Df^T = V diag(s) U^T in the
-    coordinate frames: tangent rows (V_i, s_i U_i) / sqrt(1 + s_i^2), normal
-    rows (-s_a V_a, U_a) / sqrt(1 + s_a^2).  Around another P0 it is the
-    `grassmann.chart_stack` of the rows (I | Df^T), which raises OutOfChart
-    unless w(gauss, P0) > 0.  h_{a,ij} pairs normal a with (0, D^2 f) at the
-    coordinate parts of tangents i and j; h is returned as an (m, n, n) array
-    symmetrised in (i, j).
+    coordinate frames (`grassmann.chart_svd`): tangent rows (V_i, s_i U_i) /
+    sqrt(1 + s_i^2), normal rows (-s_a V_a, U_a) / sqrt(1 + s_a^2), of which
+    h reads only the blocks V^T and U^T.  Around another P0 they are the
+    `grassmann.chart_frames` of the `grassmann.chart_stack` of the rows
+    (I | Df^T), which raises OutOfChart unless w(gauss, P0) > 0.  h_{a,ij}
+    pairs normal a with (0, D^2 f) at the coordinate parts of tangents i and
+    j; h is returned as an (m, n, n) array symmetrised in (i, j).
     """
-    n = J.shape[1]
+    m, n = J.shape
     if P0 is None:
-        # the chart basis is the identity, so the rows are already coordinates
-        rows, scale, lambdas = grassmann.chart_frames(J.T)
+        # a graph has m <= n, so Df has m singular values and no normal row is unpaired
+        tangent, lambdas, normal = grassmann.chart_svd(J.T)
+        scale_n = 1.0 / np.sqrt(1.0 + lambdas**2)
+        scale_t = np.concatenate([scale_n, np.ones(n - m)])
+        normal = normal.T
     else:
         Z = grassmann.chart_stack(_tangent_rows(J), P0, np.sqrt(np.linalg.det(_metric(J))))[0]
         rows, scale, lambdas = grassmann.chart_frames(Z)
         rows = rows @ np.vstack([P0.frame, P0.normal_frame])
+        tangent, normal, scale_t, scale_n = rows[:n, :n], rows[n:, n:], scale[:n], scale[n:]
     # contiguous, the three-operand einsum below runs about twice as fast
-    coords = np.ascontiguousarray(rows[:n, :n])
+    coords = np.ascontiguousarray(tangent)
     D2 = np.einsum("bkl,ik,jl->bij", Hf, coords, coords)
-    h_raw = np.einsum("ab,bij->aij", rows[n:, n:], D2)
-    h_raw *= scale[n:, None, None]
-    h_raw *= scale[None, :n, None]
-    h_raw *= scale[None, None, :n]
+    h_raw = np.einsum("ab,bij->aij", normal, D2)
+    h_raw *= scale_n[:, None, None]
+    h_raw *= scale_t[None, :, None]
+    h_raw *= scale_t[None, None, :]
     return lambdas, 0.5 * (h_raw + h_raw.transpose(0, 2, 1))
 
 
@@ -381,9 +391,10 @@ def _metric(J: np.ndarray) -> np.ndarray:
     return np.eye(J.shape[-1]) + np.swapaxes(J, -1, -2) @ J
 
 
-def _flux_coefficients(g: np.ndarray) -> np.ndarray:
-    """sqrt(det g) g^{-1} over a stack of metrics: the divergence-form coefficients."""
-    return np.sqrt(np.linalg.det(g))[..., None, None] * np.linalg.inv(g)
+def _flux_coefficients(g: np.ndarray, vol: np.ndarray) -> np.ndarray:
+    """vol g^{-1} over a stack of metrics with volume elements vol = sqrt(det g): the
+    divergence-form coefficients."""
+    return vol[..., None, None] * np.linalg.inv(g)
 
 
 def _tangent_rows(J: np.ndarray) -> np.ndarray:
@@ -491,12 +502,12 @@ def laplacian_v_finite_difference(
     size = len(offsets)
     J = G.jac(np.concatenate([stencil, x + (0.5 * step) * halves]))
     g = _metric(J)
-    vol = np.sqrt(np.linalg.det(g[:size]))
-    u = _v_from_jacobians(J[:size], vol, P0)
+    vol = np.sqrt(np.linalg.det(g))
+    u = _v_from_jacobians(J[:size], vol[:size], P0)
     first = u[a] - u[b]
     grad = np.where(diag, first / step, (first + u[c] - u[d]) / (4.0 * step))   # (2, n, n)
 
-    coeff = _flux_coefficients(g[size:]).reshape(2, n, n, n)
+    coeff = _flux_coefficients(g[size:], vol[size:]).reshape(2, n, n, n)
     rows = coeff[:, np.arange(n), np.arange(n)]                                  # row i at half-step (s, i)
     flux = (rows[..., None, :] @ grad[..., :, None])[..., 0, 0]                  # (2, n)
     total = np.sum((flux[0] - flux[1]) / step)
@@ -526,9 +537,23 @@ def ellipticity_check(
         return center + radius * g[:, : G.n] / np.linalg.norm(g, axis=1)[:, None]
 
     ys = rejection_sample(samples, (G.n,), draw, G.contains)
-    A = _flux_coefficients(_metric(G.jac(ys)))
+    g = _metric(G.jac(ys))
+    A = _flux_coefficients(g, np.sqrt(np.linalg.det(g)))
     eigs = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))
     return float(eigs[:, 0].min(initial=math.inf)), float(eigs[:, -1].max(initial=-math.inf))
+
+
+@functools.lru_cache(maxsize=None)
+def _cube_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product Gauss-Legendre nodes (order^n, n) and weights on the cube [-1, 1]^n."""
+    def grid(axis):
+        return np.stack([g.ravel() for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=-1)
+
+    nodes1d, weights1d = np.polynomial.legendre.leggauss(order)
+    nodes, wts = grid(nodes1d), np.prod(grid(weights1d), axis=-1)
+    for arr in (nodes, wts):
+        arr.flags.writeable = False    # shared by every call through the cache
+    return nodes, wts
 
 
 def mean_gauss_image(
@@ -540,9 +565,10 @@ def mean_gauss_image(
 ) -> grassmann.GrassmannPoint:
     """Riemannian mean of the Gauss map over a domain ball, via the radial embedding.
 
-    Tensor-product Gauss-Legendre nodes on the bounding cube restricted to
-    the ball, weighted by the volume element sqrt(det g); the embedded mean
-    is pulled back through the inverse embedding.  Convexity of balls under
+    Tensor-product Gauss-Legendre nodes on the bounding cube (`_cube_rule`,
+    built once per (n, order)) restricted to the ball, weighted by the
+    volume element sqrt(det g); the embedded mean is pulled back through the
+    inverse embedding.  Convexity of balls under
     the embedding guarantees v(mean, P0) <= sup v over the nodes.  All nodes
     go through one batched Jacobian and one `grassmann.chart_stack` of the
     rows R = (I | Df^T), whose volume element is sqrt(det(R R^T)) = sqrt(det g).
@@ -550,11 +576,8 @@ def mean_gauss_image(
     center = np.asarray(center, dtype=float)
     if P0 is None:
         P0 = grassmann.standard_plane(G.n, G.m)
-    nodes1d, weights1d = np.polynomial.legendre.leggauss(order)
-    grids = np.meshgrid(*([nodes1d] * G.n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1) * radius
-    wgrids = np.meshgrid(*([weights1d] * G.n), indexing="ij")
-    wts = np.prod(np.stack([w.ravel() for w in wgrids], axis=-1), axis=-1)
+    nodes, wts = _cube_rule(G.n, order)
+    pts = nodes * radius
     inside = np.linalg.norm(pts, axis=1) <= radius
     ys = center + pts[inside]
     in_domain = G.contains(ys)

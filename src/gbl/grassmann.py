@@ -19,9 +19,10 @@ Conventions
   spanning rows); its pairing step `_chart_pairing`, which callers that
   need only w take alone, decides when a plane is out of chart.
 * Frames adapted to the principal angles towards P0 come from one SVD of
-  the chart matrix (`chart_frames`).  Jordan data (`jordan_decompose`, by
-  descending angle, left_i . right_j = cos(theta_i) delta_ij, the left basis
-  positively oriented) serves only the geodesics, `distance` and
+  the chart matrix (`chart_svd`; `chart_frames` assembles the rows from its
+  factors).  Jordan data (`jordan_decompose`, by descending angle,
+  left_i . right_j = cos(theta_i) delta_ij, the left basis positively
+  oriented) serves only the geodesics, `distance` and
   `shrinking.shrink_center`.
 * Repeated angles make principal bases non-unique; whichever gauge the
   SVD returns is kept, and only gauge-invariant quantities should be
@@ -285,22 +286,10 @@ class AdaptedFrames:
     lambdas: np.ndarray   # (m,)
 
 
-def chart_frames(Z: np.ndarray):
-    """Adapted rows of the plane spanned by T0 + Z N0, from one SVD of its n x m chart matrix Z.
-
-    T0 and N0 are the chart's orthonormal tangent and normal rows.  With
-    Z = U diag(s) V^T (s zero-padded past min(n, m)), tangent row i is
-    U_i^T T0 + s_i V_i^T N0 and normal row a is -s_a U_a^T T0 + V_a^T N0,
-    signs fixed so that V_aa >= 0 and, for unpaired tangents, U_ii >= 0.
-    Returns these rows unscaled, tangents first, as one (n+m, n+m) stack of
-    coordinates in the chart basis (T0; N0): a caller multiplies them by
-    that basis to get rows of R^(n+m), and around the coordinate plane,
-    whose basis is the identity, uses them as they are.  Also returns the
-    scales 1 / sqrt(1 + s^2) that make the rows orthonormal at every angle,
-    and the (m,) lambdas s = tan theta.
-    """
+def chart_svd(Z: np.ndarray):
+    """The SVD Z = U diag(s) V^T of an n x m chart matrix, as (U^T, s, V) with signs fixed so
+    that V_aa >= 0 and, for unpaired tangents, U_ii >= 0."""
     n, m = Z.shape
-    p = min(n, m)
     # the SVD of the m x n transpose: for a graph, whose chart around the
     # coordinate plane is Df^T, this is the SVD of Df itself
     V, s, Ut = np.linalg.svd(Z.T)
@@ -312,6 +301,24 @@ def chart_frames(Z: np.ndarray):
     for i in range(m, n):
         if Ut[i, i] < 0.0:
             Ut[i] *= -1.0
+    return Ut, s, V
+
+
+def chart_frames(Z: np.ndarray):
+    """Adapted rows of the plane spanned by T0 + Z N0, from the SVD of its n x m chart matrix Z.
+
+    T0 and N0 are the chart's orthonormal tangent and normal rows.  With
+    Z = U diag(s) V^T (`chart_svd`, s zero-padded past min(n, m)), tangent
+    row i is U_i^T T0 + s_i V_i^T N0 and normal row a is -s_a U_a^T T0 +
+    V_a^T N0.  Returns these rows unscaled, tangents first, as one
+    (n+m, n+m) stack of coordinates in the chart basis (T0; N0): a caller
+    multiplies them by that basis to get rows of R^(n+m).  Also returns the
+    scales 1 / sqrt(1 + s^2) that make the rows orthonormal at every angle,
+    and the (m,) lambdas s = tan theta.
+    """
+    n, m = Z.shape
+    p = min(n, m)
+    Ut, s, V = chart_svd(Z)
     K = np.zeros((n + m, n + m))
     K[:n, :n] = Ut
     K[n:, n:] = V.T
@@ -345,6 +352,8 @@ def hessian_over_v(lams: np.ndarray, n: int) -> np.ndarray:
     flattened row-major to i*m + a.  Entry pattern: 1 on every mixed slot,
     1 + 2 lambda_a^2 on the diagonal slots (a, a), couplings lambda_a lambda_b
     between (a,a)-(b,b) and between (a,b)-(b,a) for a != b below min(n, m).
+    It defines `hessian_v`; `certifier.laplacian_v_batch` sums the form in
+    closed form and never builds this matrix.
     """
     lams = np.asarray(lams, dtype=float)
     m = lams.shape[-1]

@@ -37,6 +37,25 @@ def unflatten_h(u, n, m):
     return h
 
 
+def dense_laplacian_v(lams, hs):
+    """v sum_j X_j^T (Hess v / v) X_j over a stack, from the dense `hessian_over_v`."""
+    K, m, n = hs.shape[:3]
+    X = hs.transpose(0, 3, 2, 1).reshape(K, n, n * m)
+    H = gr.hessian_over_v(lams, n)
+    return np.prod(np.sqrt(1.0 + lams**2), axis=-1) * np.einsum("kjp,kjp->k", X @ H, X)
+
+
+def laplacian_stack(n, m, rows, seed):
+    """Profiles with v <= 2.5, where the form is positive definite, and symmetric tensors."""
+    rng = substream(12, seed)
+    lams = rng.uniform(0.0, 1.0, (rows, m)) * math.sqrt(2.5 ** (2.0 / m) - 1.0)
+    hs = rng.standard_normal((rows, m, n, n))
+    return lams, 0.5 * (hs + hs.transpose(0, 1, 3, 2))
+
+
+CLOSED_FORM_SHAPES = [(2, 2), (3, 1), (3, 2), (4, 3), (6, 4), (8, 8), (16, 16), (2, 3)]
+
+
 class TestLaplacian:
     def test_flat_profile_gives_norm(self):
         rng = substream(10, 0)
@@ -86,6 +105,38 @@ class TestLaplacian:
                 assert np.shape(one) == ()
                 assert one.tobytes() == ct.laplacian_v_batch(lams[None], h[None])[0].tobytes()
                 assert gg.laplacian_v_closed_form(G, x, P0) == one
+
+    @pytest.mark.parametrize("n,m", CLOSED_FORM_SHAPES)
+    def test_closed_form_matches_the_dense_hessian(self, n, m):
+        lams, hs = laplacian_stack(n, m, 257, 10 * n + m)
+        dense = dense_laplacian_v(lams, hs)
+        assert np.all(np.abs(ct.laplacian_v_batch(lams, hs) - dense) <= 1e-14 * np.abs(dense))
+
+    @pytest.mark.parametrize("n,m", CLOSED_FORM_SHAPES)
+    def test_each_row_of_a_stack_is_its_profile_alone(self, n, m):
+        lams, hs = laplacian_stack(n, m, 257, 200 + 10 * n + m)
+        stack = ct.laplacian_v_batch(lams, hs)
+        assert all(ct.laplacian_v_batch(lams[k], hs[k]).tobytes() == stack[k].tobytes() for k in range(257))
+
+    def test_no_dense_hessian_is_built(self, monkeypatch):
+        # the dense (K, nm, nm) Hessians of 2,000 profiles at (8, 8) would take 65.5 MB, twice the bound
+        def no_hessian(*args):
+            raise AssertionError("hessian_over_v was called")
+
+        monkeypatch.setattr(gr, "hessian_over_v", no_hessian)
+        lams, hs = laplacian_stack(8, 8, 2_000, 300)
+        tracemalloc.start()
+        ct.laplacian_v_batch(lams, hs)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 32_000_000
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_fold_is_the_reduction(self, m):
+        x = substream(12, 400 + m).uniform(0.0, 2.0, (7_000, m))
+        assert np.array_equal(ct._fold_last(np.multiply, x), np.prod(x, axis=-1))
+        assert np.array_equal(ct._fold_last(np.minimum, x), x.min(axis=-1))
+        assert np.array_equal(ct._fold_last(np.minimum, x > 0.3), np.all(x > 0.3, axis=-1))
 
     @pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (4, 3)])
     def test_hessian_contraction(self, n, m):

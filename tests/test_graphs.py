@@ -126,6 +126,33 @@ class TestBatchedDerivatives:
         assert np.abs(gg.graph_v(G, X) - slopes).max() < 1e-12
 
 
+def domain_points(G, count, seed):
+    """`count` points of G's domain, uniform in the cube [-0.9, 0.9]^n."""
+    rng = substream(24, seed)
+    pts = []
+    while len(pts) < count:
+        x = rng.uniform(-0.9, 0.9, G.n)
+        if G.contains(x):
+            pts.append(x)
+    return pts
+
+
+def chart_frames_second_form(J, Hf):
+    """The base-plane lambdas and h read from the whole (n+m) x (n+m) row stack of chart_frames(Df^T)."""
+    n = J.shape[1]
+    rows, scale, lambdas = gr.chart_frames(J.T)
+    coords = np.ascontiguousarray(rows[:n, :n])
+    D2 = np.einsum("bkl,ik,jl->bij", Hf, coords, coords)
+    h_raw = np.einsum("ab,bij->aij", rows[n:, n:], D2)
+    h_raw *= scale[n:, None, None]
+    h_raw *= scale[None, :n, None]
+    h_raw *= scale[None, None, :n]
+    return lambdas, 0.5 * (h_raw + h_raw.transpose(0, 2, 1))
+
+
+BUILTINS = ["affine", "holomorphic_pair", "lawson_osserman"]
+
+
 class TestPointGeometry:
     @pytest.mark.parametrize("name", ["affine", "holomorphic_pair", "lawson_osserman"])
     def test_gauss_is_the_qr_frame(self, name):
@@ -154,6 +181,32 @@ class TestPointGeometry:
         assert calls[0] == 1
         assert pg.gauss.frame is frame
         assert calls[0] == 1
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_base_plane_frames_are_the_chart_frames_rows(self, name):
+        # the SVD factors give bitwise the lambdas and h of the whole row stack
+        G = gg.builtin(name)
+        for x in domain_points(G, 300, len(name)):
+            J, Hf = G.jac(x), G.hess(x)
+            lams, h = gg._adapted_second_form(J, Hf)
+            old_lams, old_h = chart_frames_second_form(J, Hf)
+            assert lams.tobytes() == old_lams.tobytes() and h.tobytes() == old_h.tobytes()
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_slope_is_the_volume_element(self, name):
+        # det(I + Df^T Df) = prod(1 + s^2) over the singular values s of Df
+        G = gg.builtin(name)
+        for x in domain_points(G, 300, 10 + len(name)):
+            pg = gg.point_geometry(G, x)
+            vol = math.sqrt(np.linalg.det(pg.g))
+            assert abs(pg.slope - vol) <= 1e-14 * vol
+
+    def test_metric_only_when_read(self):
+        G = gg.builtin("lawson_osserman")
+        pg = gg.point_geometry(G, np.array([0.5, -0.3, 0.4, 0.6]))
+        assert "g" not in vars(pg)
+        g = pg.g
+        assert "g" in vars(pg) and pg.g is g
 
     def test_affine_flat(self):
         A = np.array([[0.5, -0.25, 0.0], [0.1, 0.3, -0.2]])
