@@ -17,6 +17,10 @@ the form blockwise, and estimates the strong-subharmonicity constant
 by one batch minimum of the smallest form eigenvalue over sorted profiles,
 plus a line search on the boundary face at n = m = 2.
 
+K0 comes from that search alone; a sampled audit of the same form reports
+its minimum minus K0 and never lowers K0.  eps0 is the batch minimum of the
+diagonal-block bound, unclipped, so a negative value shows on the report.
+
 K0, eps0 and the block-lemma margins are batch minima: `_batch_minimum`
 skips a profile that repeats the one before it, drops the blocks that a
 Gershgorin bound and then an LDL^T threshold test place above the running
@@ -122,7 +126,7 @@ def laplacian_v_batch(lams: np.ndarray, hs: np.ndarray) -> np.ndarray:
     y = lam[:, :, None, None] * hs[:, :p, :p]                               # lambda_a h_{a,bj}
     cross = _row_dot(y.reshape(K, -1), y.transpose(0, 2, 1, 3).reshape(K, -1))
     quad = _row_dot(flat, flat) + _row_dot(trace, trace) + cross
-    return _fold_last(np.multiply, np.sqrt(1.0 + lams**2)) * quad
+    return profile_v(lams) * quad
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +286,12 @@ def _fold_last(ufunc, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def profile_v(lams: np.ndarray) -> np.ndarray:
+    """v = prod sqrt(1 + lambda^2) of profiles (..., m), shape (...): the one v of a profile, a
+    left-to-right fold, so bitwise np.prod and math.prod over the last axis."""
+    return _fold_last(np.multiply, np.sqrt(1.0 + lams**2))
+
+
 def _clears(B: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Which blocks B (N, s, s) keep every pivot of an LDL^T of B - shift I positive, shift (N,).
     The batch is the last axis, and a failed block divides by 1 from then on."""
@@ -404,15 +414,14 @@ def quadratic_form_batch(n: int, m: int, lams: np.ndarray) -> np.ndarray:
     M = np.zeros((lams.shape[0], D, D))
     for slots, stack in _kind_stacks(n, m).values():
         M[:, slots[:, :, None], slots[:, None, :]] = _contract(_features(lams), stack)
-    v = _fold_last(np.multiply, np.sqrt(1.0 + lams**2))
-    return v[:, None, None] * M
+    return profile_v(lams)[:, None, None] * M
 
 
 def min_form_eigenvalue(n: int, m: int, lams: np.ndarray) -> tuple[int, float]:
     """First argmin and minimum over profiles (K, m) of the Delta-v form's smallest eigenvalue,
     v times the smallest eigenvalue over the distinct blocks (`_batch_minimum`)."""
     lams = np.asarray(lams, dtype=float)
-    return _batch_minimum(_distinct_stacks(n, m), lams, _fold_last(np.multiply, np.sqrt(1.0 + lams**2)), 0.0)
+    return _batch_minimum(_distinct_stacks(n, m), lams, profile_v(lams), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -479,19 +488,18 @@ def verify_omega_sup(v: float, C: float) -> float:
 
 @dataclass
 class Eps0Result:
-    """eps0 on a sample of `samples` profiles at this m, and min(bound) - eps0 over it."""
+    """eps0 on a sample of `samples` profiles at this m: the minimum of the per-sample bound,
+    negative when the diagonal block is not PSD on the sample."""
     m: int
     eps0: float
-    verified_margin: float
     samples: int
 
 
 def find_eps0(m: int, samples: int = 1_000_000, seed: int = 0) -> Eps0Result:
     """Largest eps0 keeping the diagonal block PSD on sampled admissible profiles (v <= 3).
 
-    The minimum per-sample bound lambda_min(B_IV,0), clipped to [0, 1 - 1e-9].
-    The margin is that minimum minus eps0: 0.0 unless eps0 was clipped, and
-    negative exactly when the block is not PSD on the sample (eps0 = 0).
+    eps0 is the batch minimum of the per-sample bound lambda_min(B_IV,0), as
+    it stands: a sample on which the block is not PSD gives eps0 < 0.
 
     In h coordinates the subtracted term eps0 E weighs h_{a,aa} and h_{a,bb}
     by 1 and h_{b,ba} by 2, and A - eps E >= 0 iff eps <= lambda_min(E^{-1/2}
@@ -503,9 +511,7 @@ def find_eps0(m: int, samples: int = 1_000_000, seed: int = 0) -> Eps0Result:
     if m < 2:
         raise PreconditionViolated("need m >= 2")
     lams = sample_admissible_lambdas(m, 3.0, samples, substream(seed, 2))
-    _, bound = _batch_minimum([_kind_stacks(m, m)["IV"][1][:, :1]], lams, 1.0, 0.0)
-    eps0 = min(max(bound, 0.0), 1.0 - 1e-9)
-    return Eps0Result(m, eps0, bound - eps0, samples)
+    return Eps0Result(m, _batch_minimum([_kind_stacks(m, m)["IV"][1][:, :1]], lams, 1.0, 0.0)[1], samples)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +576,12 @@ def auxiliary_extrema() -> list[ExtremumRecord]:
 
 @dataclass
 class CertificateReport:
-    """Constrained-minimum estimate of K0 with its sampling audit and closed-form gap."""
+    """Constrained-minimum estimate of K0 with its sampling audit and closed-form gap.
+
+    k0 and argmin_lambda come from the search alone, and min_eigenvalue_trace
+    holds its stages.  worst_violation is the audit minimum minus k0 (inf with
+    no audit), negative when a sampled profile undercuts the search.
+    """
     n: int
     m: int
     beta0: float
@@ -659,6 +670,9 @@ def compute_K0(
     u_1 in [log beta0, 2 log beta0].  `evaluations` counts the mesh rows, the
     face evaluations and the audit samples; `budget_exhausted` says the face
     search stopped at scipy's iteration cap.
+
+    The audit, `audit_samples` admissible profiles from substream (seed, 3),
+    checks the search and never moves k0 (`CertificateReport.worst_violation`).
     """
     if not (1.0 <= beta0 <= 3.0):
         raise PreconditionViolated("need 1 <= beta0 <= 3")
@@ -695,12 +709,8 @@ def compute_K0(
     worst_violation = float("inf")
     if audit_samples > 0:
         audit = sample_admissible_lambdas(m, beta0, audit_samples, substream(seed, 3))
-        k, low = min_form_eigenvalue(n, m, audit)
+        low = min_form_eigenvalue(n, m, audit)[1]
         evaluations += audit.shape[0]
-        if low < best_val:
-            # keep the reported constant below every recorded sample
-            best_val, best_lam = low, audit[k].copy()
-            trace.append({"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val})
         worst_violation = low - best_val
 
     closed = k0_closed_form(n, m, beta0)
@@ -712,7 +722,7 @@ def compute_K0(
         k0_closed_form=closed,
         closed_form_gap=None if closed is None else best_val - closed,
         argmin_lambda=best_lam.tolist(),
-        v_at_argmin=float(np.prod(np.sqrt(1.0 + best_lam**2))),
+        v_at_argmin=float(profile_v(best_lam)),
         min_eigenvalue_trace=trace,
         sample_count=audit_samples,
         worst_violation=worst_violation,

@@ -200,8 +200,6 @@ def _cmd_certify(args, report) -> None:
 
 
 def _cmd_lemmas(args, report) -> None:
-    import numpy as np
-
     from . import certifier
     from .rng import substream
 
@@ -227,7 +225,7 @@ def _cmd_lemmas(args, report) -> None:
             h = rng.standard_normal((3, 3, 3))
             h = 0.5 * (h + h.transpose(0, 2, 1))
             dv = certifier.laplacian_v_batch(lams, h)
-            total = certifier.decompose_terms(lams, h).total() * float(np.prod(np.sqrt(1.0 + lams**2)))
+            total = certifier.decompose_terms(lams, h).total() * float(certifier.profile_v(lams))
             worst = min(worst, tol - abs(dv - total) / max(abs(dv), 1.0))
         report.add_margin(
             "grouping_identity",
@@ -247,8 +245,7 @@ def _cmd_lemmas(args, report) -> None:
     ):
         if which in names + ("all",):
             lams = certifier.sample_admissible_lambdas(m, 3.0, args.samples, substream(args.seed, stream))
-            v = np.prod(np.sqrt(1.0 + lams**2), axis=1)
-            margin = certifier.block_margin(kind, lams, v)[1]
+            margin = certifier.block_margin(kind, lams, certifier.profile_v(lams))[1]
             report.add_margin(name, margin, _tolerance(args, tol), claim)
 
     if which in ("iv", "all"):
@@ -259,12 +256,6 @@ def _cmd_lemmas(args, report) -> None:
             res.eps0,
             0.0,
             "a strictly positive eps0 keeps the diagonal block PSD for v <= 3",
-        )
-        report.add_margin(
-            "diag_block_margin",
-            res.verified_margin,
-            _tolerance(args, certifier.PSD_TOL),
-            "the eps0-reduced diagonal block stays PSD on all sampled admissible profiles",
         )
 
 

@@ -209,11 +209,39 @@ def _probe_points(G: GraphImmersion):
     return [base, alt]
 
 
+def _derivative(rows, i: int) -> list:
+    """d/dx_i of a monomial sum given as (coeff, multiplier, exponents) rows; the integer
+    multiplier collects the exponents brought down, so coeff * multiplier is one rounding."""
+    out = []
+    for c, k, e in rows:
+        if e[i]:
+            shifted = list(e)
+            shifted[i] -= 1
+            out.append((c, k * e[i], tuple(shifted)))
+    return out
+
+
+def _evaluate(entries, shape: tuple, x: np.ndarray) -> np.ndarray:
+    """The monomial sums `entries` (one list of rows per entry, row-major over shape) at the
+    points x (..., n), shape (...) + shape; each entry adds its rows in order."""
+    out = np.zeros(x.shape[:-1] + (len(entries),))
+    for k, rows in enumerate(entries):
+        for c, mult, e in rows:
+            val = np.full(x.shape[:-1], c * mult)
+            for i, p in enumerate(e):
+                if p:
+                    val = val * x[..., i] ** p
+            out[..., k] += val
+    return out.reshape(x.shape[:-1] + shape)
+
+
 def polynomial_graph(n: int, m: int, components) -> GraphImmersion:
     """Graph whose components are monomial sums; derivatives are symbolic.
 
     `components` is a length-m list; each entry is a list of (coeff, exponents)
     with a finite coeff and exponents a length-n tuple of nonnegative integers.
+    The tables of f, Df and D^2 f are built once by `_derivative`, and
+    `_evaluate` reads each of them.
     """
     comps = []
     for comp in components:
@@ -227,54 +255,18 @@ def polynomial_graph(n: int, m: int, components) -> GraphImmersion:
                 raise DimensionMismatch(f"malformed graph spec: coefficient {coeff} is not finite")
             if len(exps) != n or not all(e.is_integer() and e >= 0 for e in exps):
                 raise DimensionMismatch(f"malformed graph spec: bad exponent tuple {exps}")
-            rows.append((coeff, tuple(map(int, exps))))
+            rows.append((coeff, 1, tuple(map(int, exps))))
         comps.append(rows)
+    first = [_derivative(rows, i) for rows in comps for i in range(n)]
+    second = [_derivative(rows, j) for rows in first for j in range(n)]
 
-    def mono(x, coeff, exps):
-        val = np.full(x.shape[:-1], coeff)
-        for i, e in enumerate(exps):
-            if e:
-                val = val * x[..., i] ** e
-        return val
-
-    def f(x):
-        out = np.zeros(x.shape[:-1] + (m,))
-        for a, rows in enumerate(comps):
-            out[..., a] = sum(mono(x, c, e) for c, e in rows)
-        return out
-
-    def jac(x):
-        out = np.zeros(x.shape[:-1] + (m, n))
-        for a, rows in enumerate(comps):
-            for c, e in rows:
-                for i in range(n):
-                    if e[i] == 0:
-                        continue
-                    shifted = list(e)
-                    shifted[i] -= 1
-                    out[..., a, i] += mono(x, c * e[i], tuple(shifted))
-        return out
-
-    def hess(x):
-        out = np.zeros(x.shape[:-1] + (m, n, n))
-        for a, rows in enumerate(comps):
-            for c, e in rows:
-                for i in range(n):
-                    if e[i] == 0:
-                        continue
-                    for j in range(n):
-                        factor = e[i] * (e[i] - 1) if i == j else e[i] * e[j]
-                        if factor == 0:
-                            continue
-                        shifted = list(e)
-                        shifted[i] -= 1
-                        shifted[j] -= 1
-                        if min(shifted) < 0:
-                            continue
-                        out[..., a, i, j] += mono(x, c * factor, tuple(shifted))
-        return out
-
-    G = GraphImmersion(n, m, f, jac, hess, name="polynomial")
+    G = GraphImmersion(
+        n, m,
+        functools.partial(_evaluate, comps, (m,)),
+        functools.partial(_evaluate, first, (m, n)),
+        functools.partial(_evaluate, second, (m, n, n)),
+        name="polynomial",
+    )
     _validate_derivatives(G, _probe_points(G))
     return G
 
@@ -343,7 +335,7 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
     lambdas, h = _adapted_second_form(J, G.hess(x))
     return PointGeometry(
         x=x,
-        slope=math.prod(np.sqrt(1.0 + lambdas**2).tolist()),
+        slope=float(certifier.profile_v(lambdas)),
         jac=J,
         lambdas=lambdas,
         h=h,

@@ -722,14 +722,26 @@ class TestDiagonalBlock:
     def test_find_eps0_positive(self, m):
         res = ct.find_eps0(m, samples=50_000, seed=0)
         assert res.eps0 > 1e-3
-        assert res.verified_margin >= -1e-9
+        lams = ct.sample_admissible_lambdas(m, 3.0, 50_000, substream(0, 2))
+        assert float((iv_eps0_bounds(lams) - res.eps0).min()) >= -1e-9
 
     def test_eps0_is_min_sample_bound(self):
-        # eps0 is the smallest per-sample bound over the sample it draws
+        # eps0 is the smallest per-sample bound over the sample it draws, unclipped
         res = ct.find_eps0(3, samples=2_000, seed=7)
         lams = ct.sample_admissible_lambdas(3, 3.0, 2_000, substream(7, 2))
         assert res.eps0 == float(iv_eps0_bounds(lams).min())
-        assert res.verified_margin == 0.0
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_eps0_is_the_batch_minimum(self, m):
+        lams = ct.sample_admissible_lambdas(m, 3.0, 5_000, substream(3, 2))
+        stack = [ct._kind_stacks(m, m)["IV"][1][:, :1]]
+        assert ct.find_eps0(m, samples=5_000, seed=3).eps0 == ct._batch_minimum(stack, lams, 1.0, 0.0)[1]
+
+    @pytest.mark.parametrize("lam,eps0", [(0.0, 1.0), (3.0, -3.5)])
+    def test_eps0_is_not_clipped(self, monkeypatch, lam, eps0):
+        # at lambda = 0 the block is the identity; at lambda = 3 (v = 1000 > 3) it is not PSD
+        monkeypatch.setattr(ct, "sample_admissible_lambdas", lambda m, v_bound, count, rng: np.full((count, m), lam))
+        assert ct.find_eps0(3, samples=10).eps0 == pytest.approx(eps0, rel=1e-12)
 
     def test_eps0_regression_baselines(self):
         # values recorded from this tool at samples=1e6, seed=0

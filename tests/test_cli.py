@@ -12,6 +12,7 @@ import pytest
 
 from gbl import certifier, cli, errors, graphs, grassmann, shrinking
 from gbl.reporting import dumps
+from gbl.rng import substream
 
 
 # the flags each subcommand reads, besides --format, --tolerance and --out
@@ -324,6 +325,40 @@ class TestDeterminism:
         proc = run_cli(["lemmas", "--which", "aux"])
         assert b"elapsed" not in proc.stdout
         assert b"elapsed" in proc.stderr
+
+
+class TestChecksCanFail:
+    """The K0 audit and the eps0 check fail when their inputs are wrong."""
+
+    @staticmethod
+    def _check(report, name):
+        return next(c for c in report["checks"] if c["name"] == name)
+
+    def test_audit_fails_when_the_search_misses(self, monkeypatch, capsys):
+        # a mesh of the one row (0.3, 0.3, 0.3) misses the minimum, which the audit finds
+        mesh = np.full((1, 3), 0.3)
+        monkeypatch.setattr(certifier, "_admissible_mesh", lambda m, lam_max, bound2: mesh)
+        assert cli.main(["certify", "--n", "4", "--m", "3", "--beta0", "1.5", "--samples", "2000"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        searched = certifier.min_form_eigenvalue(4, 3, mesh)[1]
+        audit = certifier.sample_admissible_lambdas(3, 1.5, 2000, substream(0, 3))
+        check = self._check(report, "audit_no_undercut")
+        assert check["status"] == "FAIL"
+        assert check["margin"] == certifier.min_form_eigenvalue(4, 3, audit)[1] - searched < 0.0
+        cert = report["payload"]["certificate"]
+        assert cert["k0"] == searched and cert["argmin_lambda"] == mesh[0].tolist()
+        assert len(cert["min_eigenvalue_trace"]) == 1
+
+    def test_eps0_check_fails_outside_the_sublevel_set(self, monkeypatch, capsys):
+        # rows lambda = 3 have v = 1000 > 3, where the diagonal block is not PSD
+        monkeypatch.setattr(certifier, "sample_admissible_lambdas",
+                            lambda m, v_bound, count, rng: np.full((count, m), 3.0))
+        assert cli.main(["lemmas", "--which", "iv", "--samples", "100"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        check = self._check(report, "diag_block_eps0")
+        assert check["status"] == "FAIL"
+        assert check["margin"] == pytest.approx(-3.5, rel=1e-12)
+        assert report["payload"]["eps0"]["eps0"] == check["margin"]
 
 
 class TestReportContract:

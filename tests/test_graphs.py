@@ -533,3 +533,14 @@ class TestPolynomialGraphs:
         # 2.0 is the integer 2, as JSON writers may emit it
         G = gg.polynomial_graph(2, 1, [[(1.0, (2.0, 0.0))]])
         assert G.f(np.array([0.5, 0.3]))[0] == 0.25
+
+    def test_derivatives_keep_an_integer_multiplier(self):
+        # d/dx then d/dy of 0.1 x^3 y is (0.1, 3, x^2): the coefficient is rounded once, as 0.1 * 3
+        rows = [(0.1, 1, (3, 1)), (2.0, 1, (0, 2))]
+        assert gg._derivative(rows, 0) == [(0.1, 3, (2, 1))]
+        assert gg._derivative(gg._derivative(rows, 0), 1) == [(0.1, 3, (2, 0))]
+        assert gg._derivative(gg._derivative(rows, 1), 1) == [(2.0, 2, (0, 0))]
+        G = gg.polynomial_graph(2, 1, [[(0.1, (3, 1)), (2.0, (0, 2))]])
+        x = np.array([0.7, -0.3])
+        assert G.hess(x)[0, 0, 1] == G.hess(x)[0, 1, 0] == 0.1 * 3 * 0.7**2
+        assert G.hess(x)[0, 1, 1] == 4.0

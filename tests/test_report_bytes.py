@@ -1,0 +1,38 @@
+"""Byte pins: the sha256 of stdout of `python -m gbl` for a fixed (config, seed).
+
+A change that moves any printed bit of these reports fails here; one that is
+meant to move them updates the digest and says which values moved.
+"""
+import hashlib
+import subprocess
+import sys
+
+import pytest
+
+PINS = {
+    "certify --samples 2000":
+        "ac44176d59adc94c1e1e2ae128f32bf7eb5ebb234cb95b0f1c60d0003f3ae2bd",
+    "certify --n 2 --m 2 --beta0 2.1 --samples 2000":
+        "b634967c607f25eb0791876b58b5da1f6b73e874119d9cae9606f6ae8f0ef8dc",
+    "sweep-k0 --samples 2000":
+        "0aa6bd5551de3dab894c38a7056363d821ca33d99bef8995b50d0ba5828dbf1d",
+    "sweep-k0 --n 3 --m 1 --samples 2000":
+        "23436ffeee1cad0f36552be66c9d95b880c444d992b6ba4230d176ca7fd02aa0",
+    "lemmas --which es1 --samples 2000":
+        "96a5b8eb26d4f339097c2ebc7cba775fca287e371b865cc0b80cde29286f59ac",
+    "lemmas --which pair --samples 2000":
+        "7d3dca9884804d6ad1757037930dc8cc255d06546e00db91c09045672e2f6098",
+    "lemmas --which iii --samples 2000":
+        "856acca594a6acd1c1b0ba0f583be15b6244952088269301903e5ae4aa8dc3cf",
+    "lemmas --which iv --samples 2000":
+        "ffed72a787ca1c78e82858845fdc76d8651923a03395db8ab87be8f87ea85ab9",
+    "graph --example holomorphic_pair":
+        "a992266b10d12dbf047d90890e6dcf0dcfaf15db96879422b625283fb7047eff",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINS))
+def test_stdout_digest(argv):
+    proc = subprocess.run([sys.executable, "-m", "gbl", *argv.split()], capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINS[argv]
