@@ -22,10 +22,10 @@ its minimum minus K0 and never lowers K0.  eps0 is the batch minimum of the
 diagonal-block bound, unclipped, so a negative value shows on the report.
 
 K0, eps0 and the block-lemma margins are batch minima: `_batch_minimum`
-skips a profile that repeats the one before it, drops the blocks that a
-Gershgorin bound and then an LDL^T threshold test place above the running
-minimum, eigensolves the rest, and returns bitwise the argmin and minimum of
-the exhaustive per-profile values.
+skips a profile that repeats the one before it, reads a 1 x 1 block off its
+Gershgorin bound, drops the blocks that the bound and then an LDL^T test
+place above the running minimum, eigensolves the rest, and returns bitwise
+the argmin and minimum of the exhaustive per-profile values.
 """
 from __future__ import annotations
 
@@ -238,20 +238,22 @@ def _stack(blocks) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _kind_stacks(n: int, m: int) -> dict:
-    """kind -> (slots (nb, s), coefficient stack) over every block of that kind."""
+    """kind -> (slots (nb, s), C, G, exact): the slots and `_bounded` stack of every block of that kind."""
     kinds: dict = {}
     for blk in block_catalogue(n, m):
         kinds.setdefault(blk.kind, []).append(blk)
-    return {kind: (np.array([blk.slots for blk in blks]), _stack(blks)) for kind, blks in kinds.items()}
+    return {kind: (np.array([blk.slots for blk in blks]), *_bounded(_stack(blks))) for kind, blks in kinds.items()}
 
 
 @lru_cache(maxsize=None)
-def _distinct_stacks(n: int, m: int) -> tuple:
-    """Coefficient stacks of the distinct blocks, one per block size.
+def _distinct_stacks(n: int, m: int, bounded: bool = False) -> tuple:
+    """Coefficient stacks of the distinct blocks, one per block size, ascending (`_bounded` if bounded).
 
     I_j and II_{j,ab} repeat for every high index j and the pure blocks are
     all the identity, so the distinct blocks do not depend on n beyond n > m.
     """
+    if bounded:
+        return tuple(_bounded(C) for C in _distinct_stacks(n, m))
     distinct = {(blk.coeffs.shape, blk.coeffs.tobytes()): blk for blk in block_catalogue(n, m)}
     sizes: dict = {}
     for blk in distinct.values():
@@ -266,6 +268,12 @@ def _gershgorin(C: np.ndarray) -> np.ndarray:
     row i of features . G is Gershgorin's bound B_ii - sum_{j != i} |B_ij| <= lambda_min(B).
     """
     return 2.0 * np.diagonal(C, axis1=-2, axis2=-1) - C.sum(axis=-1)
+
+
+def _bounded(C: np.ndarray) -> tuple:
+    """(C, G, exact): a stack, its `_gershgorin` rows, and whether its bound is exact, every block
+    [[d, c], [c, d]] with c >= 0 and lambda_min d - c.  The cached stack builders hold it."""
+    return C, _gershgorin(C), C.shape[-1] == 2 and np.array_equal(C[..., 0, 0], C[..., 1, 1])
 
 
 def _contract(features: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -308,19 +316,21 @@ def _clears(B: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 def _batch_minimum(stacks, lams: np.ndarray, weights, offsets) -> tuple[int, float]:
     """First argmin and minimum over profiles (K, m) of w lambda_min(B) - o over the blocks B of
-    coefficient stacks (F, nb, s, s), with weights w > 0 and offsets o scalars or (K,): bitwise
-    those of the exhaustive per-profile values w min_B lambda_min(B) - o.
+    coefficient stacks (F, nb, s, s), alone or `_bounded`, with weights w > 0 and offsets o
+    scalars or (K,): bitwise those of the exhaustive per-profile values w min_B lambda_min(B) - o.
 
     A row whose profile, weight and offset equal the row before it ties with an earlier row and
-    is skipped.  Per CHUNK rows and stack, in order, with cut = running minimum + PRUNE_SLACK
-    and shift = (cut + o) / w, a block is dropped when its Gershgorin bound min_i
-    (features . G)_i, G its `_gershgorin` rows, exceeds the shift or, once the cut is finite (an
-    infinite one clears nothing), when `_clears` finds B - shift I positive definite; the rest
-    go to one `eigvalsh` call (none if none is left).  A floating LDL^T that completes is exact
-    for a matrix within about s^2 u |B| of B (Higham, ch. 10; at most 4e-13 for the 15 x 15
-    blocks at m = 8, |B| <= 17), far inside the slack, so a dropped block can neither be nor tie
-    the minimum.  Rounding is monotone and w > 0, so folding w lambda_min - o per block into the
-    row minimum gives bitwise w times the block minimum, minus o.
+    is skipped.  Per chunk of rows (CHUNK // 4, then CHUNK) and stack, in order, a block's bound
+    is min_i (features . G)_i; a 1 x 1 block's is bitwise its `eigvalsh`.  With cut = running
+    minimum + PRUNE_SLACK and shift = (cut + o) / w, a larger block is dropped when its bound
+    exceeds the shift or, once the cut is finite (an infinite one clears nothing) and the bound
+    is not exact (an exact one keeps no block that clears), when `_clears` finds B - shift I
+    positive definite; the rest go to one `eigvalsh` call (none if none is left).  A floating
+    LDL^T that completes is exact for a matrix within about s^2 u |B| of B (Higham, ch. 10; at
+    most 4e-13 for the 15 x 15 blocks at m = 8, |B| <= 17), far inside the slack, so a dropped
+    block can neither be nor tie the minimum.  Rounding is monotone and w > 0, so folding
+    w lambda_min - o per block into the row minimum gives bitwise w times the block minimum,
+    minus o.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.size == 0 or not np.all(lams >= 0.0):
@@ -329,18 +339,22 @@ def _batch_minimum(stacks, lams: np.ndarray, weights, offsets) -> tuple[int, flo
     repeat = _fold_last(np.minimum, lams[1:] == lams[:-1])
     repeat &= (weights[1:] == weights[:-1]) & (offsets[1:] == offsets[:-1])
     fresh = np.flatnonzero(np.r_[True, ~repeat])
-    stacks = [(C, _gershgorin(C)) for C in stacks]
+    stacks = [stack if isinstance(stack, tuple) else _bounded(stack) for stack in stacks]
     index, best = -1, math.inf
-    for start in range(0, fresh.size, CHUNK):
-        chunk = fresh[start : start + CHUNK]
+    for stop in range(CHUNK // 4, fresh.size + CHUNK, CHUNK):
+        chunk = fresh[max(stop - CHUNK, 0) : stop]
         features, w, o = _features(lams[chunk]), weights[chunk], offsets[chunk]
         low = np.full(w.shape, math.inf)
-        for stack, G in stacks:
+        for stack, G, exact in stacks:
+            bound = _fold_last(np.minimum, _contract(features, G))
+            if stack.shape[-1] == 1:
+                np.minimum(low, w * _fold_last(np.minimum, bound) - o, out=low)
+                continue
             cut = min(best, low.min()) + PRUNE_SLACK
             shift = (cut + o) / w
-            rows, blocks = np.nonzero(_fold_last(np.minimum, _contract(features, G)) <= shift[:, None])
+            rows, blocks = np.nonzero(bound <= shift[:, None])
             B = _contract(features, stack)[rows, blocks]
-            if math.isfinite(cut):
+            if math.isfinite(cut) and not exact:
                 hard = ~_clears(B, shift[rows])
                 rows, B = rows[hard], B[hard]
             if rows.size:
@@ -387,7 +401,7 @@ def decompose_terms(lams: np.ndarray, h: np.ndarray) -> TermDecomposition:
     def values(kind: str) -> np.ndarray:
         if kind not in stacks:
             return np.zeros(0)
-        slots, stack = stacks[kind]
+        slots, stack = stacks[kind][:2]
         x = u[slots]
         return np.einsum("bi,bij,bj->b", x, _contract(_features(lams), stack), x)
 
@@ -412,7 +426,7 @@ def quadratic_form_batch(n: int, m: int, lams: np.ndarray) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     D = form_dimension(n, m)
     M = np.zeros((lams.shape[0], D, D))
-    for slots, stack in _kind_stacks(n, m).values():
+    for slots, stack, *_ in _kind_stacks(n, m).values():
         M[:, slots[:, :, None], slots[:, None, :]] = _contract(_features(lams), stack)
     return profile_v(lams)[:, None, None] * M
 
@@ -421,7 +435,7 @@ def min_form_eigenvalue(n: int, m: int, lams: np.ndarray) -> tuple[int, float]:
     """First argmin and minimum over profiles (K, m) of the Delta-v form's smallest eigenvalue,
     v times the smallest eigenvalue over the distinct blocks (`_batch_minimum`)."""
     lams = np.asarray(lams, dtype=float)
-    return _batch_minimum(_distinct_stacks(n, m), lams, profile_v(lams), 0.0)
+    return _batch_minimum(_distinct_stacks(n, m, True), lams, profile_v(lams), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +469,7 @@ def block_margin(kind: str, lams: np.ndarray, vs: np.ndarray) -> tuple[int, floa
     """
     lams = np.asarray(lams, dtype=float)
     m = lams.shape[-1]
-    stack = _kind_stacks(m + 1, m)[kind][1]
+    stack = _kind_stacks(m + 1, m)[kind][1:]
     if kind == "I":
         return _batch_minimum([stack], lams, 1.0, 1.0)
     return _batch_minimum([stack], lams, 2.0, 3.0 - np.asarray(vs, dtype=float))
@@ -511,7 +525,8 @@ def find_eps0(m: int, samples: int = 1_000_000, seed: int = 0) -> Eps0Result:
     if m < 2:
         raise PreconditionViolated("need m >= 2")
     lams = sample_admissible_lambdas(m, 3.0, samples, substream(seed, 2))
-    return Eps0Result(m, _batch_minimum([_kind_stacks(m, m)["IV"][1][:, :1]], lams, 1.0, 0.0)[1], samples)
+    C, G, exact = _kind_stacks(m, m)["IV"][1:]
+    return Eps0Result(m, _batch_minimum([(C[:, :1], G[:, :1], exact)], lams, 1.0, 0.0)[1], samples)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,10 @@ _FLAGS = {
 _OUTPUT_FLAGS = ("--format", "--tolerance", "--out")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The gbl parser with only the subcommand argv[0] names, or all six.  A one-subcommand parser
+    lists all six in its metavar, so it prints the full parser's usage; the full parser sets none,
+    as argparse names the subcommand action "command" by it in its invalid-choice error."""
     parser = argparse.ArgumentParser(
         prog="gbl",
         description="Desk-scale verification campaigns for Gauss-map geometry of graphs.",
@@ -68,8 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     from . import __version__
 
     parser.add_argument("--version", action="version", version=f"gbl {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags, samples) in _COMMANDS.items():
+    commands = {argv[0]: _COMMANDS[argv[0]]} if argv and argv[0] in _COMMANDS else _COMMANDS
+    metavar = None if commands is _COMMANDS else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (_, flags, samples) in commands.items():
         # no abbreviations: `certify --b` must not read as --beta0
         p = sub.add_parser(name, allow_abbrev=False)
         for flag in flags + _OUTPUT_FLAGS:
@@ -540,7 +545,7 @@ def _sweep_csv(report) -> str:
 
 def main(argv=None) -> int:
     _apply_thread_cap()
-    args = build_parser().parse_args(argv)
+    args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     start = time.monotonic()
     try:
         config = _validate(args)

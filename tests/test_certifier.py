@@ -410,15 +410,38 @@ class TestPrunedMinimum:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         ct.compute_K0(4, 3, 2.9, audit_samples=2_000, seed=8)
-        assert 0 < sum(handed) <= 3_000
+        assert 0 < sum(handed) <= 1_000
         handed.clear()
-        # the beta0 = 1 mesh and audit are one zero profile each, 9 distinct blocks
+        # the beta0 = 1 mesh and audit are one zero profile each, 9 distinct blocks, 1 of them 1 x 1
         ct.compute_K0(4, 3, 1.0, audit_samples=2_000, seed=8)
-        assert sum(handed) == 18
+        assert sum(handed) == 16
+
+    def test_k0_search_skips_the_work_that_cannot_change_the_minimum(self, monkeypatch):
+        # a 1 x 1 block is its own bound, and a Gershgorin-exact stack (at (4, 3) the II blocks)
+        # keeps only blocks no LDL^T test can clear
+        solved, tested = [], []
+        eigvalsh, clears = np.linalg.eigvalsh, ct._clears
+
+        def counting_eigvalsh(a):
+            solved.append(np.shape(a)[-1])
+            return eigvalsh(a)
+
+        def counting_clears(B, shift):
+            tested.append(B.shape[-1])
+            return clears(B, shift)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(ct, "_clears", counting_clears)
+        ct.compute_K0(4, 3, 2.9, audit_samples=2_000, seed=8)
+        assert [C.shape[-1] for C in ct._distinct_stacks(4, 3)] == [1, 2, 3, 5]
+        assert [exact for _, _, exact in ct._distinct_stacks(4, 3, True)] == [False, True, False, False]
+        # at m = 2 the I block, with unequal diagonals, shares the II blocks' size
+        assert [exact for _, _, exact in ct._distinct_stacks(3, 2, True)] == [False, False, False]
+        assert set(solved) == {2, 3} and set(tested) == {3, 5}
 
     def test_lemma_margin_prunes_its_eigensolves(self, monkeypatch):
-        # the first chunk meets an infinite cut and eigensolves its CHUNK triple blocks; the
-        # later chunks' blocks lie above the cut but for a few
+        # the first chunk meets an infinite cut and eigensolves its CHUNK // 4 triple blocks;
+        # the later chunks' blocks lie above the cut but for a few
         handed = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -430,7 +453,7 @@ class TestPrunedMinimum:
         vs = vs_of(lams)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         ct.block_margin("III", lams, vs)
-        assert 0 < sum(handed) <= ct.CHUNK + 100
+        assert 0 < sum(handed) <= ct.CHUNK // 4 + 100
 
 
 class TestK0Search:

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
@@ -293,6 +295,45 @@ class TestExitCodes:
     def test_pass_exits_zero(self):
         proc = run_cli(["lemmas", "--which", "aux"])
         assert proc.returncode == 0
+
+
+class TestParser:
+    """`main` builds only the subcommand its argv names; what argparse prints must not change."""
+
+    @staticmethod
+    def full_parse(argv):
+        """Exit code, stdout and stderr of the six-subcommand parser on an argv it exits on."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        return exc.value.code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", [[cmd, *tail] for cmd in FLAGS_READ
+                                      for tail in (["--help"], ["--bogus", "1"], ["--tolerance", "x"])]
+                             + [["--help"], ["--version"], [], ["frobnicate"], ["certify", "--which", "iv"]],
+                             ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_output_is_the_full_parsers(self, monkeypatch, argv):
+        # one terminal width for the subprocess and the in-process parser
+        monkeypatch.setenv("COLUMNS", "80")
+        proc = run_cli(argv)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == self.full_parse(argv)
+
+    def test_main_passes_its_argv_to_the_parser(self, monkeypatch, capsys):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda argv=None: built.append(argv) or build(argv))
+        monkeypatch.setattr(sys, "argv", ["gbl", "lemmas", "--which", "aux"])
+        assert cli.main() == 0
+        assert built == [["lemmas", "--which", "aux"]]
+
+    def test_full_parser_errors_name_the_command(self):
+        assert "gbl: error: argument command: invalid choice: 'frobnicate'" in self.full_parse(["frobnicate"])[2]
+        assert "gbl: error: the following arguments are required: command" in self.full_parse([])[2]
+
+    @pytest.mark.parametrize("command", FLAGS_READ)
+    def test_builds_only_the_named_subcommand(self, command):
+        chosen = cli.build_parser([command, "--seed", "1"])
+        action = next(a for a in chosen._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(action.choices) == [command]
 
 
 class TestDeterminism:

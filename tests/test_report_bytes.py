@@ -28,6 +28,17 @@ PINS = {
         "ffed72a787ca1c78e82858845fdc76d8651923a03395db8ab87be8f87ea85ab9",
     "graph --example holomorphic_pair":
         "a992266b10d12dbf047d90890e6dcf0dcfaf15db96879422b625283fb7047eff",
+    "certify --n 5 --m 3 --samples 2000":
+        "02433fca8cf7931d3a5b4a1b94061458ac28dfa7b523459cd210a07c9c6c5054",
+    "certify --n 6 --m 4 --samples 2000":
+        "9ca0252d62348e2c8b56a367b600fa12a52f06c9f5036a79eea95b8911215f62",
+    "sweep-k0 --n 6 --m 4 --samples 2000":
+        "aad3afbda8da445cfd1a94854af93b5f93defa825a6574d40f88f9bdacfae855",
+    # these two span several chunks of their batch minimum
+    "lemmas --which iii --samples 100000":
+        "23ebb18571a7841dd36252bb16a384f11a9d7d00900e367be62b815ccb2d7fc1",
+    "lemmas --which iv --samples 100000":
+        "61397a0bc671b69fc4d1d7deeb192b48c0e169a1f686a8b7a0347622a433c219",
 }
 
 

@@ -51,5 +51,6 @@ def test_chart_sampler_laps_per_batch(lap_marks):
 
 
 def test_one_eigvalsh_lap_per_block_size(lap_marks):
+    # a 1 x 1 block is its own bound and never reaches eigvalsh
     certifier.min_form_eigenvalue(4, 3, np.full((5, 3), 0.5))
-    assert len(lap_marks) == len({len(blk.slots) for blk in certifier.block_catalogue(4, 3)})
+    assert len(lap_marks) == len({len(blk.slots) for blk in certifier.block_catalogue(4, 3)} - {1}) == 3
