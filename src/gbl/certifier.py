@@ -238,7 +238,7 @@ def _stack(blocks) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _kind_stacks(n: int, m: int) -> dict:
-    """kind -> (slots (nb, s), C, G, exact): the slots and `_bounded` stack of every block of that kind."""
+    """kind -> (slots (nb, s), C, G): the slots and `_bounded` stack of every block of that kind."""
     kinds: dict = {}
     for blk in block_catalogue(n, m):
         kinds.setdefault(blk.kind, []).append(blk)
@@ -246,19 +246,17 @@ def _kind_stacks(n: int, m: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _distinct_stacks(n: int, m: int, bounded: bool = False) -> tuple:
-    """Coefficient stacks of the distinct blocks, one per block size, ascending (`_bounded` if bounded).
+def _distinct_stacks(n: int, m: int) -> tuple:
+    """`_bounded` stacks of the distinct blocks, one per block size, ascending.
 
     I_j and II_{j,ab} repeat for every high index j and the pure blocks are
     all the identity, so the distinct blocks do not depend on n beyond n > m.
     """
-    if bounded:
-        return tuple(_bounded(C) for C in _distinct_stacks(n, m))
     distinct = {(blk.coeffs.shape, blk.coeffs.tobytes()): blk for blk in block_catalogue(n, m)}
     sizes: dict = {}
     for blk in distinct.values():
         sizes.setdefault(len(blk.slots), []).append(blk)
-    return tuple(_stack(blks) for _, blks in sorted(sizes.items()))
+    return tuple(_bounded(_stack(blks)) for _, blks in sorted(sizes.items()))
 
 
 def _gershgorin(C: np.ndarray) -> np.ndarray:
@@ -271,9 +269,8 @@ def _gershgorin(C: np.ndarray) -> np.ndarray:
 
 
 def _bounded(C: np.ndarray) -> tuple:
-    """(C, G, exact): a stack, its `_gershgorin` rows, and whether its bound is exact, every block
-    [[d, c], [c, d]] with c >= 0 and lambda_min d - c.  The cached stack builders hold it."""
-    return C, _gershgorin(C), C.shape[-1] == 2 and np.array_equal(C[..., 0, 0], C[..., 1, 1])
+    """(C, G): a stack and its `_gershgorin` rows, as the cached stack builders hold it."""
+    return C, _gershgorin(C)
 
 
 def _contract(features: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -316,21 +313,20 @@ def _clears(B: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 def _batch_minimum(stacks, lams: np.ndarray, weights, offsets) -> tuple[int, float]:
     """First argmin and minimum over profiles (K, m) of w lambda_min(B) - o over the blocks B of
-    coefficient stacks (F, nb, s, s), alone or `_bounded`, with weights w > 0 and offsets o
-    scalars or (K,): bitwise those of the exhaustive per-profile values w min_B lambda_min(B) - o.
+    `_bounded` coefficient stacks (F, nb, s, s), with weights w > 0 and offsets o scalars or
+    (K,): bitwise those of the exhaustive per-profile values w min_B lambda_min(B) - o.
 
     A row whose profile, weight and offset equal the row before it ties with an earlier row and
     is skipped.  Per chunk of rows (CHUNK // 4, then CHUNK) and stack, in order, a block's bound
     is min_i (features . G)_i; a 1 x 1 block's is bitwise its `eigvalsh`.  With cut = running
     minimum + PRUNE_SLACK and shift = (cut + o) / w, a larger block is dropped when its bound
-    exceeds the shift or, once the cut is finite (an infinite one clears nothing) and the bound
-    is not exact (an exact one keeps no block that clears), when `_clears` finds B - shift I
-    positive definite; the rest go to one `eigvalsh` call (none if none is left).  A floating
-    LDL^T that completes is exact for a matrix within about s^2 u |B| of B (Higham, ch. 10; at
-    most 4e-13 for the 15 x 15 blocks at m = 8, |B| <= 17), far inside the slack, so a dropped
-    block can neither be nor tie the minimum.  Rounding is monotone and w > 0, so folding
-    w lambda_min - o per block into the row minimum gives bitwise w times the block minimum,
-    minus o.
+    exceeds the shift or, once the cut is finite (an infinite one clears nothing), when
+    `_clears` finds B - shift I positive definite; the rest go to one `eigvalsh` call (none if
+    none is left).  A floating LDL^T that completes is exact for a matrix within about
+    s^2 u |B| of B (Higham, ch. 10; at most 4e-13 for the 15 x 15 blocks at m = 8, |B| <= 17),
+    far inside the slack, so a dropped block can neither be nor tie the minimum.  Rounding is
+    monotone and w > 0, so folding w lambda_min - o per block into the row minimum gives
+    bitwise w times the block minimum, minus o.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.size == 0 or not np.all(lams >= 0.0):
@@ -339,13 +335,12 @@ def _batch_minimum(stacks, lams: np.ndarray, weights, offsets) -> tuple[int, flo
     repeat = _fold_last(np.minimum, lams[1:] == lams[:-1])
     repeat &= (weights[1:] == weights[:-1]) & (offsets[1:] == offsets[:-1])
     fresh = np.flatnonzero(np.r_[True, ~repeat])
-    stacks = [stack if isinstance(stack, tuple) else _bounded(stack) for stack in stacks]
     index, best = -1, math.inf
     for stop in range(CHUNK // 4, fresh.size + CHUNK, CHUNK):
         chunk = fresh[max(stop - CHUNK, 0) : stop]
         features, w, o = _features(lams[chunk]), weights[chunk], offsets[chunk]
         low = np.full(w.shape, math.inf)
-        for stack, G, exact in stacks:
+        for stack, G in stacks:
             bound = _fold_last(np.minimum, _contract(features, G))
             if stack.shape[-1] == 1:
                 np.minimum(low, w * _fold_last(np.minimum, bound) - o, out=low)
@@ -354,7 +349,7 @@ def _batch_minimum(stacks, lams: np.ndarray, weights, offsets) -> tuple[int, flo
             shift = (cut + o) / w
             rows, blocks = np.nonzero(bound <= shift[:, None])
             B = _contract(features, stack)[rows, blocks]
-            if math.isfinite(cut) and not exact:
+            if math.isfinite(cut):
                 hard = ~_clears(B, shift[rows])
                 rows, B = rows[hard], B[hard]
             if rows.size:
@@ -401,7 +396,7 @@ def decompose_terms(lams: np.ndarray, h: np.ndarray) -> TermDecomposition:
     def values(kind: str) -> np.ndarray:
         if kind not in stacks:
             return np.zeros(0)
-        slots, stack = stacks[kind][:2]
+        slots, stack, _ = stacks[kind]
         x = u[slots]
         return np.einsum("bi,bij,bj->b", x, _contract(_features(lams), stack), x)
 
@@ -426,7 +421,7 @@ def quadratic_form_batch(n: int, m: int, lams: np.ndarray) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     D = form_dimension(n, m)
     M = np.zeros((lams.shape[0], D, D))
-    for slots, stack, *_ in _kind_stacks(n, m).values():
+    for slots, stack, _ in _kind_stacks(n, m).values():
         M[:, slots[:, :, None], slots[:, None, :]] = _contract(_features(lams), stack)
     return profile_v(lams)[:, None, None] * M
 
@@ -435,7 +430,7 @@ def min_form_eigenvalue(n: int, m: int, lams: np.ndarray) -> tuple[int, float]:
     """First argmin and minimum over profiles (K, m) of the Delta-v form's smallest eigenvalue,
     v times the smallest eigenvalue over the distinct blocks (`_batch_minimum`)."""
     lams = np.asarray(lams, dtype=float)
-    return _batch_minimum(_distinct_stacks(n, m, True), lams, profile_v(lams), 0.0)
+    return _batch_minimum(_distinct_stacks(n, m), lams, profile_v(lams), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +520,8 @@ def find_eps0(m: int, samples: int = 1_000_000, seed: int = 0) -> Eps0Result:
     if m < 2:
         raise PreconditionViolated("need m >= 2")
     lams = sample_admissible_lambdas(m, 3.0, samples, substream(seed, 2))
-    C, G, exact = _kind_stacks(m, m)["IV"][1:]
-    return Eps0Result(m, _batch_minimum([(C[:, :1], G[:, :1], exact)], lams, 1.0, 0.0)[1], samples)
+    C, G = _kind_stacks(m, m)["IV"][1:]
+    return Eps0Result(m, _batch_minimum([(C[:, :1], G[:, :1])], lams, 1.0, 0.0)[1], samples)
 
 
 # ---------------------------------------------------------------------------

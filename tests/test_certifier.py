@@ -231,7 +231,7 @@ def vs_of(lams):
 
 def exhaustive_form_eigenvalues(n, m, lams):
     """Per-profile smallest form eigenvalue: v times lambda_min over every distinct block."""
-    low = np.concatenate([block_min_eigs(C, lams) for C in ct._distinct_stacks(n, m)], axis=1).min(axis=1)
+    low = np.concatenate([block_min_eigs(C, lams) for C, _ in ct._distinct_stacks(n, m)], axis=1).min(axis=1)
     return vs_of(lams) * low
 
 
@@ -330,8 +330,8 @@ class TestPrunedMinimum:
     @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 3), (6, 4), (9, 8)])
     def test_bound_is_below_lambda_min(self, n, m):
         features = ct._features(probe_profiles(n, m))
-        for stack in ct._distinct_stacks(n, m):
-            bound = np.tensordot(features, ct._gershgorin(stack), axes=1).min(axis=-1)
+        for stack, G in ct._distinct_stacks(n, m):
+            bound = np.tensordot(features, G, axes=1).min(axis=-1)
             assert np.all(bound <= np.linalg.eigvalsh(np.tensordot(features, stack, axes=1))[..., 0] + 1e-12)
 
     @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 3), (6, 4), (9, 8), ("I", 3), ("II", 2), ("III", 3)])
@@ -371,7 +371,7 @@ class TestPrunedMinimum:
         # a cleared block has lambda_min > shift - s^2 u |B|, far inside PRUNE_SLACK; at a shift of
         # exactly lambda_min rounding decides, so the test starts 1e-12 above it
         features = ct._features(probe_profiles(n, m))
-        for stack in ct._distinct_stacks(n, m):
+        for stack, _ in ct._distinct_stacks(n, m):
             s = stack.shape[-1]
             B = ct._contract(features, stack).reshape(-1, s, s)
             low = np.linalg.eigvalsh(B)[:, 0]
@@ -417,8 +417,7 @@ class TestPrunedMinimum:
         assert sum(handed) == 16
 
     def test_k0_search_skips_the_work_that_cannot_change_the_minimum(self, monkeypatch):
-        # a 1 x 1 block is its own bound, and a Gershgorin-exact stack (at (4, 3) the II blocks)
-        # keeps only blocks no LDL^T test can clear
+        # a 1 x 1 block is its own bound, so it reaches neither the LDL^T test nor eigvalsh
         solved, tested = [], []
         eigvalsh, clears = np.linalg.eigvalsh, ct._clears
 
@@ -433,11 +432,8 @@ class TestPrunedMinimum:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(ct, "_clears", counting_clears)
         ct.compute_K0(4, 3, 2.9, audit_samples=2_000, seed=8)
-        assert [C.shape[-1] for C in ct._distinct_stacks(4, 3)] == [1, 2, 3, 5]
-        assert [exact for _, _, exact in ct._distinct_stacks(4, 3, True)] == [False, True, False, False]
-        # at m = 2 the I block, with unequal diagonals, shares the II blocks' size
-        assert [exact for _, _, exact in ct._distinct_stacks(3, 2, True)] == [False, False, False]
-        assert set(solved) == {2, 3} and set(tested) == {3, 5}
+        assert [C.shape[-1] for C, _ in ct._distinct_stacks(4, 3)] == [1, 2, 3, 5]
+        assert set(solved) == {2, 3} and set(tested) == {2, 3, 5}
 
     def test_lemma_margin_prunes_its_eigensolves(self, monkeypatch):
         # the first chunk meets an infinite cut and eigensolves its CHUNK // 4 triple blocks;
@@ -757,7 +753,7 @@ class TestDiagonalBlock:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_eps0_is_the_batch_minimum(self, m):
         lams = ct.sample_admissible_lambdas(m, 3.0, 5_000, substream(3, 2))
-        stack = [ct._kind_stacks(m, m)["IV"][1][:, :1]]
+        stack = [ct._bounded(ct._kind_stacks(m, m)["IV"][1][:, :1])]
         assert ct.find_eps0(m, samples=5_000, seed=3).eps0 == ct._batch_minimum(stack, lams, 1.0, 0.0)[1]
 
     @pytest.mark.parametrize("lam,eps0", [(0.0, 1.0), (3.0, -3.5)])
