@@ -14,8 +14,9 @@ the form blockwise, and estimates the strong-subharmonicity constant
 
     K0(beta0) = min { Delta v / |h|^2 : prod(1 + lambda^2) <= beta0^2 }
 
-by one batch minimum of the smallest form eigenvalue over sorted profiles,
-plus a line search on the boundary face at n = m = 2.
+by the smallest form eigenvalue at the two profiles where K0 has a closed
+form, lambda = 0 and the pair profile, plus a line search on the boundary
+face at n = m = 2.
 
 K0 comes from that search alone; a sampled audit of the same form reports
 its minimum minus K0 and never lowers K0.  eps0 is the batch minimum of the
@@ -589,8 +590,10 @@ class CertificateReport:
     """Constrained-minimum estimate of K0 with its sampling audit and closed-form gap.
 
     k0 and argmin_lambda come from the search alone, and min_eigenvalue_trace
-    holds its stages.  worst_violation is the audit minimum minus k0 (inf with
-    no audit), negative when a sampled profile undercuts the search.
+    holds its stages: the minimum over the closed-form profiles, then the face
+    search's minimum when it is lower.  worst_violation is the audit minimum
+    minus k0 (inf with no audit), negative when a sampled profile undercuts
+    the search.
     """
     n: int
     m: int
@@ -623,37 +626,12 @@ def k0_closed_form(n: int, m: int, beta0: float) -> float | None:
     return 1.0 if m == 1 else min(1.0, beta0 * (3.0 - beta0) / 2.0)
 
 
-# axis values of the K0 mesh
-MESH_AXIS = 17
-# most rows the K0 mesh may keep: at most 298,775 at m <= 16 with beta0 >= 1 + 1e-10;
-# nearer 1 the 1e-12 slack of the admissibility test admits up to C(16 + m, m) rows
-# (735,471 at m = 8), and the search is refused
-MESH_ROWS = 300_000
-
-
-def _admissible_mesh(m: int, lam_max: float, bound2: float) -> np.ndarray:
-    """Non-increasing profiles over MESH_AXIS even values on [0, lam_max] (only 0 when
-    lam_max = 0) with prod(1 + lambda^2) <= bound2: bitwise, and in the same order, the
-    admissible rows of the full `combinations_with_replacement` mesh, never built.
-
-    Each level extends the kept index prefixes, in order, by each index from their last on
-    and keeps those whose running product of 1 + lambda^2 stays <= bound2; the factors are
-    >= 1, so the rounded product never falls along a row and no admissible row is cut.
-    """
-    g = MESH_AXIS if lam_max > 0.0 else 1
-    axis = np.linspace(0.0, lam_max, g)[::-1]
-    index, prod, last = np.zeros((1, 0), dtype=np.intp), np.ones(1), np.zeros(1, dtype=np.intp)
-    for _ in range(m):
-        counts = g - last
-        parent = np.repeat(np.arange(last.size), counts)
-        child = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts - last, counts)
-        prod = prod[parent] * (1.0 + axis[child] ** 2)
-        keep = prod <= bound2
-        if np.count_nonzero(keep) > MESH_ROWS:
-            raise PreconditionViolated(f"the K0 mesh at m = {m} passes {MESH_ROWS} rows: beta0 is too near 1")
-        index, prod, last = np.column_stack([index[parent[keep]], child[keep]]), prod[keep], child[keep]
-    mesh = axis[index]
-    return mesh[_fold_last(np.multiply, 1.0 + mesh**2) <= bound2]
+def _search_rows(m: int, beta0: float) -> np.ndarray:
+    """The profiles of the K0 search: lambda = 0 and, for m >= 2 and beta0 > 2, the closed-form
+    pair profile (sqrt(beta0 - 1), sqrt(beta0 - 1), 0, ...)."""
+    rows = np.zeros((2 if m >= 2 and beta0 > 2.0 else 1, m))
+    rows[1:, :2] = math.sqrt(beta0 - 1.0)
+    return rows
 
 
 def compute_K0(
@@ -668,18 +646,17 @@ def compute_K0(
     K0 = min over {lambda >= 0, prod(1+lambda^2) <= beta0^2} of the smallest
     eigenvalue of the Delta-v form; since the flattening is norm-preserving
     this bounds Delta v / |B|^2 from below.  beta0 = 3 is allowed as a
-    degenerate boundary probe; m > 16 is refused (289,227 mesh rows at m = 16,
-    beta0 = 1.001, 528,236 at m = 20), and so is a mesh of more than MESH_ROWS
-    rows.  The form is symmetric in lambda, so the search visits sorted
-    profiles: `_admissible_mesh` and, for m >= 2 and beta0 > 2, the
-    closed-form pair profile in one batch minimum.
+    degenerate boundary probe; m > 16 is refused, as the CLI refuses it.
+    The search evaluates the form, in one batch minimum, at the profiles
+    where `k0_closed_form` is attained (`_search_rows`): lambda = 0, where
+    the form is the identity, and for m >= 2 and beta0 > 2 the pair profile.
 
     At n = m = 2, where the catalogue holds only the two IV blocks and
     `k0_closed_form` is None, a bounded scalar search then minimises along
     the sorted face u_1 + u_2 = 2 log beta0, u = log1p(lambda^2), over
-    u_1 in [log beta0, 2 log beta0].  `evaluations` counts the mesh rows, the
-    face evaluations and the audit samples; `budget_exhausted` says the face
-    search stopped at scipy's iteration cap.
+    u_1 in [log beta0, 2 log beta0].  `evaluations` counts the closed-form
+    profiles, the face evaluations and the audit samples; `budget_exhausted`
+    says the face search stopped at scipy's iteration cap.
 
     The audit, `audit_samples` admissible profiles from substream (seed, 3),
     checks the search and never moves k0 (`CertificateReport.worst_violation`).
@@ -688,17 +665,10 @@ def compute_K0(
         raise PreconditionViolated("need 1 <= beta0 <= 3")
     if not (1 <= m <= min(n, 16)):
         raise PreconditionViolated("need 1 <= m <= n and m <= 16")
-    bound2 = beta0 * beta0 * (1.0 + 1e-12)
-    lam_max = math.sqrt(max(beta0 * beta0 - 1.0, 0.0))
-
-    mesh = _admissible_mesh(m, lam_max, bound2)
-    if m >= 2 and beta0 > 2.0:
-        pair = np.zeros((1, m))
-        pair[0, :2] = math.sqrt(beta0 - 1.0)
-        mesh = np.vstack([mesh, pair])
-    k, best_val = min_form_eigenvalue(n, m, mesh)
-    best_lam = mesh[k]
-    evaluations = mesh.shape[0]
+    rows = _search_rows(m, beta0)
+    k, best_val = min_form_eigenvalue(n, m, rows)
+    best_lam = rows[k]
+    evaluations = rows.shape[0]
     trace = [{"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val}]
 
     budget_exhausted = False

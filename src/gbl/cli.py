@@ -19,8 +19,8 @@ from .errors import GBLError, UsageError
 _K0_SWEEP_GRID = (1.0, 1.5, 2.0, 2.5, 2.9, 2.99)
 # largest m that certify and sweep-k0 accept: the audit sampler's acceptance
 # at beta0 = 2.9 falls about 4x per m (4.1e-4 at m = 8, 2.2e-5 at m = 10),
-# and default certify takes 30-42 s at (8, 8), its K0 search 156 s at (9, 9)
-# (2-core Xeon host)
+# and default certify takes 45-54 s at (8, 8), 42-49 s of it drawing the audit's
+# 100,000 profiles (2-core Xeon host)
 _K0_MAX_M = 8
 # largest --samples, find_eps0's default: 1e12 died in numpy's allocator
 _MAX_SAMPLES = 1_000_000

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -412,7 +413,7 @@ class TestPrunedMinimum:
         ct.compute_K0(4, 3, 2.9, audit_samples=2_000, seed=8)
         assert 0 < sum(handed) <= 1_000
         handed.clear()
-        # the beta0 = 1 mesh and audit are one zero profile each, 9 distinct blocks, 1 of them 1 x 1
+        # the beta0 = 1 search and audit are one zero profile each, 9 distinct blocks, 1 of them 1 x 1
         ct.compute_K0(4, 3, 1.0, audit_samples=2_000, seed=8)
         assert sum(handed) == 16
 
@@ -462,15 +463,15 @@ class TestK0Search:
 
     @pytest.mark.parametrize("beta0,recorded", [(2.5, 0.668483167922971), (2.9, 0.172955418985063)])
     def test_no_closed_form_at_two_two(self, beta0, recorded):
-        # n = m = 2 has no II block; recorded from the mesh plus Nelder-Mead search
+        # n = m = 2 has no II block; recorded from a search over a 17-value mesh plus Nelder-Mead
         k0 = ct.compute_K0(2, 2, beta0, audit_samples=2_000, seed=8).k0
         assert abs(k0 - recorded) <= 1e-9
         assert k0 <= recorded + 1e-12
 
     @pytest.mark.parametrize("n,m,moves", [(2, 2, True), (4, 3, False), (5, 3, False), (6, 4, False)])
     def test_where_the_face_search_works(self, n, m, moves):
-        # trace[0] is the mesh-plus-pair minimum; at (2, 2) the face search lowers it
-        # from 0.32145 to 0.17296, elsewhere no search follows the batch
+        # trace[0] is the minimum over the closed-form profiles; at (2, 2) the face search
+        # lowers it from 0.61768 to 0.17296, elsewhere no search follows the batch
         cert = ct.compute_K0(n, m, 2.9, audit_samples=0)
         drop = cert.min_eigenvalue_trace[0]["value"] - cert.k0
         if moves:
@@ -496,11 +497,11 @@ class TestK0Search:
         assert v_of(np.array(cert.argmin_lambda)) <= beta0 * (1.0 + 1e-12)
 
     def test_face_search_counts_its_evaluations(self):
-        # the 83 mesh rows at beta0 = 2.9, then one row per face evaluation
+        # the lambda = 0 and pair rows at beta0 = 2.9, then one row per face evaluation
         cert = ct.compute_K0(2, 2, 2.9, audit_samples=0)
-        assert cert.min_eigenvalue_trace[0]["evaluations"] == 83
+        assert cert.min_eigenvalue_trace[0]["evaluations"] == 2
         assert cert.evaluations == cert.min_eigenvalue_trace[1]["evaluations"]
-        assert 83 < cert.evaluations <= 83 + 40
+        assert 2 < cert.evaluations <= 2 + 40
 
     def test_iteration_cap_exhausts_the_budget(self, monkeypatch):
         # the face search stopped by scipy's iteration cap says so; its best point still counts
@@ -525,43 +526,35 @@ class TestK0Search:
             assert np.abs(exhaustive_form_eigenvalues(m + 2, m, lams[:, perm]) - base).max() <= 1e-13
             assert abs(ct.min_form_eigenvalue(m + 2, m, lams[:, perm])[1] - low) <= 1e-13
 
-    @pytest.mark.parametrize("m", range(1, 8))
-    @pytest.mark.parametrize("beta0", [1.0, 1.5, 2.0, 2.2, 2.5, 2.9, 2.99])
-    def test_mesh_is_the_filtered_sorted_mesh(self, m, beta0):
-        # every sorted row over the 17 axis values, then the admissibility filter: the
-        # same rows, bitwise and in the same order
+    @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (3, 2), (4, 3), (5, 3), (6, 4), (5, 5), (7, 7)])
+    @pytest.mark.parametrize("beta0", [1.0, 1.5, 2.0, 2.1, 2.5, 2.9, 2.99, 3.0])
+    def test_k0_is_below_the_sorted_mesh(self, n, m, beta0):
+        # every admissible non-increasing profile over 17 even values on [0, sqrt(beta0^2 - 1)],
+        # plus the pair profile: the search may not miss a lower row
         lam_max = math.sqrt(beta0 * beta0 - 1.0)
-        bound2 = beta0 * beta0 * (1.0 + 1e-12)
-        g = ct.MESH_AXIS if lam_max > 0.0 else 1
-        index = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(g), m))
-        full = np.linspace(0.0, lam_max, g)[::-1][np.fromiter(index, dtype=np.intp).reshape(-1, m)]
-        expected = full[np.prod(1.0 + full**2, axis=1) <= bound2]
-        mesh = ct._admissible_mesh(m, lam_max, bound2)
-        assert mesh.shape == expected.shape and mesh.tobytes() == expected.tobytes()
-
-    def test_mesh_at_m_eight_builds_admissible_rows_only(self):
-        # the full sorted mesh is C(24, 8) = 735,471 rows of 8 floats (47 MB), of which
-        # 2,506 are admissible at beta0 = 2.9
-        tracemalloc.start()
-        mesh = ct._admissible_mesh(8, math.sqrt(2.9**2 - 1.0), 2.9**2 * (1.0 + 1e-12))
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert mesh.shape == (2_506, 8)
-        assert peak < 2_000_000
-
-    def test_mesh_past_its_row_cap_is_refused(self):
-        # within 1e-13 of beta0 = 1 the 1e-12 slack of the admissibility test admits
-        # nearly all C(24, 8) = 735,471 sorted rows at m = 8
-        with pytest.raises(PreconditionViolated):
-            ct.compute_K0(8, 8, 1.0 + 1e-14, audit_samples=0)
+        axis = np.linspace(0.0, lam_max, 17 if lam_max > 0.0 else 1)
+        mesh = axis[sorted_mesh_indices(axis.size, m)]
+        mesh = mesh[np.prod(1.0 + mesh**2, axis=1) <= beta0 * beta0 * (1.0 + 1e-12)]
+        if m >= 2:
+            pair = np.zeros((1, m))
+            pair[0, :2] = math.sqrt(beta0 - 1.0)
+            mesh = np.vstack([mesh, pair])
+        assert ct.compute_K0(n, m, beta0, audit_samples=0).k0 <= ct.min_form_eigenvalue(n, m, mesh)[1]
 
     def test_k0_refuses_m_past_sixteen_before_building(self, monkeypatch):
-        def no_mesh(*args):
-            raise AssertionError("a mesh was built")
+        def no_search(*args):
+            raise AssertionError("a search batch ran")
 
-        monkeypatch.setattr(ct, "_admissible_mesh", no_mesh)
+        monkeypatch.setattr(ct, "min_form_eigenvalue", no_search)
         with pytest.raises(PreconditionViolated):
             ct.compute_K0(17, 17, 2.9, audit_samples=0)
+
+
+@lru_cache(maxsize=None)
+def sorted_mesh_indices(g, m):
+    """Index rows (C(g + m - 1, m), m) of every non-increasing profile over g axis values."""
+    index = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(g), m))
+    return np.fromiter(index, dtype=np.intp).reshape(-1, m)[:, ::-1]
 
 
 def worst_pair_margin(v_bound, samples, m=2, seed=0):

@@ -148,6 +148,14 @@ class TestExitCodes:
         monkeypatch.setattr(certifier, "sample_admissible_lambdas", no_sample)
         assert cli.main([command, "--n", "9", "--m", "9"]) == 2
 
+    def test_certify_just_above_one_at_m_eight(self, capsys):
+        # the search is the one row lambda = 0 at every beta0 <= 2, however near 1
+        argv = ["certify", "--n", "8", "--m", "8", "--beta0", "1.00000000000001", "--samples", "2000"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["payload"]["certificate"]["k0"] == 1.0
+        assert next(c for c in report["checks"] if c["name"] == "audit_no_undercut")["status"] == "PASS"
+
     @pytest.mark.parametrize("argv", [["lemmas", "--which", "iii"], ["certify"], ["sweep-k0"],
                                       ["shrink"], ["cross-validate"]])
     def test_samples_above_cap_exit_two(self, monkeypatch, capsys, argv):
@@ -376,18 +384,18 @@ class TestChecksCanFail:
         return next(c for c in report["checks"] if c["name"] == name)
 
     def test_audit_fails_when_the_search_misses(self, monkeypatch, capsys):
-        # a mesh of the one row (0.3, 0.3, 0.3) misses the minimum, which the audit finds
-        mesh = np.full((1, 3), 0.3)
-        monkeypatch.setattr(certifier, "_admissible_mesh", lambda m, lam_max, bound2: mesh)
+        # a search of the one row (0.3, 0.3, 0.3) misses the minimum, which the audit finds
+        rows = np.full((1, 3), 0.3)
+        monkeypatch.setattr(certifier, "_search_rows", lambda m, beta0: rows)
         assert cli.main(["certify", "--n", "4", "--m", "3", "--beta0", "1.5", "--samples", "2000"]) == 1
         report = json.loads(capsys.readouterr().out)
-        searched = certifier.min_form_eigenvalue(4, 3, mesh)[1]
+        searched = certifier.min_form_eigenvalue(4, 3, rows)[1]
         audit = certifier.sample_admissible_lambdas(3, 1.5, 2000, substream(0, 3))
         check = self._check(report, "audit_no_undercut")
         assert check["status"] == "FAIL"
         assert check["margin"] == certifier.min_form_eigenvalue(4, 3, audit)[1] - searched < 0.0
         cert = report["payload"]["certificate"]
-        assert cert["k0"] == searched and cert["argmin_lambda"] == mesh[0].tolist()
+        assert cert["k0"] == searched and cert["argmin_lambda"] == rows[0].tolist()
         assert len(cert["min_eigenvalue_trace"]) == 1
 
     def test_eps0_check_fails_outside_the_sublevel_set(self, monkeypatch, capsys):

@@ -11,9 +11,9 @@ import pytest
 
 PINS = {
     "certify --samples 2000":
-        "ac44176d59adc94c1e1e2ae128f32bf7eb5ebb234cb95b0f1c60d0003f3ae2bd",
+        "447667cb8be09750d8100bdb0c6bcb35b27a9ce0855e62a059c220b03359cd3c",
     "certify --n 2 --m 2 --beta0 2.1 --samples 2000":
-        "b634967c607f25eb0791876b58b5da1f6b73e874119d9cae9606f6ae8f0ef8dc",
+        "d624cf314d36290d1088036872fb20c5ba54b4d0b84051eeddf891d36b236197",
     "sweep-k0 --samples 2000":
         "0aa6bd5551de3dab894c38a7056363d821ca33d99bef8995b50d0ba5828dbf1d",
     "sweep-k0 --n 3 --m 1 --samples 2000":
@@ -29,9 +29,9 @@ PINS = {
     "graph --example holomorphic_pair":
         "a992266b10d12dbf047d90890e6dcf0dcfaf15db96879422b625283fb7047eff",
     "certify --n 5 --m 3 --samples 2000":
-        "02433fca8cf7931d3a5b4a1b94061458ac28dfa7b523459cd210a07c9c6c5054",
+        "548c3076182faad517a627d8afc35a5c3737f3c5568beeb026337a7f64d76ea6",
     "certify --n 6 --m 4 --samples 2000":
-        "9ca0252d62348e2c8b56a367b600fa12a52f06c9f5036a79eea95b8911215f62",
+        "6382b6b2912fba927a4be0b08a76e422d025082fdd8395622e65e1fbbaa4f8ed",
     "sweep-k0 --n 6 --m 4 --samples 2000":
         "aad3afbda8da445cfd1a94854af93b5f93defa825a6574d40f88f9bdacfae855",
     # these two span several chunks of their batch minimum
