@@ -66,10 +66,6 @@ def _pair_table(n: int):
     return pairs, slot, weights
 
 
-def form_dimension(n: int, m: int) -> int:
-    return m * (n * (n + 1) // 2)
-
-
 def flatten_h(h: np.ndarray) -> np.ndarray:
     """Batched symmetric flattening over (a, i <= j); h has shape (..., m, n, n).
 
@@ -420,7 +416,7 @@ def quadratic_form_batch(n: int, m: int, lams: np.ndarray) -> np.ndarray:
     from the dense matrix.
     """
     lams = np.asarray(lams, dtype=float)
-    D = form_dimension(n, m)
+    D = m * (n * (n + 1) // 2)
     M = np.zeros((lams.shape[0], D, D))
     for slots, stack, _ in _kind_stacks(n, m).values():
         M[:, slots[:, :, None], slots[:, None, :]] = _contract(_features(lams), stack)
@@ -469,28 +465,6 @@ def block_margin(kind: str, lams: np.ndarray, vs: np.ndarray) -> tuple[int, floa
     if kind == "I":
         return _batch_minimum([stack], lams, 1.0, 1.0)
     return _batch_minimum([stack], lams, 2.0, 3.0 - np.asarray(vs, dtype=float))
-
-
-def verify_omega_sup(v: float, C: float) -> float:
-    """Sup of f = 1/(v-x) + 1/(v-y) + 1/(v-z) on the constrained slab, in closed form.
-
-    Domain: 1 <= x, y < v, z > v, xyz = C.  Returns -inf when the domain is
-    empty (C <= v forces z <= v).  The claimed bound is sup <= 2/(v-1).
-
-    The sup is the corner value f(1, 1, C) = 2/(v-1) + 1/(v-C).  Along xy = P,
-    1/(v - e^s) is convex in s = log x, so 1/(v-x) + 1/(v-y) is convex in
-    log x and largest at an end, x = 1 or y = 1.  That leaves
-    h(P) = 1/(v-1) + 1/(v-P) + 1/(v - C/P) on 1 <= P < C/v, where
-    h'(P) = 1/(v-P)^2 - C/(vP - C)^2 <= 0, since C - vP <= sqrt(C)(v - P)
-    reduces to -sqrt(C) <= P when C <= v^2.  So P = 1 attains the sup.
-    """
-    if v <= 1.0:
-        raise PreconditionViolated("need v > 1")
-    if not (1.0 <= C <= v * v * (1.0 + 1e-12)):
-        raise PreconditionViolated("need 1 <= C <= v^2")
-    if C <= v * (1.0 + 1e-15):
-        return -np.inf
-    return 2.0 / (v - 1.0) + 1.0 / (v - C)
 
 
 # ---------------------------------------------------------------------------

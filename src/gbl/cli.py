@@ -51,7 +51,7 @@ _FLAGS = {
     "--example": dict(default="holomorphic_pair"),
     "--point": {},
     "--graph-spec": {},
-    "--which": dict(choices=("aux", "grouping", "es1", "es2", "pair", "iii", "iv", "all"), default="all"),
+    "--which": dict(choices=("aux", "grouping", "es1", "pair", "iii", "iv", "all"), default="all"),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--tolerance": dict(type=float),
     "--out": {},
@@ -88,9 +88,9 @@ def _validate(args) -> dict:
     """The echoed config; raises UsageError on malformed input before any work.
 
     The config is every flag the subcommand declares but --out, in
-    declaration order.  Also parses --point into `args.coords`, reads
-    --graph-spec into `args.spec` (None when not given) and, for shrink,
-    checks it into `args.graph` with `_cloud_graph`.
+    declaration order.  Also parses --point into `args.coords`, and reads
+    --graph-spec into `args.spec` (None when not given) and the graph it
+    describes into `args.graph` (`_spec_graph`; for shrink, `_cloud_graph`).
     """
     _, flags, samples = _COMMANDS[args.command]
     dests = [f[2:].replace("-", "_") for f in flags + _OUTPUT_FLAGS if f != "--out"]
@@ -133,9 +133,18 @@ def _validate(args) -> dict:
                 args.spec = json.load(fh)
         except (OSError, ValueError) as exc:
             raise UsageError(f"--graph-spec {args.graph_spec}: {exc}") from None
-        if args.command == "shrink":
-            args.graph = _cloud_graph(args)
+        args.graph = _cloud_graph(args) if args.command == "shrink" else _spec_graph(args)
     return cfg
+
+
+def _spec_graph(args):
+    """The graph --graph-spec describes; raises UsageError naming the error that refuses it."""
+    from . import graphs
+
+    try:
+        return graphs.graph_from_spec(args.spec)
+    except GBLError as exc:
+        raise UsageError(f"--graph-spec {args.graph_spec}: {type(exc).__name__}: {exc}") from None
 
 
 def _cloud_graph(args):
@@ -146,8 +155,6 @@ def _cloud_graph(args):
     """
     import numpy as np
 
-    from . import graphs
-
     graph = None
     if isinstance(args.spec, list):
         if not args.spec:
@@ -157,10 +164,7 @@ def _cloud_graph(args):
         except ValueError as exc:
             raise UsageError(f"--graph-spec {args.graph_spec}: {exc}") from None
     else:
-        try:
-            graph = graphs.graph_from_spec(args.spec)
-        except GBLError as exc:
-            raise UsageError(f"--graph-spec {args.graph_spec}: {exc}") from None
+        graph = _spec_graph(args)
         dims = [(graph.n, graph.m)]
     for dim in dims:
         if dim != (args.n, args.m):
@@ -240,15 +244,15 @@ def _cmd_lemmas(args, report) -> None:
         )
 
     # the block lemmas, each the `block_margin` of one kind on its own sample
-    for names, kind, m, stream, name, tol, claim in (
-        (("es1",), "I", 3, 32, "es1_bound", 1e-12,
+    for option, kind, m, stream, name, tol, claim in (
+        ("es1", "I", 3, 32, "es1_bound", 1e-12,
          "I_j >= 2 sum_a h_{a,aj}^2: the I block dominates the identity"),
-        (("es2", "pair"), "II", 2, 33, "pair_product_bound", 1e-12,
+        ("pair", "II", 2, 33, "pair_product_bound", 1e-12,
          "lambda_a lambda_b <= v - 1 whenever prod(1+lambda^2) <= v^2 <= 9"),
-        (("iii",), "III", 3, 34, "triple_block_psd", certifier.PSD_TOL,
+        ("iii", "III", 3, 34, "triple_block_psd", certifier.PSD_TOL,
          "the triple block dominates (3 - v) I for admissible profiles with v <= 3"),
     ):
-        if which in names + ("all",):
+        if which in (option, "all"):
             lams = certifier.sample_admissible_lambdas(m, 3.0, args.samples, substream(args.seed, stream))
             margin = certifier.block_margin(kind, lams, certifier.profile_v(lams))[1]
             report.add_margin(name, margin, _tolerance(args, tol), claim)
@@ -277,9 +281,7 @@ def _parse_point(args, n: int):
 def _load_graph(args):
     from . import graphs
 
-    if args.graph_spec:
-        return graphs.graph_from_spec(args.spec)
-    return graphs.builtin(args.example)
+    return args.graph if args.graph_spec else graphs.builtin(args.example)
 
 
 def _fd_agreement(G, x, step: float):

@@ -72,8 +72,9 @@ class GraphImmersion:
         return x
 
 
-def _validate_derivatives(G: GraphImmersion, points, rtol: float = 1e-6) -> None:
-    """Central-difference sanity check that jac/hess really differentiate eval.
+def _validate_derivatives(G: GraphImmersion, points) -> None:
+    """Central-difference sanity check that jac/hess really differentiate eval, to 1e-6 (hess: 50
+    times that) times the largest derivative entry or 1.
 
     The 2n displaced copies of a point go through G as one stack, so this
     also checks that the immersion broadcasts.
@@ -90,9 +91,9 @@ def _validate_derivatives(G: GraphImmersion, points, rtol: float = 1e-6) -> None
         jac_err = np.abs(dj - J.T).max(axis=1)
         hess_err = np.abs(dh - np.moveaxis(Hf, -1, 0)).max(axis=(1, 2))
         for i in range(G.n):
-            if jac_err[i] > rtol * scale:
+            if jac_err[i] > 1e-6 * scale:
                 raise DimensionMismatch(f"{G.name}: jac mismatch at {x} axis {i}")
-            if hess_err[i] > 50 * rtol * scale:
+            if hess_err[i] > 50 * 1e-6 * scale:
                 raise DimensionMismatch(f"{G.name}: hess mismatch at {x} axis {i}")
 
 
@@ -300,7 +301,6 @@ def graph_from_spec(spec: dict) -> GraphImmersion:
 class PointGeometry:
     """The pointwise geometry of a graph at x; the metric and the Gauss plane are built from `jac`
     when first read."""
-    x: np.ndarray
     slope: float
     jac: np.ndarray                # (m, n) Df
     lambdas: np.ndarray            # (m,) singular values of Df, descending
@@ -334,7 +334,6 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
     J = G.jac(x)
     lambdas, h = _adapted_second_form(J, G.hess(x))
     return PointGeometry(
-        x=x,
         slope=float(certifier.profile_v(lambdas)),
         jac=J,
         lambdas=lambdas,
@@ -548,14 +547,9 @@ def _cube_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, wts
 
 
-def mean_gauss_image(
-    G: GraphImmersion,
-    center,
-    radius: float,
-    P0: grassmann.GrassmannPoint | None = None,
-    order: int = 8,
-) -> grassmann.GrassmannPoint:
-    """Riemannian mean of the Gauss map over a domain ball, via the radial embedding.
+def mean_gauss_image(G: GraphImmersion, center, radius: float, order: int = 8) -> grassmann.GrassmannPoint:
+    """Riemannian mean of the Gauss map over a domain ball, via the radial embedding around the
+    base plane P0.
 
     Tensor-product Gauss-Legendre nodes on the bounding cube (`_cube_rule`,
     built once per (n, order)) restricted to the ball, weighted by the
@@ -566,8 +560,7 @@ def mean_gauss_image(
     rows R = (I | Df^T), whose volume element is sqrt(det(R R^T)) = sqrt(det g).
     """
     center = np.asarray(center, dtype=float)
-    if P0 is None:
-        P0 = grassmann.standard_plane(G.n, G.m)
+    P0 = grassmann.standard_plane(G.n, G.m)
     nodes, wts = _cube_rule(G.n, order)
     pts = nodes * radius
     inside = np.linalg.norm(pts, axis=1) <= radius

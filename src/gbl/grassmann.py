@@ -262,17 +262,6 @@ def _geodesic_directions(Q: GrassmannPoint, P1: GrassmannPoint):
 
 
 @dataclass(frozen=True)
-class TangentVector:
-    """Tangent vector at `base`, as components in an orthonormal coframe."""
-    base: GrassmannPoint
-    coeffs: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-
-@dataclass(frozen=True)
 class AdaptedFrames:
     """Orthonormal frames at P aligned with the principal directions towards P0.
 
@@ -370,17 +359,17 @@ def hessian_v(P: GrassmannPoint, P0: GrassmannPoint) -> np.ndarray:
     return v_value(P, P0) * hessian_over_v(adapted_frames(P, P0).lambdas, P.n)
 
 
-def geodesic_velocity(Q: GrassmannPoint, P1: GrassmannPoint, frames: AdaptedFrames) -> TangentVector:
-    """Unit initial velocity of the geodesic Q -> P1, in `frames` components.
+def geodesic_velocity(Q: GrassmannPoint, P1: GrassmannPoint, frames: AdaptedFrames) -> np.ndarray:
+    """Unit initial velocity of the geodesic Q -> P1, as (n, m) components in `frames`.
 
-    coeffs[i, a] is the pairing of the moving-frame derivative with
+    Entry [i, a] is the pairing of the moving-frame derivative with
     frames.normal[a] when the moving frame starts at frames.tangent.
     """
     left, u, angles, L = _geodesic_directions(Q, P1)
     if L == 0.0:
-        return TangentVector(Q, np.zeros((Q.n, Q.m)))
+        return np.zeros((Q.n, Q.m))
     vel = (angles / L)[:, None] * u
-    return TangentVector(Q, (frames.tangent @ left.T) @ (vel @ frames.normal.T))
+    return (frames.tangent @ left.T) @ (vel @ frames.normal.T)
 
 
 def log_volume(s2: np.ndarray) -> np.ndarray:
@@ -465,12 +454,7 @@ def geodesic_fraction(thetas: np.ndarray, log_v: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampling helpers (vectorised; used by the shrinking module and the tests)
-
-def random_point(n: int, m: int, rng: np.random.Generator) -> GrassmannPoint:
-    """Haar-ish random oriented plane from a Gaussian row span."""
-    return GrassmannPoint(_orthonormalize_rows(rng.standard_normal((n, n + m))))
-
+# sampling helpers (vectorised; used by the shrinking module)
 
 def chart_v(Zs: np.ndarray) -> np.ndarray:
     """Batched v = sqrt(det(I + Z Z^T)) for Zs of shape (..., n, m)."""
@@ -478,11 +462,6 @@ def chart_v(Zs: np.ndarray) -> np.ndarray:
     n = Zs.shape[-2]
     gram = np.eye(n) + np.einsum("...ia,...ja->...ij", Zs, Zs)
     return np.sqrt(np.linalg.det(gram))
-
-
-def chart_thetas(Zs: np.ndarray) -> np.ndarray:
-    """Batched principal angles to the chart center: arctan of singular values."""
-    return np.arctan(np.linalg.svd(np.asarray(Zs, dtype=float), compute_uv=False))
 
 
 def to_ball(s: np.ndarray) -> np.ndarray:

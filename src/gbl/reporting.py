@@ -61,11 +61,6 @@ class CheckRecord:
     tolerance: float
     claim: str
 
-    @classmethod
-    def from_margin(cls, name: str, margin: float, tolerance: float, claim: str) -> "CheckRecord":
-        status = "PASS" if margin >= -tolerance else "FAIL"
-        return cls(name=name, status=status, margin=margin, tolerance=tolerance, claim=claim)
-
 
 @dataclass
 class Report:
@@ -75,11 +70,11 @@ class Report:
     checks: list = field(default_factory=list)
     payload: dict = field(default_factory=dict)
 
-    def add(self, record: CheckRecord) -> None:
-        self.checks.append(record)
-
     def add_margin(self, name: str, margin: float, tolerance: float, claim: str) -> None:
-        self.add(CheckRecord.from_margin(name, float(margin), float(tolerance), claim))
+        """Record a check that passes when margin >= -tolerance."""
+        margin, tolerance = float(margin), float(tolerance)
+        status = "PASS" if margin >= -tolerance else "FAIL"
+        self.checks.append(CheckRecord(name, status, margin, tolerance, claim))
 
     @property
     def failed(self) -> int:

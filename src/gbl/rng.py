@@ -21,7 +21,7 @@ BATCH_MAX_VALUES = 12_000_000
 MAX_DRAWN_VALUES = 10_000_000
 
 
-def substream(seed: int, stream: int = 0) -> np.random.Generator:
+def substream(seed: int, stream: int) -> np.random.Generator:
     """Generator for task `stream` of the campaign keyed by `seed`.
 
     Distinct streams are separated by 2^192 states of the Philox counter,

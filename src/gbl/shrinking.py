@@ -43,16 +43,9 @@ class ShrinkParameters:
             raise PreconditionViolated("need 1 <= b <= beta0")
 
     @property
-    def alpha(self) -> float:
-        return math.acos(1.0 / self.a)
-
-    @property
-    def beta(self) -> float:
-        return math.acos(1.0 / self.b)
-
-    @property
     def c(self) -> float:
-        """sec(alpha - beta) via the product form; v(P2, P1) target in case II."""
+        """sec(alpha - beta) with alpha = arccos(1/a), beta = arccos(1/b), via the product form;
+        v(P2, P1) target in case II."""
         return 1.0 / (
             1.0 / (self.a * self.b)
             + math.sqrt(1.0 - self.a**-2) * math.sqrt(1.0 - self.b**-2)

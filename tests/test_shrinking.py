@@ -23,7 +23,8 @@ def point_at_v(P1, target_v, rng):
 class TestParameters:
     def test_cosine_sum_identity(self):
         p = sh.ShrinkParameters(a=3.0, b=2.8, beta0=2.9)
-        direct = 1.0 / math.cos(p.alpha - p.beta)
+        # c = sec(alpha - beta) with alpha = arccos(1/a) and beta = arccos(1/b)
+        direct = 1.0 / math.cos(math.acos(1.0 / p.a) - math.acos(1.0 / p.b))
         assert p.c == pytest.approx(direct, abs=1e-12)
 
     def test_threshold_at_three(self):
