@@ -39,6 +39,12 @@ PINS = {
         "23ebb18571a7841dd36252bb16a384f11a9d7d00900e367be62b815ccb2d7fc1",
     "lemmas --which iv --samples 100000":
         "61397a0bc671b69fc4d1d7deeb192b48c0e169a1f686a8b7a0347622a433c219",
+    # the default sweep: one K0 batch of 120,009 rows, seven chunks
+    "sweep-k0 --samples 20000":
+        "48fe0b23af2d5b6238fea585cf8aba6c100dc11cc7b790ba8121e89317de7167",
+    # the (2, 2) face search runs per beta0 after the sweep's one batch minimum
+    "sweep-k0 --n 2 --m 2 --samples 2000":
+        "d916ed205b12362f34e5c948a18f84c78fbdc9c6a3fc5ff575128d2a1351ff9b",
     "shrink --n 2 --m 2 --samples 2000":
         "c9d3536343369e879a84b505a56c5d5cb542eebaab8e66fc07b2cc269abc5583",
     "cross-validate --example lawson_osserman --samples 50":
