@@ -22,11 +22,14 @@ K0 comes from that search alone; a sampled audit of the same form reports
 its minimum minus K0 and never lowers K0.  eps0 is the batch minimum of the
 diagonal-block bound, unclipped, so a negative value shows on the report.
 
-K0, eps0 and the block-lemma margins are batch minima: `_batch_minimum`
-skips a profile that repeats the one before it, reads a 1 x 1 block off its
-Gershgorin bound, drops the blocks that the bound and then an LDL^T test
-place above the running minimum, eigensolves the rest, and returns bitwise
-the argmin and minimum of the exhaustive per-profile values.
+K0, eps0 and the block-lemma margins are batch minima.  `_batch_minimum`
+takes one group of profiles or several contiguous ones (`compute_K0` puts
+every beta0's search profiles and audit in one call, one group each),
+skips a profile that repeats the one before it in its group, reads a 1 x 1
+block off its Gershgorin bound, drops the blocks that the bound and then an
+LDL^T test place above their group's running minimum, eigensolves the
+rest, and returns bitwise each group's argmin and minimum of the
+exhaustive per-profile values.
 """
 from __future__ import annotations
 
@@ -44,8 +47,9 @@ from .rng import rejection_sample, substream
 
 # single global slack absorbing eigensolver roundoff in PSD assertions
 PSD_TOL = 1e-9
-# profiles per chunk of a batch minimum, which bounds the memory of one chunk's blocks
-CHUNK = 20_000
+# profiles per chunk of a batch minimum, which bounds the memory of one chunk's blocks; a
+# chunk of 20,000 (4, 3) profiles cost more per profile than two of 10,000 (2-core Xeon)
+CHUNK = 10_000
 # a block whose Gershgorin bound exceeds the running minimum by more than this,
 # or whose LDL^T test clears it by this, is not eigensolved; the slack absorbs
 # the rounding of bound, LDL^T and eigensolve
@@ -308,33 +312,50 @@ def _clears(B: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _batch_minimum(stacks, lams: np.ndarray, weights, offsets) -> tuple[int, float]:
+def _batch_minimum(stacks, lams: np.ndarray, weights, offsets, starts=None):
     """First argmin and minimum over profiles (K, m) of w lambda_min(B) - o over the blocks B of
     `_bounded` coefficient stacks (F, nb, s, s), with weights w > 0 and offsets o scalars or
     (K,): bitwise those of the exhaustive per-profile values w min_B lambda_min(B) - o.
 
-    A row whose profile, weight and offset equal the row before it ties with an earlier row and
-    is skipped.  Per chunk of rows (CHUNK // 4, then CHUNK) and stack, in order, a block's bound
-    is min_i (features . G)_i; a 1 x 1 block's is bitwise its `eigvalsh`.  With cut = running
-    minimum + PRUNE_SLACK and shift = (cut + o) / w, a larger block is dropped when its bound
-    exceeds the shift or, once the cut is finite (an infinite one clears nothing), when
-    `_clears` finds B - shift I positive definite; the rest go to one `eigvalsh` call (none if
-    none is left).  A floating LDL^T that completes is exact for a matrix within about
-    s^2 u |B| of B (Higham, ch. 10; at most 4e-13 for the 15 x 15 blocks at m = 8, |B| <= 17),
-    far inside the slack, so a dropped block can neither be nor tie the minimum.  Rounding is
-    monotone and w > 0, so folding w lambda_min - o per block into the row minimum gives
-    bitwise w times the block minimum, minus o.
+    With `starts`, the ascending first rows of contiguous groups (starts[0] = 0; an empty group
+    repeats the next start or ends at K), it returns one (argmin, minimum) per group, the argmin
+    a row of lams, each bitwise that of a separate call on the group's rows; an empty group
+    gives (-1, inf).  Without it the batch is one group and the pair is returned alone.
+
+    A row whose profile, weight and offset equal the row before it in its group ties with an
+    earlier row and is skipped; a group's first row is never skipped.  Per chunk of rows
+    (CHUNK // 2, then CHUNK) and stack, in order, a block's bound is min_i (features . G)_i; a
+    1 x 1 block's is bitwise its `eigvalsh`.  With cut = the running minimum of the row's group
+    + PRUNE_SLACK and shift = (cut + o) / w, a larger block is dropped when its bound exceeds the
+    shift or, once some group's cut is finite, when `_clears` finds B - shift I positive
+    definite (an infinite shift fails the first pivot, so such a row clears nothing); the rest
+    go to one `eigvalsh` call (none if none is left).  Only the blocks the bound keeps are
+    formed, block by block: each coefficient entry of the catalogue is one feature times a
+    weight, or 1 plus lambda_a^2 times 1 or 2, so each entry of B rounds once in any summation
+    order and a block formed alone has the bits it has in the whole stack.  A floating LDL^T
+    that completes is exact for a matrix within about s^2 u |B| of B (Higham, ch. 10; at most
+    4e-13 for the 15 x 15 blocks at m = 8, |B| <= 17), far inside the slack, so a dropped block
+    can neither be nor tie its group's minimum.  Rounding is monotone and w > 0, so folding
+    w lambda_min - o per block into the row minimum gives bitwise w times the block minimum,
+    minus o.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.size == 0 or not np.all(lams >= 0.0):
         raise PreconditionViolated("need a nonempty batch of nonnegative profiles")
-    weights, offsets = np.full(lams.shape[0], weights, dtype=float), np.full(lams.shape[0], offsets, dtype=float)
+    K = lams.shape[0]
+    firsts = np.array((0,) if starts is None else starts, dtype=np.intp)
+    weights, offsets = np.full(K, weights, dtype=float), np.full(K, offsets, dtype=float)
     repeat = _fold_last(np.minimum, lams[1:] == lams[:-1])
     repeat &= (weights[1:] == weights[:-1]) & (offsets[1:] == offsets[:-1])
+    repeat[firsts[(firsts > 0) & (firsts < K)] - 1] = False
     fresh = np.flatnonzero(np.r_[True, ~repeat])
-    index, best = -1, math.inf
-    for stop in range(CHUNK // 4, fresh.size + CHUNK, CHUNK):
+    index, best = np.full(firsts.size, -1), np.full(firsts.size, math.inf)
+    for stop in range(CHUNK // 2, fresh.size + CHUNK, CHUNK):
         chunk = fresh[max(stop - CHUNK, 0) : stop]
+        # group g holds the chunk's rows edges[g]:edges[g + 1]; a group's first row is fresh
+        edges = np.r_[np.searchsorted(chunk, firsts), chunk.size]
+        g = np.flatnonzero(edges[1:] > edges[:-1])
+        heads, sizes = edges[g], edges[g + 1] - edges[g]
         features, w, o = _features(lams[chunk]), weights[chunk], offsets[chunk]
         low = np.full(w.shape, math.inf)
         for stack, G in stacks:
@@ -342,19 +363,24 @@ def _batch_minimum(stacks, lams: np.ndarray, weights, offsets) -> tuple[int, flo
             if stack.shape[-1] == 1:
                 np.minimum(low, w * _fold_last(np.minimum, bound) - o, out=low)
                 continue
-            cut = min(best, low.min()) + PRUNE_SLACK
-            shift = (cut + o) / w
+            cut = np.minimum(best[g], np.minimum.reduceat(low, heads)) + PRUNE_SLACK
+            shift = (np.repeat(cut, sizes) + o) / w
             rows, blocks = np.nonzero(bound <= shift[:, None])
-            B = _contract(features, stack)[rows, blocks]
-            if math.isfinite(cut):
+            B = np.empty((rows.size,) + stack.shape[2:])
+            for b in range(stack.shape[1]):
+                pick = blocks == b
+                B[pick] = _contract(features[rows[pick]], stack[:, b])
+            if np.isfinite(cut).any():
                 hard = ~_clears(B, shift[rows])
                 rows, B = rows[hard], B[hard]
             if rows.size:
                 np.minimum.at(low, rows, w[rows] * np.linalg.eigvalsh(B)[:, 0] - o[rows])
-        k = int(np.argmin(low))
-        if low[k] < best:
-            index, best = int(chunk[k]), float(low[k])
-    return index, best
+        for group, head, end in zip(g, heads, heads + sizes):
+            k = head + int(np.argmin(low[head:end]))
+            if low[k] < best[group]:
+                index[group], best[group] = chunk[k], low[k]
+    minima = [(int(k), float(low)) for k, low in zip(index, best)]
+    return minima[0] if starts is None else minima
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +449,12 @@ def quadratic_form_batch(n: int, m: int, lams: np.ndarray) -> np.ndarray:
     return profile_v(lams)[:, None, None] * M
 
 
-def min_form_eigenvalue(n: int, m: int, lams: np.ndarray) -> tuple[int, float]:
+def min_form_eigenvalue(n: int, m: int, lams: np.ndarray, starts=None):
     """First argmin and minimum over profiles (K, m) of the Delta-v form's smallest eigenvalue,
-    v times the smallest eigenvalue over the distinct blocks (`_batch_minimum`)."""
+    v times the smallest eigenvalue over the distinct blocks (`_batch_minimum`); with `starts`,
+    one per contiguous group of rows."""
     lams = np.asarray(lams, dtype=float)
-    return _batch_minimum(_distinct_stacks(n, m), lams, profile_v(lams), 0.0)
+    return _batch_minimum(_distinct_stacks(n, m), lams, profile_v(lams), 0.0, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -611,19 +638,25 @@ def _search_rows(m: int, beta0: float) -> np.ndarray:
 def compute_K0(
     n: int,
     m: int,
-    beta0: float,
+    beta0s,
     audit_samples: int = 100_000,
     seed: int = 0,
-) -> CertificateReport:
-    """Minimise the smallest form eigenvalue over admissible profiles.
+) -> list[CertificateReport]:
+    """Minimise the smallest form eigenvalue over admissible profiles, one report per beta0.
 
     K0 = min over {lambda >= 0, prod(1+lambda^2) <= beta0^2} of the smallest
     eigenvalue of the Delta-v form; since the flattening is norm-preserving
     this bounds Delta v / |B|^2 from below.  beta0 = 3 is allowed as a
-    degenerate boundary probe; m > 16 is refused, as the CLI refuses it.
-    The search evaluates the form, in one batch minimum, at the profiles
-    where `k0_closed_form` is attained (`_search_rows`): lambda = 0, where
-    the form is the identity, and for m >= 2 and beta0 > 2 the pair profile.
+    degenerate boundary probe; m > 16 is refused (the CLI refuses m > 8,
+    `cli._K0_MAX_M`).  The search evaluates the form at the profiles where
+    `k0_closed_form` is attained (`_search_rows`): lambda = 0, where the form
+    is the identity, and for m >= 2 and beta0 > 2 the pair profile.
+
+    The audit of each beta0, `audit_samples` admissible profiles from
+    substream (seed, 3), checks the search and never moves k0
+    (`CertificateReport.worst_violation`).  Every beta0's search rows and
+    audit go into one `min_form_eigenvalue` call, one group each, and each
+    group's minimum is bitwise that of a call of its own.
 
     At n = m = 2, where the catalogue holds only the two IV blocks and
     `k0_closed_form` is None, a bounded scalar search then minimises along
@@ -631,55 +664,52 @@ def compute_K0(
     u_1 in [log beta0, 2 log beta0].  `evaluations` counts the closed-form
     profiles, the face evaluations and the audit samples; `budget_exhausted`
     says the face search stopped at scipy's iteration cap.
-
-    The audit, `audit_samples` admissible profiles from substream (seed, 3),
-    checks the search and never moves k0 (`CertificateReport.worst_violation`).
     """
-    if not (1.0 <= beta0 <= 3.0):
+    if not all(1.0 <= beta0 <= 3.0 for beta0 in beta0s):
         raise PreconditionViolated("need 1 <= beta0 <= 3")
     if not (1 <= m <= min(n, 16)):
         raise PreconditionViolated("need 1 <= m <= n and m <= 16")
-    rows = _search_rows(m, beta0)
-    k, best_val = min_form_eigenvalue(n, m, rows)
-    best_lam = rows[k]
-    evaluations = rows.shape[0]
-    trace = [{"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val}]
+    groups = []
+    for beta0 in beta0s:
+        groups += [_search_rows(m, beta0), sample_admissible_lambdas(m, beta0, audit_samples, substream(seed, 3))]
+    lams = np.concatenate(groups)
+    minima = min_form_eigenvalue(n, m, lams, np.cumsum([0] + [len(rows) for rows in groups[:-1]]))
+    reports = []
+    for beta0, rows, (k, best_val), (_, audit_low) in zip(beta0s, groups[::2], minima[::2], minima[1::2]):
+        best_lam = lams[k]
+        evaluations = rows.shape[0]
+        trace = [{"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val}]
 
-    budget_exhausted = False
-    if n == m == 2 and beta0 > 1.0:
-        log_b = math.log(beta0)
+        budget_exhausted = False
+        if n == m == 2 and beta0 > 1.0:
+            log_b = math.log(beta0)
 
-        def face(u1: float) -> np.ndarray:
-            return np.sqrt(np.expm1(np.array([[u1, 2.0 * log_b - u1]])))
+            def face(u1: float) -> np.ndarray:
+                return np.sqrt(np.expm1(np.array([[u1, 2.0 * log_b - u1]])))
 
-        res = minimize_scalar(lambda u1: min_form_eigenvalue(2, 2, face(u1))[1], bounds=(log_b, 2.0 * log_b),
-                              method="bounded", options={"xatol": 1e-12})
-        evaluations += res.nfev
-        budget_exhausted = not res.success
-        if res.fun < best_val:
-            best_val, best_lam = float(res.fun), face(res.x)[0]
-            trace.append({"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val})
+            res = minimize_scalar(lambda u1: min_form_eigenvalue(2, 2, face(u1))[1], bounds=(log_b, 2.0 * log_b),
+                                  method="bounded", options={"xatol": 1e-12})
+            evaluations += res.nfev
+            budget_exhausted = not res.success
+            if res.fun < best_val:
+                best_val, best_lam = float(res.fun), face(res.x)[0]
+                trace.append({"evaluations": evaluations, "lambda": best_lam.tolist(), "value": best_val})
 
-    worst_violation = float("inf")
-    if audit_samples > 0:
-        audit = sample_admissible_lambdas(m, beta0, audit_samples, substream(seed, 3))
-        low = min_form_eigenvalue(n, m, audit)[1]
-        evaluations += audit.shape[0]
-        worst_violation = low - best_val
-
-    closed = k0_closed_form(n, m, beta0)
-    return CertificateReport(
-        n=n,
-        m=m,
-        beta0=beta0,
-        k0=best_val,
-        k0_closed_form=closed,
-        closed_form_gap=None if closed is None else best_val - closed,
-        argmin_lambda=best_lam.tolist(),
-        v_at_argmin=float(profile_v(best_lam)),
-        min_eigenvalue_trace=trace,
-        sample_count=audit_samples,
-        worst_violation=worst_violation,
-        budget_exhausted=budget_exhausted,
-        evaluations=evaluations,
-    )
+        closed = k0_closed_form(n, m, beta0)
+        reports.append(CertificateReport(
+            n=n,
+            m=m,
+            beta0=beta0,
+            k0=best_val,
+            k0_closed_form=closed,
+            closed_form_gap=None if closed is None else best_val - closed,
+            argmin_lambda=best_lam.tolist(),
+            v_at_argmin=float(profile_v(best_lam)),
+            min_eigenvalue_trace=trace,
+            sample_count=audit_samples,
+            # inf with no audit: its group is empty
+            worst_violation=audit_low - best_val,
+            budget_exhausted=budget_exhausted,
+            evaluations=evaluations + audit_samples,
+        ))
+    return reports

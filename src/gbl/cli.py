@@ -183,8 +183,8 @@ def _cmd_certify(args, report) -> None:
     from . import certifier
 
     tol = _tolerance(args, 1e-12)
-    cert = certifier.compute_K0(
-        args.n, args.m, args.beta0, audit_samples=args.samples, seed=args.seed
+    (cert,) = certifier.compute_K0(
+        args.n, args.m, (args.beta0,), audit_samples=args.samples, seed=args.seed
     )
     report.payload["certificate"] = cert
     report.add_margin(
@@ -472,13 +472,10 @@ def _cmd_sweep_k0(args, report) -> None:
     rows = []
     prev = math.inf
     monotone_margin = math.inf
-    for beta0 in _K0_SWEEP_GRID:
-        cert = certifier.compute_K0(
-            args.n, args.m, beta0, audit_samples=args.samples, seed=args.seed
-        )
+    for cert in certifier.compute_K0(args.n, args.m, _K0_SWEEP_GRID, audit_samples=args.samples, seed=args.seed):
         rows.append(
             {
-                "beta0": beta0,
+                "beta0": cert.beta0,
                 "k0": cert.k0,
                 "k0_closed_form": cert.k0_closed_form,
                 "closed_form_gap": cert.closed_form_gap,

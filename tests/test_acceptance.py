@@ -99,15 +99,15 @@ def test_criterion_04_eps0_bisection():
 
 def test_criterion_05_k0_certificates():
     with Budget("5 subharmonicity constant", 60.0):
-        cert1 = ct.compute_K0(4, 3, 1.0, audit_samples=1_000, seed=0)
+        cert1 = ct.compute_K0(4, 3, (1.0,), audit_samples=1_000, seed=0)[0]
         assert cert1.k0 == 1.0
         prev = cert1.k0
         for beta0 in (1.5, 2.0, 2.5, 2.9):
-            cert = ct.compute_K0(4, 3, beta0, audit_samples=5_000, seed=0)
+            cert = ct.compute_K0(4, 3, (beta0,), audit_samples=5_000, seed=0)[0]
             assert cert.k0 > 0.0
             assert cert.k0 <= prev + 1e-9
             prev = cert.k0
-        probe = ct.compute_K0(4, 3, 3.0, audit_samples=5_000, seed=0)
+        probe = ct.compute_K0(4, 3, (3.0,), audit_samples=5_000, seed=0)[0]
         assert -1e-8 <= probe.k0 <= 1e-3
 
 

@@ -278,12 +278,12 @@ class TestBlockCatalogue:
     @pytest.mark.parametrize("beta0", [1.5, 2.5, 2.9])
     def test_k0_closed_form(self, n, m, beta0):
         # the II block v (1 - lambda_a lambda_b / 2) with lambda_a lambda_b <= v - 1
-        cert = ct.compute_K0(n, m, beta0, audit_samples=2_000, seed=8)
+        cert = ct.compute_K0(n, m, (beta0,), audit_samples=2_000, seed=8)[0]
         assert cert.k0 == pytest.approx(min(1.0, beta0 * (3.0 - beta0) / 2.0), abs=1e-6)
 
     @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (4, 3)])
     def test_report_closed_form_gap(self, n, m):
-        cert = ct.compute_K0(n, m, 2.9, audit_samples=2_000, seed=8)
+        cert = ct.compute_K0(n, m, (2.9,), audit_samples=2_000, seed=8)[0]
         assert cert.k0_closed_form == ct.k0_closed_form(n, m, 2.9)
         assert cert.closed_form_gap == cert.k0 - cert.k0_closed_form
         assert abs(cert.closed_form_gap) <= 1e-6
@@ -295,7 +295,7 @@ class TestBlockCatalogue:
         assert ct.k0_closed_form(2, 2, beta0) is None
 
     def test_report_without_closed_form(self):
-        cert = ct.compute_K0(2, 2, 2.9, audit_samples=2_000, seed=8)
+        cert = ct.compute_K0(2, 2, (2.9,), audit_samples=2_000, seed=8)[0]
         assert cert.k0_closed_form is None and cert.closed_form_gap is None
         # the searched k0 lies 0.028 above the pair value the other shapes reach
         assert cert.k0 > ct.k0_closed_form(3, 2, 2.9) + 0.02
@@ -327,6 +327,18 @@ class TestPrunedMinimum:
                 for blk in ct.block_catalogue(n, m):
                     off = ~np.eye(len(blk.slots), dtype=bool)
                     assert np.all(blk.coeffs[:, off] >= 0.0), (n, m, blk.kind, blk.key)
+
+    def test_each_block_entry_rounds_once(self):
+        # one feature times a weight, or 1 plus lambda_a^2 times 1 or 2: B(lambda) has the same
+        # bits in any summation order, so `_batch_minimum` may form only the blocks it keeps
+        for m in range(1, 9):
+            for n in (m, m + 1):
+                for blk in ct.block_catalogue(n, m):
+                    for entry in blk.coeffs.reshape(blk.coeffs.shape[0], -1).T:
+                        terms = np.flatnonzero(entry)
+                        assert len(terms) <= 1 or (
+                            terms.tolist() == [0, terms[1]] and entry[0] == 1.0 and entry[terms[1]] in (1.0, 2.0)
+                        ), (n, m, blk.kind, blk.key)
 
     @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 3), (6, 4), (9, 8)])
     def test_bound_is_below_lambda_min(self, n, m):
@@ -410,11 +422,11 @@ class TestPrunedMinimum:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        ct.compute_K0(4, 3, 2.9, audit_samples=2_000, seed=8)
+        ct.compute_K0(4, 3, (2.9,), audit_samples=2_000, seed=8)
         assert 0 < sum(handed) <= 1_000
         handed.clear()
         # the beta0 = 1 search and audit are one zero profile each, 9 distinct blocks, 1 of them 1 x 1
-        ct.compute_K0(4, 3, 1.0, audit_samples=2_000, seed=8)
+        ct.compute_K0(4, 3, (1.0,), audit_samples=2_000, seed=8)
         assert sum(handed) == 16
 
     def test_k0_search_skips_the_work_that_cannot_change_the_minimum(self, monkeypatch):
@@ -432,12 +444,12 @@ class TestPrunedMinimum:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(ct, "_clears", counting_clears)
-        ct.compute_K0(4, 3, 2.9, audit_samples=2_000, seed=8)
+        ct.compute_K0(4, 3, (2.9,), audit_samples=2_000, seed=8)
         assert [C.shape[-1] for C, _ in ct._distinct_stacks(4, 3)] == [1, 2, 3, 5]
         assert set(solved) == {2, 3} and set(tested) == {2, 3, 5}
 
     def test_lemma_margin_prunes_its_eigensolves(self, monkeypatch):
-        # the first chunk meets an infinite cut and eigensolves its CHUNK // 4 triple blocks;
+        # the first chunk meets an infinite cut and eigensolves its CHUNK // 2 triple blocks;
         # the later chunks' blocks lie above the cut but for a few
         handed = []
         eigvalsh = np.linalg.eigvalsh
@@ -450,7 +462,72 @@ class TestPrunedMinimum:
         vs = vs_of(lams)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         ct.block_margin("III", lams, vs)
-        assert 0 < sum(handed) <= ct.CHUNK // 4 + 100
+        assert 0 < sum(handed) <= ct.CHUNK // 2 + 100
+
+
+def separate_minima(n, m, groups):
+    """One `min_form_eigenvalue` call per group, its argmin a row of the whole batch."""
+    out, start = [], 0
+    for rows in groups:
+        if len(rows):
+            k, low = ct.min_form_eigenvalue(n, m, rows)
+            out.append((start + k, low))
+        else:
+            out.append((-1, math.inf))
+        start += len(rows)
+    return out
+
+
+def grouped_minima(n, m, groups):
+    starts = np.cumsum([0] + [len(rows) for rows in groups[:-1]])
+    return ct.min_form_eigenvalue(n, m, np.concatenate(groups), starts)
+
+
+class TestGroupedMinimum:
+    """One batch minimum over contiguous groups gives each group bitwise its own call's minimum."""
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (3, 3), (4, 3), (6, 4), (9, 8)])
+    def test_repeated_row_is_kept_at_a_group_start(self, n, m):
+        # beta0 = 1: the lambda = 0 search row, then an audit of equal rows; then a group whose
+        # first row, the pair profile and so its minimum where K0 has a closed form at m >= 2,
+        # repeats the last row of the group before it
+        search = ct._search_rows(m, 2.9)
+        audit = ct.sample_admissible_lambdas(m, 2.9, 300, substream(21, m))
+        groups = [np.zeros((1, m)), np.zeros((2_000, m)), search, np.vstack([search[-1:], audit])]
+        minima = grouped_minima(n, m, groups)
+        assert minima == separate_minima(n, m, groups)
+        assert minima[1] == (1, 1.0)
+        if m >= 2 and ct.k0_closed_form(n, m, 2.9) is not None:
+            assert minima[3][0] == 2_001 + len(search)
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (3, 3), (4, 3), (6, 4)])
+    def test_group_straddling_the_first_chunk(self, n, m):
+        # the 2.9 audit runs from just below the first chunk's end into the next chunk, where
+        # its cut is its own and not that of the search rows beside it; the 2.5 groups start in
+        # that chunk with no minimum yet, which at n = m, with no 1 x 1 block, is an infinite cut
+        # beside the finite one of the 2.9 audit
+        head = ct.CHUNK // 2
+        groups = [ct._search_rows(m, 2.9), ct.sample_admissible_lambdas(m, 1.5, head - 10, substream(22, m)),
+                  ct.sample_admissible_lambdas(m, 2.9, 3_000, substream(23, m)), ct._search_rows(m, 2.5),
+                  ct.sample_admissible_lambdas(m, 2.5, 200, substream(24, m))]
+        minima = grouped_minima(n, m, groups)
+        assert minima == separate_minima(n, m, groups)
+        assert minima[1][1] > minima[0][1] or m == 1
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 3)])
+    def test_empty_group(self, n, m):
+        search = ct._search_rows(m, 2.9)
+        groups = [search, np.zeros((0, m)), search, np.zeros((0, m))]
+        minima = grouped_minima(n, m, groups)
+        assert minima == separate_minima(n, m, groups)
+        assert minima[1] == minima[3] == (-1, math.inf)
+        assert all(cert.worst_violation == math.inf for cert in ct.compute_K0(n, m, (1.0, 2.9), audit_samples=0))
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 3)])
+    def test_reports_equal_one_call_per_beta0(self, n, m):
+        grid = (1.0, 1.5, 2.0, 2.5, 2.9, 2.99)
+        separate = [ct.compute_K0(n, m, (beta0,), audit_samples=500, seed=3)[0] for beta0 in grid]
+        assert ct.compute_K0(n, m, grid, audit_samples=500, seed=3) == separate
 
 
 class TestK0Search:
@@ -458,14 +535,14 @@ class TestK0Search:
     @pytest.mark.parametrize("beta0", [2.5, 2.9, 2.99])
     def test_closed_form_oracle(self, n, m, beta0):
         # the pair profile (sqrt(beta0 - 1), sqrt(beta0 - 1), 0, ...) attains the closed form
-        cert = ct.compute_K0(n, m, beta0, audit_samples=2_000, seed=8)
+        cert = ct.compute_K0(n, m, (beta0,), audit_samples=2_000, seed=8)[0]
         assert abs(cert.closed_form_gap) <= 1e-14
 
     @pytest.mark.parametrize("beta0,recorded", [(2.5, 0.668483167922971), (2.9, 0.172955418985063)])
     def test_no_closed_form_at_two_two(self, beta0, recorded):
         # n = m = 2 has no II block; the recorded values are regression values of the face
         # search's minimum along the boundary face u_1 + u_2 = 2 log beta0
-        k0 = ct.compute_K0(2, 2, beta0, audit_samples=2_000, seed=8).k0
+        k0 = ct.compute_K0(2, 2, (beta0,), audit_samples=2_000, seed=8)[0].k0
         assert abs(k0 - recorded) <= 1e-9
         assert k0 <= recorded + 1e-12
 
@@ -473,7 +550,7 @@ class TestK0Search:
     def test_where_the_face_search_works(self, n, m, moves):
         # trace[0] is the minimum over the closed-form profiles; at (2, 2) the face search
         # lowers it from 0.61768 to 0.17296, elsewhere no search follows the batch
-        cert = ct.compute_K0(n, m, 2.9, audit_samples=0)
+        cert = ct.compute_K0(n, m, (2.9,), audit_samples=0)[0]
         drop = cert.min_eigenvalue_trace[0]["value"] - cert.k0
         if moves:
             assert drop > 0.1 and len(cert.min_eigenvalue_trace) == 2
@@ -492,14 +569,14 @@ class TestK0Search:
         face = np.linspace(0.0, cap, 20_001)
         u = np.vstack([np.column_stack([U1[inside], U2[inside]]), np.column_stack([face, cap - face])])
         _, oracle = ct.min_form_eigenvalue(2, 2, np.sqrt(np.expm1(u)))
-        cert = ct.compute_K0(2, 2, beta0, audit_samples=0)
+        cert = ct.compute_K0(2, 2, (beta0,), audit_samples=0)[0]
         assert cert.k0 <= oracle + 1e-12
         assert not cert.budget_exhausted
         assert v_of(np.array(cert.argmin_lambda)) <= beta0 * (1.0 + 1e-12)
 
     def test_face_search_counts_its_evaluations(self):
         # the lambda = 0 and pair rows at beta0 = 2.9, then one row per face evaluation
-        cert = ct.compute_K0(2, 2, 2.9, audit_samples=0)
+        cert = ct.compute_K0(2, 2, (2.9,), audit_samples=0)[0]
         assert cert.min_eigenvalue_trace[0]["evaluations"] == 2
         assert cert.evaluations == cert.min_eigenvalue_trace[1]["evaluations"]
         assert 2 < cert.evaluations <= 2 + 40
@@ -512,10 +589,10 @@ class TestK0Search:
             return minimize_scalar(*args, **{**kwargs, "options": {**kwargs["options"], "maxiter": 2}})
 
         monkeypatch.setattr(ct, "minimize_scalar", capped)
-        cert = ct.compute_K0(2, 2, 2.9, audit_samples=0)
+        cert = ct.compute_K0(2, 2, (2.9,), audit_samples=0)[0]
         assert cert.budget_exhausted
         assert cert.k0 < cert.min_eigenvalue_trace[0]["value"]
-        assert not ct.compute_K0(4, 3, 2.9, audit_samples=0).budget_exhausted
+        assert not ct.compute_K0(4, 3, (2.9,), audit_samples=0)[0].budget_exhausted
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_form_is_symmetric_in_lambda(self, m):
@@ -540,7 +617,7 @@ class TestK0Search:
             pair = np.zeros((1, m))
             pair[0, :2] = math.sqrt(beta0 - 1.0)
             mesh = np.vstack([mesh, pair])
-        assert ct.compute_K0(n, m, beta0, audit_samples=0).k0 <= ct.min_form_eigenvalue(n, m, mesh)[1]
+        assert ct.compute_K0(n, m, (beta0,), audit_samples=0)[0].k0 <= ct.min_form_eigenvalue(n, m, mesh)[1]
 
     def test_k0_refuses_m_past_sixteen_before_building(self, monkeypatch):
         def no_search(*args):
@@ -548,7 +625,7 @@ class TestK0Search:
 
         monkeypatch.setattr(ct, "min_form_eigenvalue", no_search)
         with pytest.raises(PreconditionViolated):
-            ct.compute_K0(17, 17, 2.9, audit_samples=0)
+            ct.compute_K0(17, 17, (2.9,), audit_samples=0)
 
 
 @lru_cache(maxsize=None)
@@ -810,13 +887,12 @@ class TestAuxiliaryExtrema:
 
 class TestComputeK0:
     def test_unit_bound_is_exact(self):
-        cert = ct.compute_K0(3, 2, 1.0, audit_samples=100, seed=1)
+        cert = ct.compute_K0(3, 2, (1.0,), audit_samples=100, seed=1)[0]
         assert cert.k0 == 1.0
 
     def test_monotone_sweep(self):
         values = []
-        for beta0 in (1.0, 1.5, 2.0, 2.5, 2.9, 2.99):
-            cert = ct.compute_K0(4, 3, beta0, audit_samples=2_000, seed=2)
+        for cert in ct.compute_K0(4, 3, (1.0, 1.5, 2.0, 2.5, 2.9, 2.99), audit_samples=2_000, seed=2):
             values.append(cert.k0)
             assert cert.k0 > 0.0
         diffs = np.diff(values)
@@ -824,26 +900,26 @@ class TestComputeK0:
         assert values[-1] < 0.05
 
     def test_boundary_probe(self):
-        cert = ct.compute_K0(4, 3, 3.0, audit_samples=2_000, seed=3)
+        cert = ct.compute_K0(4, 3, (3.0,), audit_samples=2_000, seed=3)[0]
         assert -1e-8 <= cert.k0 <= 1e-3
 
     def test_regression_value(self):
         # recorded baseline: the minimum sits on the two-equal-slope boundary,
         # k0(2.9) = 2.9 * (1 - 1.9/2) = 0.145
-        cert = ct.compute_K0(4, 3, 2.9, audit_samples=5_000, seed=4)
+        cert = ct.compute_K0(4, 3, (2.9,), audit_samples=5_000, seed=4)[0]
         assert cert.k0 == pytest.approx(0.145, abs=2e-4)
         assert cert.worst_violation >= -1e-12
         assert cert.v_at_argmin <= 2.9 + 1e-9
 
     def test_audit_never_undercuts(self):
-        cert = ct.compute_K0(3, 2, 2.5, audit_samples=20_000, seed=5)
+        cert = ct.compute_K0(3, 2, (2.5,), audit_samples=20_000, seed=5)[0]
         assert cert.worst_violation >= -1e-12
         assert cert.min_eigenvalue_trace
 
     def test_montecarlo_ratio_audit(self):
         # independent check: a million random (lambda, h) ratios stay above the
         # recorded k0(2.9) for (n, m) = (4, 3)
-        cert = ct.compute_K0(4, 3, 2.9, audit_samples=2_000, seed=6)
+        cert = ct.compute_K0(4, 3, (2.9,), audit_samples=2_000, seed=6)[0]
         rng = substream(16, 0)
         worst = math.inf
         for chunk in range(5):

@@ -417,6 +417,31 @@ class TestChecksCanFail:
         assert report["payload"]["eps0"]["eps0"] == check["margin"]
 
 
+class TestK0CallShape:
+    """A K0 command makes one batch minimum, every beta0's search rows and audit in one call;
+    at n = m = 2 each face evaluation is one more call of one row."""
+
+    @pytest.mark.parametrize("argv", [["sweep-k0", "--n", "4", "--m", "3"], ["certify", "--n", "5", "--m", "3"],
+                                      ["certify", "--n", "2", "--m", "2"]])
+    def test_one_batch_minimum_per_command(self, monkeypatch, capsys, argv):
+        rows = []
+        batch = certifier.min_form_eigenvalue
+
+        def counting(*args, **kwargs):
+            rows.append(len(args[2]))
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(certifier, "min_form_eigenvalue", counting)
+        assert cli.main(argv + ["--samples", "500"]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        if argv[0] == "sweep-k0":
+            assert rows == [6 * 500 + 9]
+            return
+        face = payload["certificate"]["evaluations"] - rows[0]
+        assert rows == [2 + 500] + [1] * face
+        assert (face > 0) == (argv[2] == "2")
+
+
 class TestReportContract:
     """Keys the benchmark's k0-sweep ops read from the certify and sweep-k0 reports."""
 

@@ -275,7 +275,7 @@ class TestClosedForm:
     def test_holomorphic_strong_subharmonicity(self):
         # Delta v >= K0 |B|^2 wherever the slope stays below 2.9
         G = gg.builtin("holomorphic_pair")
-        cert = ct.compute_K0(3, 2, 2.9, audit_samples=2_000, seed=7)
+        cert = ct.compute_K0(3, 2, (2.9,), audit_samples=2_000, seed=7)[0]
         rng = substream(22, 0)
         count = 0
         while count < 200:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbl import certifier, grassmann
+from gbl import certifier, cli, grassmann
 from gbl.rng import substream
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -54,3 +54,18 @@ def test_one_eigvalsh_lap_per_block_size(lap_marks):
     # a 1 x 1 block is its own bound and never reaches eigvalsh
     certifier.min_form_eigenvalue(4, 3, np.full((5, 3), 0.5))
     assert len(lap_marks) == len({len(blk.slots) for blk in certifier.block_catalogue(4, 3)} - {1}) == 3
+
+
+def test_tracer_counts_the_sweep_profiles(monkeypatch, capsys):
+    # the tracer reads the profiles as min_form_eigenvalue's third positional argument: the
+    # sweep's one batch minimum holds six audits of 2,000 and nine search rows
+    for span in tracing.SPANS:
+        module_name, attr = span.rsplit(".", 1)
+        module = tracing._MODULES[module_name]
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    tracer = tracing.Tracer()
+    tracer.install()
+    assert cli.main(["sweep-k0", "--samples", "2000"]) == 0
+    capsys.readouterr()
+    assert tracer.counts["certifier.eigensolve.profiles"] == 12_009
+    assert sum(span[0] == "certifier.compute_K0" for span in tracer.spans) == 1
