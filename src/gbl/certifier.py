@@ -25,11 +25,10 @@ diagonal-block bound, unclipped, so a negative value shows on the report.
 K0, eps0 and the block-lemma margins are batch minima.  `_batch_minimum`
 takes one group of profiles or several contiguous ones (`compute_K0` puts
 every beta0's search profiles and audit in one call, one group each),
-skips a profile that repeats the one before it in its group, reads a 1 x 1
-block off its Gershgorin bound, drops the blocks that the bound and then an
-LDL^T test place above their group's running minimum, eigensolves the
-rest, and returns bitwise each group's argmin and minimum of the
-exhaustive per-profile values.
+reads a 1 x 1 block off its Gershgorin bound, drops the blocks that the
+bound and then an LDL^T test place above their group's running minimum,
+eigensolves the rest, and returns bitwise each group's argmin and minimum
+of the exhaustive per-profile values.
 """
 from __future__ import annotations
 
@@ -232,23 +231,29 @@ def block_catalogue(n: int, m: int) -> tuple[FormBlock, ...]:
     return tuple(out)
 
 
-def _stack(blocks) -> np.ndarray:
-    """Coefficients of same-size blocks as one (F, nb, s, s) array."""
-    return np.stack([blk.coeffs for blk in blocks], axis=1)
+def _stack(blocks) -> tuple:
+    """(C, G): the coefficients of same-size blocks as one (F, nb, s, s) stack C and its rows
+    G = 2 diag(C) - rowsum(C), shape (F, nb, s).
+
+    No off-diagonal coefficient of the catalogue is negative, nor any feature at lambda >= 0, so
+    row i of features . G is Gershgorin's bound B_ii - sum_{j != i} |B_ij| <= lambda_min(B).
+    """
+    C = np.stack([blk.coeffs for blk in blocks], axis=1)
+    return C, 2.0 * np.diagonal(C, axis1=-2, axis2=-1) - C.sum(axis=-1)
 
 
 @lru_cache(maxsize=None)
 def _kind_stacks(n: int, m: int) -> dict:
-    """kind -> (slots (nb, s), C, G): the slots and `_bounded` stack of every block of that kind."""
+    """kind -> (slots (nb, s), C, G): the slots and `_stack` of every block of that kind."""
     kinds: dict = {}
     for blk in block_catalogue(n, m):
         kinds.setdefault(blk.kind, []).append(blk)
-    return {kind: (np.array([blk.slots for blk in blks]), *_bounded(_stack(blks))) for kind, blks in kinds.items()}
+    return {kind: (np.array([blk.slots for blk in blks]), *_stack(blks)) for kind, blks in kinds.items()}
 
 
 @lru_cache(maxsize=None)
 def _distinct_stacks(n: int, m: int) -> tuple:
-    """`_bounded` stacks of the distinct blocks, one per block size, ascending.
+    """`_stack`s of the distinct blocks, one per block size, ascending.
 
     I_j and II_{j,ab} repeat for every high index j and the pure blocks are
     all the identity, so the distinct blocks do not depend on n beyond n > m.
@@ -257,21 +262,7 @@ def _distinct_stacks(n: int, m: int) -> tuple:
     sizes: dict = {}
     for blk in distinct.values():
         sizes.setdefault(len(blk.slots), []).append(blk)
-    return tuple(_bounded(_stack(blks)) for _, blks in sorted(sizes.items()))
-
-
-def _gershgorin(C: np.ndarray) -> np.ndarray:
-    """Rows G = 2 diag(C) - rowsum(C) of a coefficient stack C (F, nb, s, s), shape (F, nb, s).
-
-    No off-diagonal coefficient of the catalogue is negative, nor any feature at lambda >= 0, so
-    row i of features . G is Gershgorin's bound B_ii - sum_{j != i} |B_ij| <= lambda_min(B).
-    """
-    return 2.0 * np.diagonal(C, axis1=-2, axis2=-1) - C.sum(axis=-1)
-
-
-def _bounded(C: np.ndarray) -> tuple:
-    """(C, G): a stack and its `_gershgorin` rows, as the cached stack builders hold it."""
-    return C, _gershgorin(C)
+    return tuple(_stack(blks) for _, blks in sorted(sizes.items()))
 
 
 def _contract(features: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -314,7 +305,7 @@ def _clears(B: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 def _batch_minimum(stacks, lams: np.ndarray, weights, offsets, starts=None):
     """First argmin and minimum over profiles (K, m) of w lambda_min(B) - o over the blocks B of
-    `_bounded` coefficient stacks (F, nb, s, s), with weights w > 0 and offsets o scalars or
+    `_stack` coefficient stacks (F, nb, s, s), with weights w > 0 and offsets o scalars or
     (K,): bitwise those of the exhaustive per-profile values w min_B lambda_min(B) - o.
 
     With `starts`, the ascending first rows of contiguous groups (starts[0] = 0; an empty group
@@ -322,22 +313,20 @@ def _batch_minimum(stacks, lams: np.ndarray, weights, offsets, starts=None):
     a row of lams, each bitwise that of a separate call on the group's rows; an empty group
     gives (-1, inf).  Without it the batch is one group and the pair is returned alone.
 
-    A row whose profile, weight and offset equal the row before it in its group ties with an
-    earlier row and is skipped; a group's first row is never skipped.  Per chunk of rows
-    (CHUNK // 2, then CHUNK) and stack, in order, a block's bound is min_i (features . G)_i; a
-    1 x 1 block's is bitwise its `eigvalsh`.  With cut = the running minimum of the row's group
-    + PRUNE_SLACK and shift = (cut + o) / w, a larger block is dropped when its bound exceeds the
-    shift or, once some group's cut is finite, when `_clears` finds B - shift I positive
-    definite (an infinite shift fails the first pivot, so such a row clears nothing); the rest
-    go to one `eigvalsh` call (none if none is left).  Only the blocks the bound keeps are
-    formed, block by block: each coefficient entry of the catalogue is one feature times a
-    weight, or 1 plus lambda_a^2 times 1 or 2, so each entry of B rounds once in any summation
-    order and a block formed alone has the bits it has in the whole stack.  A floating LDL^T
-    that completes is exact for a matrix within about s^2 u |B| of B (Higham, ch. 10; at most
-    4e-13 for the 15 x 15 blocks at m = 8, |B| <= 17), far inside the slack, so a dropped block
-    can neither be nor tie its group's minimum.  Rounding is monotone and w > 0, so folding
-    w lambda_min - o per block into the row minimum gives bitwise w times the block minimum,
-    minus o.
+    Per chunk of contiguous rows (CHUNK // 2, then CHUNK) and stack, in order, a block's bound
+    is min_i (features . G)_i; a 1 x 1 block's is bitwise its `eigvalsh`.  With cut = the
+    running minimum of the row's group + PRUNE_SLACK and shift = (cut + o) / w, a larger block
+    is dropped when its bound exceeds the shift or, once some group's cut is finite, when
+    `_clears` finds B - shift I positive definite (an infinite shift fails the first pivot, so
+    such a row clears nothing); the rest go to one `eigvalsh` call (none if none is left).
+    Only the blocks the bound keeps are formed, block by block: each coefficient entry of the
+    catalogue is one feature times a weight, or 1 plus lambda_a^2 times 1 or 2, so each entry
+    of B rounds once in any summation order and a block formed alone has the bits it has in
+    the whole stack.  A floating LDL^T that completes is exact for a matrix within about
+    s^2 u |B| of B (Higham, ch. 10; at most 4e-13 for the 15 x 15 blocks at m = 8, |B| <= 17),
+    far inside the slack, so a dropped block can neither be nor tie its group's minimum.
+    Rounding is monotone and w > 0, so folding w lambda_min - o per block into the row minimum
+    gives bitwise w times the block minimum, minus o.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.size == 0 or not np.all(lams >= 0.0):
@@ -345,18 +334,14 @@ def _batch_minimum(stacks, lams: np.ndarray, weights, offsets, starts=None):
     K = lams.shape[0]
     firsts = np.array((0,) if starts is None else starts, dtype=np.intp)
     weights, offsets = np.full(K, weights, dtype=float), np.full(K, offsets, dtype=float)
-    repeat = _fold_last(np.minimum, lams[1:] == lams[:-1])
-    repeat &= (weights[1:] == weights[:-1]) & (offsets[1:] == offsets[:-1])
-    repeat[firsts[(firsts > 0) & (firsts < K)] - 1] = False
-    fresh = np.flatnonzero(np.r_[True, ~repeat])
     index, best = np.full(firsts.size, -1), np.full(firsts.size, math.inf)
-    for stop in range(CHUNK // 2, fresh.size + CHUNK, CHUNK):
-        chunk = fresh[max(stop - CHUNK, 0) : stop]
-        # group g holds the chunk's rows edges[g]:edges[g + 1]; a group's first row is fresh
-        edges = np.r_[np.searchsorted(chunk, firsts), chunk.size]
+    for stop in range(CHUNK // 2, K + CHUNK, CHUNK):
+        lo, hi = max(stop - CHUNK, 0), min(stop, K)
+        # group g holds the chunk's rows edges[g]:edges[g + 1]
+        edges = np.r_[np.clip(firsts - lo, 0, hi - lo), hi - lo]
         g = np.flatnonzero(edges[1:] > edges[:-1])
         heads, sizes = edges[g], edges[g + 1] - edges[g]
-        features, w, o = _features(lams[chunk]), weights[chunk], offsets[chunk]
+        features, w, o = _features(lams[lo:hi]), weights[lo:hi], offsets[lo:hi]
         low = np.full(w.shape, math.inf)
         for stack, G in stacks:
             bound = _fold_last(np.minimum, _contract(features, G))
@@ -378,7 +363,7 @@ def _batch_minimum(stacks, lams: np.ndarray, weights, offsets, starts=None):
         for group, head, end in zip(g, heads, heads + sizes):
             k = head + int(np.argmin(low[head:end]))
             if low[k] < best[group]:
-                index[group], best[group] = chunk[k], low[k]
+                index[group], best[group] = lo + k, low[k]
     minima = [(int(k), float(low)) for k, low in zip(index, best)]
     return minima[0] if starts is None else minima
 
@@ -654,9 +639,11 @@ def compute_K0(
 
     The audit of each beta0, `audit_samples` admissible profiles from
     substream (seed, 3), checks the search and never moves k0
-    (`CertificateReport.worst_violation`).  Every beta0's search rows and
-    audit go into one `min_form_eigenvalue` call, one group each, and each
-    group's minimum is bitwise that of a call of its own.
+    (`CertificateReport.worst_violation`).  At beta0 = 1 every audit profile
+    is lambda = 0, so its group is the first one alone (none with no audit);
+    `sample_count` and `evaluations` still count all of them.  Every beta0's
+    search rows and audit go into one `min_form_eigenvalue` call, one group
+    each, and each group's minimum is bitwise that of a call of its own.
 
     At n = m = 2, where the catalogue holds only the two IV blocks and
     `k0_closed_form` is None, a bounded scalar search then minimises along
@@ -671,7 +658,8 @@ def compute_K0(
         raise PreconditionViolated("need 1 <= m <= n and m <= 16")
     groups = []
     for beta0 in beta0s:
-        groups += [_search_rows(m, beta0), sample_admissible_lambdas(m, beta0, audit_samples, substream(seed, 3))]
+        audit = sample_admissible_lambdas(m, beta0, audit_samples, substream(seed, 3))
+        groups += [_search_rows(m, beta0), audit[:1] if beta0 == 1.0 else audit]
     lams = np.concatenate(groups)
     minima = min_form_eigenvalue(n, m, lams, np.cumsum([0] + [len(rows) for rows in groups[:-1]]))
     reports = []

@@ -29,6 +29,10 @@ _MAX_SAMPLES = 1_000_000
 # 400 at (6, 4), 1 in 1,600 at (6, 5)); default shrink takes 10 s at (6, 4)
 # against a budget of 30 s (2-core Xeon host)
 _SHRINK_MAX_NM = 24
+# largest --a that shrink accepts: at a = 1000, beta0 = b = 999 every shape up to (6, 4) passes
+# in at most 10.4 s; at a = 10001 containment fails at (2, 2), near a = 1e5 eps1 collapses to
+# zero, and (6, 4) at a = 1e6 takes 57 s and fails containment (2-core Xeon host)
+_SHRINK_MAX_A = 1000.0
 
 
 def _apply_thread_cap() -> None:
@@ -106,8 +110,8 @@ def _validate(args) -> dict:
     if args.command == "certify" and not (1.0 <= args.beta0 < 3.0):
         raise UsageError("certify requires 1 <= beta0 < 3")
     if args.command == "shrink":
-        if not (args.a > 1.0 and 1.0 <= args.beta0 < args.a):
-            raise UsageError("shrink requires a > 1 and 1 <= beta0 < a")
+        if not (1.0 < args.a <= _SHRINK_MAX_A and 1.0 <= args.beta0 < args.a):
+            raise UsageError(f"shrink requires 1 < a <= {_SHRINK_MAX_A:g} and 1 <= beta0 < a")
         if not (1.0 <= args.b <= args.beta0):
             raise UsageError("shrink requires 1 <= b <= beta0")
         if args.n * args.m > _SHRINK_MAX_NM:

@@ -184,15 +184,10 @@ def lawson_osserman() -> GraphImmersion:
     )
 
 
-_DEFAULT_AFFINE = (np.array([[0.5, -0.25, 0.0], [0.1, 0.3, -0.2]]), np.zeros(2))
-
-
-def builtin(name: str, A=None, b=None) -> GraphImmersion:
-    """Named test immersions: affine(A, b), holomorphic_pair, lawson_osserman."""
+def builtin(name: str) -> GraphImmersion:
+    """Named test immersions: affine, holomorphic_pair, lawson_osserman."""
     if name == "affine":
-        if A is None:
-            A, b = _DEFAULT_AFFINE
-        G = affine_graph(A, b)
+        G = affine_graph(np.array([[0.5, -0.25, 0.0], [0.1, 0.3, -0.2]]))
     elif name == "holomorphic_pair":
         G = holomorphic_pair()
     elif name == "lawson_osserman":

@@ -392,26 +392,13 @@ class TestPrunedMinimum:
                 assert not ct._clears(B, low + above).any(), (s, above)
             assert ct._clears(B, low - 1e-10).all(), s
 
-    def test_repeated_rows_are_skipped_only_with_equal_weights(self, monkeypatch):
-        rows = []
-        features = ct._features
-
-        def counting(lams):
-            rows.append(len(lams))
-            return features(lams)
-
-        monkeypatch.setattr(ct, "_features", counting)
+    def test_argmin_is_the_first_of_equal_rows(self):
         stacks = ct._distinct_stacks(4, 3)
         lams = np.repeat(np.array([[0.9, 0.4, 0.1]]), 4, axis=0)
         assert ct._batch_minimum(stacks, lams, np.full(4, 2.0), 0.0)[0] == 0
-        assert rows == [1]
-        rows.clear()
         assert ct._batch_minimum(stacks, lams, np.array([3.0, 2.0, 2.0, 1.0]), 0.0)[0] == 3
-        assert rows == [3]
-        rows.clear()
         # equal profiles and weights, but not offsets
         assert ct._batch_minimum(stacks, lams, 2.0, np.array([0.0, 0.0, 0.5, 1.0]))[0] == 3
-        assert rows == [3]
 
     def test_k0_search_prunes_half_the_eigensolves(self, monkeypatch):
         handed = []
@@ -846,7 +833,8 @@ class TestDiagonalBlock:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_eps0_is_the_batch_minimum(self, m):
         lams = ct.sample_admissible_lambdas(m, 3.0, 5_000, substream(3, 2))
-        stack = [ct._bounded(ct._kind_stacks(m, m)["IV"][1][:, :1])]
+        C, G = ct._kind_stacks(m, m)["IV"][1:]
+        stack = [(C[:, :1], G[:, :1])]
         assert ct.find_eps0(m, samples=5_000, seed=3).eps0 == ct._batch_minimum(stack, lams, 1.0, 0.0)[1]
 
     @pytest.mark.parametrize("lam,eps0", [(0.0, 1.0), (3.0, -3.5)])
@@ -889,6 +877,14 @@ class TestComputeK0:
     def test_unit_bound_is_exact(self):
         cert = ct.compute_K0(3, 2, (1.0,), audit_samples=100, seed=1)[0]
         assert cert.k0 == 1.0
+
+    def test_unit_bound_audits_its_one_profile(self):
+        # every admissible profile at beta0 = 1 is lambda = 0: the audit counts them all and
+        # evaluates one, which ties the search
+        cert = ct.compute_K0(4, 3, (1.0,), 2_000)[0]
+        assert cert.worst_violation == 0.0
+        assert cert.sample_count == 2_000 and cert.evaluations == 2_001
+        assert ct.compute_K0(4, 3, (1.0,), audit_samples=0)[0].worst_violation == math.inf
 
     def test_monotone_sweep(self):
         values = []

@@ -296,6 +296,17 @@ class TestExitCodes:
         assert cli.main(["shrink", "--n", str(n), "--m", str(m)]) == 2
         assert capsys.readouterr().err == f"usage error: shrink requires n * m <= {cli._SHRINK_MAX_NM}\n"
 
+    @pytest.mark.parametrize("a,beta0", [("1001", "3"), ("10001", "10000"), ("1000001", "1e6")])
+    def test_shrink_refuses_a_past_its_budget(self, monkeypatch, capsys, a, beta0):
+        # refused by _validate, before eps1 or any chart sampling runs
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before the --a check")
+
+        monkeypatch.setattr(grassmann, "sample_chart_sublevel", no_run)
+        monkeypatch.setattr(shrinking, "compute_epsilon1", no_run)
+        assert cli.main(["shrink", "--a", a, "--beta0", beta0, "--b", beta0]) == 2
+        assert capsys.readouterr().err == "usage error: shrink requires 1 < a <= 1000 and 1 <= beta0 < a\n"
+
     def test_aux_lemmas_need_no_samples(self, capsys):
         assert cli.main(["lemmas", "--which", "aux", "--samples", "0"]) == 0
 
@@ -435,7 +446,8 @@ class TestK0CallShape:
         assert cli.main(argv + ["--samples", "500"]) == 0
         payload = json.loads(capsys.readouterr().out)["payload"]
         if argv[0] == "sweep-k0":
-            assert rows == [6 * 500 + 9]
+            # the beta0 = 1 audit is its one admissible profile
+            assert rows == [5 * 500 + 10]
             return
         face = payload["certificate"]["evaluations"] - rows[0]
         assert rows == [2 + 500] + [1] * face

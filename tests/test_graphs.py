@@ -30,7 +30,7 @@ def coordinate_norm_b2(G, x):
 
 class TestBuiltins:
     def test_affine_zero_map(self):
-        G = gg.builtin("affine", A=np.zeros((2, 3)), b=np.array([1.0, -2.0]))
+        G = gg.affine_graph(np.zeros((2, 3)), np.array([1.0, -2.0]))
         x = np.array([0.3, 0.4, 0.5])
         assert np.abs(G.f(x) - np.array([1.0, -2.0])).max() == 0.0
         assert np.abs(G.jac(x)).max() == 0.0
@@ -210,7 +210,7 @@ class TestPointGeometry:
 
     def test_affine_flat(self):
         A = np.array([[0.5, -0.25, 0.0], [0.1, 0.3, -0.2]])
-        G = gg.builtin("affine", A=A)
+        G = gg.affine_graph(A)
         pg = gg.point_geometry(G, np.array([0.2, -0.1, 0.4]))
         assert pg.norm_b2 == 0.0
         assert np.abs(np.sort(pg.lambdas) - np.sort(np.linalg.svd(A, compute_uv=False))).max() < 1e-12
@@ -430,7 +430,7 @@ class TestFiniteDifference:
 
 class TestEllipticity:
     def test_flat_graph(self):
-        G = gg.builtin("affine", A=np.zeros((2, 3)))
+        G = gg.affine_graph(np.zeros((2, 3)))
         lo, hi = gg.ellipticity_check(G, np.zeros(3), 1.0, samples=64)
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)

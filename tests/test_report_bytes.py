@@ -45,6 +45,9 @@ PINS = {
     # the (2, 2) face search runs per beta0 after the sweep's one batch minimum
     "sweep-k0 --n 2 --m 2 --samples 2000":
         "d916ed205b12362f34e5c948a18f84c78fbdc9c6a3fc5ff575128d2a1351ff9b",
+    # at beta0 = 1 every audit row is lambda = 0
+    "certify --beta0 1 --samples 2000":
+        "4b8b981fea001badd7a93b4793574825c49ca351d69344afdc49af5e9f82a19f",
     "shrink --n 2 --m 2 --samples 2000":
         "c9d3536343369e879a84b505a56c5d5cb542eebaab8e66fc07b2cc269abc5583",
     "cross-validate --example lawson_osserman --samples 50":

@@ -58,7 +58,8 @@ def test_one_eigvalsh_lap_per_block_size(lap_marks):
 
 def test_tracer_counts_the_sweep_profiles(monkeypatch, capsys):
     # the tracer reads the profiles as min_form_eigenvalue's third positional argument: the
-    # sweep's one batch minimum holds six audits of 2,000 and nine search rows
+    # sweep's one batch minimum holds five audits of 2,000, the one row of the beta0 = 1 audit
+    # and nine search rows
     for span in tracing.SPANS:
         module_name, attr = span.rsplit(".", 1)
         module = tracing._MODULES[module_name]
@@ -67,5 +68,5 @@ def test_tracer_counts_the_sweep_profiles(monkeypatch, capsys):
     tracer.install()
     assert cli.main(["sweep-k0", "--samples", "2000"]) == 0
     capsys.readouterr()
-    assert tracer.counts["certifier.eigensolve.profiles"] == 12_009
+    assert tracer.counts["certifier.eigensolve.profiles"] == 10_010
     assert sum(span[0] == "certifier.compute_K0" for span in tracer.spans) == 1
