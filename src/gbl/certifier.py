@@ -90,14 +90,14 @@ def flatten_h(h: np.ndarray) -> np.ndarray:
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum(x * y, axis=-1) as one BLAS dot per row, so that each row of a stack gives the bits it
     gives alone (an einsum or a reduction over a stack may order its sums by the stack's shape)."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+    return np.vecdot(x, y)
 
 
 def laplacian_v_batch(lams: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Delta v = v sum_j X_j^T (Hess v / v) X_j of profiles lams (K, m) with symmetric hs (K, m, n, n).
 
     One profile is the stack lams (m,) with hs (m, n, n); it gives a scalar,
-    bitwise row 0 of its K = 1 stack.  (X_j)_{i,a} = h_{a,ij} sits at slot
+    bitwise its row of any stack.  (X_j)_{i,a} = h_{a,ij} sits at slot
     i*m + a of `grassmann.hessian_over_v`, which is the identity plus, for
     indices below p = min(n, m), 2 lambda_c^2 on slot (c, c) and lambda_a lambda_b
     between slots (a, a)-(b, b) and (a, b)-(b, a), a != b.  So X_j^T (Hess v / v) X_j is
@@ -116,15 +116,13 @@ def laplacian_v_batch(lams: np.ndarray, hs: np.ndarray) -> np.ndarray:
     hs = np.asarray(hs, dtype=float)
     if lams.ndim not in (1, 2) or hs.shape[:-2] != lams.shape or hs.shape[-1] != hs.shape[-2]:
         raise DimensionMismatch(f"profiles {lams.shape} vs tensors {hs.shape}")
-    if lams.ndim == 1:
-        return laplacian_v_batch(lams[None], hs[None])[0]
-    K, m, n = hs.shape[:3]
+    lead, m, n = lams.shape[:-1], hs.shape[-3], hs.shape[-1]
     p = min(n, m)
-    lam = lams[:, :p]
-    flat = hs.reshape(K, -1)
-    trace = _row_dot(np.diagonal(hs, axis1=1, axis2=2), lam[:, None, :])    # (K, n): sum_c lambda_c h_{c,cj}
-    y = lam[:, :, None, None] * hs[:, :p, :p]                               # lambda_a h_{a,bj}
-    cross = _row_dot(y.reshape(K, -1), y.transpose(0, 2, 1, 3).reshape(K, -1))
+    lam = lams[..., :p]
+    flat = hs.reshape(*lead, -1)
+    trace = _row_dot(np.diagonal(hs, axis1=-3, axis2=-2), lam[..., None, :])  # (..., n): sum_c lambda_c h_{c,cj}
+    y = lam[..., :, None, None] * hs[..., :p, :p, :]                          # lambda_a h_{a,bj}
+    cross = _row_dot(y.reshape(*lead, -1), np.swapaxes(y, -3, -2).reshape(*lead, -1))
     quad = _row_dot(flat, flat) + _row_dot(trace, trace) + cross
     return profile_v(lams) * quad
 
@@ -640,8 +638,9 @@ def compute_K0(
     The audit of each beta0, `audit_samples` admissible profiles from
     substream (seed, 3), checks the search and never moves k0
     (`CertificateReport.worst_violation`).  At beta0 = 1 every audit profile
-    is lambda = 0, so its group is the first one alone (none with no audit);
-    `sample_count` and `evaluations` still count all of them.  Every beta0's
+    is lambda = 0, so its group is that one row, built without the sampler
+    (none with no audit); `sample_count` and `evaluations` still count all
+    of them.  Every beta0's
     search rows and audit go into one `min_form_eigenvalue` call, one group
     each, and each group's minimum is bitwise that of a call of its own.
 
@@ -658,8 +657,11 @@ def compute_K0(
         raise PreconditionViolated("need 1 <= m <= n and m <= 16")
     groups = []
     for beta0 in beta0s:
-        audit = sample_admissible_lambdas(m, beta0, audit_samples, substream(seed, 3))
-        groups += [_search_rows(m, beta0), audit[:1] if beta0 == 1.0 else audit]
+        if beta0 == 1.0:
+            audit = np.zeros((min(audit_samples, 1), m))
+        else:
+            audit = sample_admissible_lambdas(m, beta0, audit_samples, substream(seed, 3))
+        groups += [_search_rows(m, beta0), audit]
     lams = np.concatenate(groups)
     minima = min_form_eigenvalue(n, m, lams, np.cumsum([0] + [len(rows) for rows in groups[:-1]]))
     reports = []

@@ -53,23 +53,25 @@ class GraphImmersion:
     def contains(self, x, margin: float = 0.0):
         """Domain membership: a bool for one point, a bool array (...) for a stack.
 
-        Points with a non-finite coordinate are outside.
+        Points with a non-finite coordinate are outside, and so is anything
+        that is not a stack of n-vectors.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.n:
             return False
-        inside = np.isfinite(x).all(axis=-1)
+        inside = np.isfinite(x).all(axis=-1)         # a numpy bool for one point
         if self.excluded is not None:
-            inside &= ~np.asarray(self.excluded(x, margin))
-        return bool(inside) if inside.ndim == 0 else inside
+            inside &= ~self.excluded(x, margin)
+        return bool(inside) if x.ndim == 1 else inside
 
     def require(self, x, margin: float = 0.0) -> np.ndarray:
+        """x as a float array, or OutOfDomain naming its first point outside the domain."""
         x = np.asarray(x, dtype=float)
-        inside = np.asarray(self.contains(x, margin))
-        if not inside.all():
-            bad = x if inside.ndim == 0 else x[~inside][0]
-            raise OutOfDomain(f"{self.name}: point {bad} outside domain (margin {margin})")
-        return x
+        inside = self.contains(x, margin)
+        if inside is True or (inside is not False and inside.all()):
+            return x
+        bad = x if inside is False else x[~inside][0]
+        raise OutOfDomain(f"{self.name}: point {bad} outside domain (margin {margin})")
 
 
 def _validate_derivatives(G: GraphImmersion, points) -> None:
@@ -151,7 +153,8 @@ def lawson_osserman() -> GraphImmersion:
     c = math.sqrt(5.0) / 2.0
 
     def radius(x):
-        return np.linalg.norm(x, axis=-1)
+        # what np.linalg.norm(x, axis=-1) computes, bit for bit, without its dispatch
+        return np.sqrt(np.add.reduce(x * x, axis=-1))
 
     def eta(x):
         return np.einsum("aij,...i,...j->...a", _HOPF_Q, x, x)
@@ -168,14 +171,16 @@ def lawson_osserman() -> GraphImmersion:
 
     def hess(x):
         r = radius(x)[..., None, None, None]
+        r3 = r**3
         e = eta(x)[..., :, None, None]
         de = deta(x)
         xi, xj = x[..., None, :, None], x[..., None, None, :]
         out = 2.0 * _HOPF_Q / r
-        out = out - (de[..., :, :, None] * xj + de[..., :, None, :] * xi) / r**3
-        out = out - e * _EYE4 / r**3
-        out = out + 3.0 * (e * xi * xj) / r**5
-        return c * out
+        out -= (de[..., :, :, None] * xj + de[..., :, None, :] * xi) / r3
+        out -= e * _EYE4 / r3
+        out += 3.0 * (e * xi * xj) / r**5
+        out *= c
+        return out
 
     return GraphImmersion(
         4, 3, f, jac, hess,
@@ -294,14 +299,18 @@ def graph_from_spec(spec: dict) -> GraphImmersion:
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """The pointwise geometry of a graph at x; the metric and the Gauss plane are built from `jac`
-    when first read."""
+    """The pointwise geometry of a graph at x; the mean curvature is read off `h`, and the metric
+    and the Gauss plane are built from `jac`, when first read."""
     slope: float
     jac: np.ndarray                # (m, n) Df
     lambdas: np.ndarray            # (m,) singular values of Df, descending
     h: np.ndarray                  # (m, n, n) adapted-frame second fundamental form, symmetric
-    mean_h: np.ndarray             # (m,)
     norm_b2: float
+
+    @functools.cached_property
+    def mean_h(self) -> np.ndarray:
+        """The mean curvature vector in the adapted normal frame, the traces h_{a,ii}, shape (m,)."""
+        return np.einsum("aii->a", self.h)
 
     @functools.cached_property
     def g(self) -> np.ndarray:
@@ -333,8 +342,8 @@ def point_geometry(G: GraphImmersion, x) -> PointGeometry:
         jac=J,
         lambdas=lambdas,
         h=h,
-        mean_h=np.einsum("aii->a", h),
-        norm_b2=float(np.sum(h**2)),
+        # bitwise np.sum(h**2): h is contiguous, so both are one pairwise sum
+        norm_b2=float(np.add.reduce((h * h).ravel())),
     )
 
 

@@ -94,7 +94,7 @@ class TestLaplacian:
         G = gg.builtin(name)
         rng = substream(10, 20 + len(name))
         tilted = gr.from_chart(np.full((G.n, G.m), 0.05), gr.standard_plane(G.n, G.m))
-        checked = 0
+        checked, profiles = 0, []
         while checked < 10:
             x = rng.uniform(-0.8, 0.8, G.n)
             if not G.contains(x):
@@ -106,6 +106,12 @@ class TestLaplacian:
                 assert np.shape(one) == ()
                 assert one.tobytes() == ct.laplacian_v_batch(lams[None], h[None])[0].tobytes()
                 assert gg.laplacian_v_closed_form(G, x, P0) == one
+                profiles.append((lams, h, one))
+        # and the ten points of each plane stacked: every row is its point's call
+        for start in (0, 1):
+            rows = profiles[start::2]
+            stack = ct.laplacian_v_batch(np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows]))
+            assert stack.tobytes() == np.array([r[2] for r in rows]).tobytes()
 
     @pytest.mark.parametrize("n,m", CLOSED_FORM_SHAPES)
     def test_closed_form_matches_the_dense_hessian(self, n, m):
@@ -116,8 +122,11 @@ class TestLaplacian:
     @pytest.mark.parametrize("n,m", CLOSED_FORM_SHAPES)
     def test_each_row_of_a_stack_is_its_profile_alone(self, n, m):
         lams, hs = laplacian_stack(n, m, 257, 200 + 10 * n + m)
-        stack = ct.laplacian_v_batch(lams, hs)
-        assert all(ct.laplacian_v_batch(lams[k], hs[k]).tobytes() == stack[k].tobytes() for k in range(257))
+        alone = np.array([ct.laplacian_v_batch(lams[k], hs[k]) for k in range(257)])
+        # stacks of several sizes, and one read through a strided view
+        for K in (2, 3, 17, 257):
+            assert ct.laplacian_v_batch(lams[:K], hs[:K]).tobytes() == alone[:K].tobytes()
+        assert ct.laplacian_v_batch(lams[::3], hs[::3]).tobytes() == alone[::3].tobytes()
 
     def test_no_dense_hessian_is_built(self, monkeypatch):
         # the dense (K, nm, nm) Hessians of 2,000 profiles at (8, 8) would take 65.5 MB, twice the bound
@@ -885,6 +894,16 @@ class TestComputeK0:
         assert cert.worst_violation == 0.0
         assert cert.sample_count == 2_000 and cert.evaluations == 2_001
         assert ct.compute_K0(4, 3, (1.0,), audit_samples=0)[0].worst_violation == math.inf
+
+    def test_unit_bound_builds_only_the_row_it_audits(self):
+        # a million lambda = 0 audit rows at m = 3 would take 22.9 MiB; the audit keeps one
+        tracemalloc.start()
+        cert = ct.compute_K0(4, 3, (1.0,), 1_000_000)[0]
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 2_000_000
+        assert cert.sample_count == 1_000_000 and cert.evaluations == 1_000_001
+        assert cert.worst_violation == 0.0
 
     def test_monotone_sweep(self):
         values = []

@@ -109,8 +109,18 @@ class TestBatchedDerivatives:
         X = np.full((4, G.n), 0.5)
         X[1, 0], X[2, -1], X[3, 1] = np.inf, -np.inf, np.nan
         assert G.contains(X).tolist() == [True, False, False, False]
-        for x in X[1:]:
-            assert G.contains(x) is False
+        # one point at a time, with the wrong lengths and, at the cone, a point inside the margin
+        bad = [*X[1:], np.full(G.n + 1, 0.5), np.full(G.n - 1, 0.5), np.float64(0.5)]
+        if name == "lawson_osserman":
+            near = np.array([0.0, 1e-3, 0.0, 0.0])
+            assert G.contains(near) is True and G.require(near) is not None
+            bad.append(near)
+        for x in bad:
+            assert G.contains(x, margin=2e-3) is False
+            with pytest.raises(OutOfDomain, match=rf"{name}: point .* outside domain \(margin 0.002\)"):
+                G.require(x, margin=2e-3)
+        assert G.contains(X[0], margin=2e-3) is True
+        assert G.require(X[0].tolist(), margin=2e-3).tobytes() == X[0].tobytes()
         with pytest.raises(OutOfDomain):
             gg.point_geometry(G, X[1])
 
@@ -207,6 +217,14 @@ class TestPointGeometry:
         assert "g" not in vars(pg)
         g = pg.g
         assert "g" in vars(pg) and pg.g is g
+
+    def test_mean_curvature_only_when_read(self):
+        G = gg.builtin("lawson_osserman")
+        pg = gg.point_geometry(G, np.array([0.5, -0.3, 0.4, 0.6]))
+        assert "mean_h" not in vars(pg)
+        mean_h = pg.mean_h
+        assert "mean_h" in vars(pg) and pg.mean_h is mean_h
+        assert mean_h.tobytes() == np.einsum("aii->a", pg.h).tobytes()
 
     def test_affine_flat(self):
         A = np.array([[0.5, -0.25, 0.0], [0.1, 0.3, -0.2]])

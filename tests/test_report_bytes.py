@@ -52,6 +52,8 @@ PINS = {
         "c9d3536343369e879a84b505a56c5d5cb542eebaab8e66fc07b2cc269abc5583",
     "cross-validate --example lawson_osserman --samples 50":
         "16d6724befcb9471b6c62bc1265d13bfdab272af43172399a9e31b851203ef2f",
+    "cross-validate --example holomorphic_pair --samples 200":
+        "a7b12a6ec3fbd83ed1f40e2aab90f55884b83b4d03a94ff13f32ebccde9443db",
     "graph --example lawson_osserman --point 1,0,0,0":
         "73766a8b930eb0e9bd4962dfae81d9da2ee36705ff8bd12356496905f2ae2365",
     "lemmas --which aux":
