@@ -61,7 +61,7 @@ class GraphImmersion:
             return False
         inside = np.isfinite(x).all(axis=-1)         # a numpy bool for one point
         if self.excluded is not None:
-            inside &= ~self.excluded(x, margin)
+            inside &= np.logical_not(self.excluded(x, margin))
         return bool(inside) if x.ndim == 1 else inside
 
     def require(self, x, margin: float = 0.0) -> np.ndarray:
