@@ -27,7 +27,16 @@ class GraphImmersion:
     eval_fn returns (..., m), jac_fn (..., m, n), hess_fn (..., m, n, n) and
     excluded(x, margin) a boolean array of shape (...).  One point is the
     stack of shape (n,).  An immersion written for a single point must be
-    rewritten to broadcast; there is no per-point fallback.
+    rewritten to broadcast; there is no per-point fallback.  A derivative
+    that does not depend on x may return one shared read-only array for one
+    point (`_constant`), so a caller must not write into what jac and hess
+    return.
+
+    The margin contract: a point x not excluded at margin r has no point
+    within distance r of it excluded at margin 0 (up to rounding, of order
+    eps (|x| + r)).  The finite-difference Laplacian relies on it: it checks
+    x at margin 2 step, and of its stencil, every point of which lies within
+    sqrt(2) step of x, only that it is finite.
     """
     n: int
     m: int
@@ -59,10 +68,13 @@ class GraphImmersion:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.n:
             return False
-        inside = np.isfinite(x).all(axis=-1)         # a numpy bool for one point
+        if x.ndim == 1:         # one point: Python's isfinite on n floats costs less than a reduction
+            return all(map(math.isfinite, x.tolist())) and not (
+                self.excluded is not None and self.excluded(x, margin))
+        inside = np.isfinite(x).all(axis=-1)
         if self.excluded is not None:
             inside &= np.logical_not(self.excluded(x, margin))
-        return bool(inside) if x.ndim == 1 else inside
+        return inside
 
     def require(self, x, margin: float = 0.0) -> np.ndarray:
         """x as a float array, or OutOfDomain naming its first point outside the domain."""
@@ -99,16 +111,25 @@ def _validate_derivatives(G: GraphImmersion, points) -> None:
                 raise DimensionMismatch(f"{G.name}: hess mismatch at {x} axis {i}")
 
 
+def _constant(value: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A derivative that does not depend on x: the read-only `value` itself for one point, and a
+    read-only broadcast of it over a stack."""
+    return value if x.ndim == 1 else np.broadcast_to(value, x.shape[:-1] + value.shape)
+
+
 def affine_graph(A: np.ndarray, b: np.ndarray | None = None) -> GraphImmersion:
-    A = np.asarray(A, dtype=float)
+    A = np.array(A, dtype=float)        # a copy, read-only below: one point's jac is A itself
     m, n = A.shape
     b = np.zeros(m) if b is None else np.asarray(b, dtype=float)
+    zero = np.zeros((m, n, n))
+    for arr in (A, zero):
+        arr.flags.writeable = False
     return GraphImmersion(
         n=n,
         m=m,
         eval_fn=lambda x: x @ A.T + b,
-        jac_fn=lambda x: np.broadcast_to(A, x.shape[:-1] + A.shape),
-        hess_fn=lambda x: np.zeros(x.shape[:-1] + (m, n, n)),
+        jac_fn=functools.partial(_constant, A),
+        hess_fn=functools.partial(_constant, zero),
         name="affine",
     )
 
@@ -118,6 +139,7 @@ def holomorphic_pair() -> GraphImmersion:
     H = np.zeros((2, 3, 3))
     H[0, 0, 0], H[0, 1, 1] = 2.0, -2.0
     H[1, 0, 1] = H[1, 1, 0] = 2.0
+    H.flags.writeable = False
 
     def f(x):
         return np.stack([x[..., 0] ** 2 - x[..., 1] ** 2, 2.0 * x[..., 0] * x[..., 1]], axis=-1)
@@ -129,9 +151,7 @@ def holomorphic_pair() -> GraphImmersion:
         out[..., 1, 0] = 2.0 * x[..., 1]
         return out
 
-    return GraphImmersion(
-        3, 2, f, jac, lambda x: np.broadcast_to(H, x.shape[:-1] + H.shape), name="holomorphic_pair"
-    )
+    return GraphImmersion(3, 2, f, jac, functools.partial(_constant, H), name="holomorphic_pair")
 
 
 # quadratic forms of the unit-sphere Hopf fibration S^3 -> S^2
@@ -141,6 +161,7 @@ _HOPF_Q[1, 1, 2] = _HOPF_Q[1, 2, 1] = 1.0
 _HOPF_Q[1, 0, 3] = _HOPF_Q[1, 3, 0] = -1.0
 _HOPF_Q[2, 0, 2] = _HOPF_Q[2, 2, 0] = 1.0
 _HOPF_Q[2, 1, 3] = _HOPF_Q[2, 3, 1] = 1.0
+_HOPF_2Q = 2.0 * _HOPF_Q
 _EYE4 = np.eye(4)
 
 
@@ -160,14 +181,15 @@ def lawson_osserman() -> GraphImmersion:
         return np.einsum("aij,...i,...j->...a", _HOPF_Q, x, x)
 
     def deta(x):
-        return 2.0 * np.einsum("aij,...j->...ai", _HOPF_Q, x)
+        # bitwise 2 einsum(Q, x): doubling is exact, and both sums run in the same order
+        return np.einsum("aij,...j->...ai", _HOPF_2Q, x)
 
     def f(x):
         return c * eta(x) / radius(x)[..., None]
 
     def jac(x):
         r = radius(x)[..., None, None]
-        return c * (deta(x) / r - np.einsum("...a,...i->...ai", eta(x), x) / r**3)
+        return c * (deta(x) / r - eta(x)[..., :, None] * x[..., None, :] / r**3)
 
     def hess(x):
         r = radius(x)[..., None, None, None]
@@ -175,7 +197,7 @@ def lawson_osserman() -> GraphImmersion:
         e = eta(x)[..., :, None, None]
         de = deta(x)
         xi, xj = x[..., None, :, None], x[..., None, None, :]
-        out = 2.0 * _HOPF_Q / r
+        out = _HOPF_2Q / r
         out -= (de[..., :, :, None] * xj + de[..., :, None, :] * xi) / r3
         out -= e * _EYE4 / r3
         out += 3.0 * (e * xi * xj) / r**5
@@ -364,7 +386,8 @@ def _adapted_second_form(J: np.ndarray, Hf: np.ndarray, P0: grassmann.GrassmannP
         # a graph has m <= n, so Df has m singular values and no normal row is unpaired
         tangent, lambdas, normal = grassmann.chart_svd(J.T)
         scale_n = 1.0 / np.sqrt(1.0 + lambdas**2)
-        scale_t = np.concatenate([scale_n, np.ones(n - m)])
+        scale_t = np.ones(n)                # tangents past m have scale 1
+        scale_t[:m] = scale_n
         normal = normal.T
     else:
         Z = grassmann.chart_stack(_tangent_rows(J), P0, np.sqrt(np.linalg.det(_metric(J))))[0]
@@ -376,14 +399,16 @@ def _adapted_second_form(J: np.ndarray, Hf: np.ndarray, P0: grassmann.GrassmannP
     D2 = np.einsum("bkl,ik,jl->bij", Hf, coords, coords)
     h_raw = np.einsum("ab,bij->aij", normal, D2)
     h_raw *= scale_n[:, None, None]
-    h_raw *= scale_t[None, :, None]
-    h_raw *= scale_t[None, None, :]
-    return lambdas, 0.5 * (h_raw + h_raw.transpose(0, 2, 1))
+    h_raw *= scale_t[:, None]
+    h_raw *= scale_t
+    h = h_raw + h_raw.transpose(0, 2, 1)
+    h *= 0.5
+    return lambdas, h
 
 
 def _metric(J: np.ndarray) -> np.ndarray:
     """Induced metric g = I + Df^T Df of an (..., m, n) stack of Jacobians."""
-    return np.eye(J.shape[-1]) + np.swapaxes(J, -1, -2) @ J
+    return np.eye(J.shape[-1]) + J.swapaxes(-1, -2) @ J
 
 
 def _flux_coefficients(g: np.ndarray, vol: np.ndarray) -> np.ndarray:
@@ -396,7 +421,7 @@ def _tangent_rows(J: np.ndarray) -> np.ndarray:
     """(I | Df^T), shape (..., n, n+m): rows spanning each Gauss plane of the stack."""
     n = J.shape[-1]
     eye = np.broadcast_to(np.eye(n), J.shape[:-2] + (n, n))
-    return np.concatenate([eye, np.swapaxes(J, -1, -2)], axis=-1)
+    return np.concatenate([eye, J.swapaxes(-1, -2)], axis=-1)
 
 
 def graph_v(G: GraphImmersion, x, P0: grassmann.GrassmannPoint | None = None) -> np.ndarray:
@@ -489,13 +514,20 @@ def laplacian_v_finite_difference(
     stencil values of v come from `_v_from_jacobians`, as in `graph_v`, the
     half-steps give the flux coefficients, and the centre the volume
     element that divides the divergence.
+
+    x is checked at margin 2 step, which by the margin contract of
+    `GraphImmersion` keeps every stencil point in the domain; the stencil is
+    checked only for finiteness, which a huge x or step can break.
     """
     x = G.require(x, margin=2.0 * step)
     n = G.n
     offsets, (a, b, c, d), diag, halves = _fd_stencil(n)
-    stencil = G.require(x + step * offsets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = np.concatenate([x + step * offsets, x + (0.5 * step) * halves])
+    if not np.isfinite(pts).all():
+        raise OutOfDomain(f"{G.name}: the stencil of {x} at step {step} leaves the finite range")
     size = len(offsets)
-    J = G.jac(np.concatenate([stencil, x + (0.5 * step) * halves]))
+    J = G.jac(pts)
     g = _metric(J)
     vol = np.sqrt(np.linalg.det(g))
     u = _v_from_jacobians(J[:size], vol[:size], P0)
@@ -503,9 +535,8 @@ def laplacian_v_finite_difference(
     grad = np.where(diag, first / step, (first + u[c] - u[d]) / (4.0 * step))   # (2, n, n)
 
     coeff = _flux_coefficients(g[size:], vol[size:]).reshape(2, n, n, n)
-    rows = coeff[:, np.arange(n), np.arange(n)]                                  # row i at half-step (s, i)
-    flux = (rows[..., None, :] @ grad[..., :, None])[..., 0, 0]                  # (2, n)
-    total = np.sum((flux[0] - flux[1]) / step)
+    flux = np.vecdot(coeff[:, diag], grad)                  # (2, n): row i at half-step (s, i), times grad
+    total = np.add.reduce((flux[0] - flux[1]) / step)
     return float(total / vol[0])
 
 

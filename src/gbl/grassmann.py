@@ -190,7 +190,7 @@ def from_chart(Z: np.ndarray, P0: GrassmannPoint) -> GrassmannPoint:
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (P0.n, P0.m):
         raise DimensionMismatch(f"Z must be {P0.n} x {P0.m}, got {Z.shape}")
-    if not np.all(np.isfinite(Z)):
+    if not np.isfinite(Z).all():
         raise DimensionMismatch("chart matrix has non-finite entries")
     rows = P0.frame + Z @ P0.normal_frame
     return GrassmannPoint(_orthonormalize_rows(rows))

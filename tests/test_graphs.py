@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -445,6 +446,58 @@ class TestFiniteDifference:
         with pytest.raises(OutOfDomain):
             gg.laplacian_v_finite_difference(G, np.array([1e-4, 0, 0, 0]), step=1e-3)
 
+    @pytest.mark.parametrize("name", ["affine", "holomorphic_pair"])
+    @pytest.mark.parametrize("x0,step", [(1.7e308, 1e307), (-1.7e308, 1e307), (0.5, math.inf)])
+    def test_overflowing_stencil_is_out_of_domain(self, name, x0, step):
+        # x is finite and passes its margin check, but its stencil is not finite: refused, with no
+        # RuntimeWarning (an error under this suite's warning filter) on the way
+        G = gg.builtin(name)
+        x = np.array([x0, 0.1, 0.2])
+        for Q in (None, gr.standard_plane(3, 2)):
+            with pytest.raises(OutOfDomain, match="finite range"):
+                gg.laplacian_v_finite_difference(G, x, Q, step=step)
+
+
+def margin_boundary(G, d, r):
+    """The point of the ray R+ d nearest the origin that G contains at margin r (bisection), or
+    None when the origin itself is contained (no exclusion near the origin)."""
+    if G.contains(np.zeros(G.n), r):
+        return None
+    lo, hi = 0.0, 2.0 + r
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi * d
+        if G.contains(mid * d, r):
+            hi = mid
+        else:
+            lo = mid
+
+
+class TestMarginContract:
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_builtins_keep_the_margin_contract(self, name):
+        # x contained at margin r: every point within distance r of x is contained at margin 0.
+        # Points sit on the margin where G excludes any (lawson_osserman: radius 1e-6 + r), and
+        # are tried at distance up to r (1 - 1e-12), rounding being of order eps (|x| + r)
+        G = gg.builtin(name)
+        rng = substream(27, len(name))
+        shrink = 1.0 - 1e-12
+        for r in (1e-7, 1e-3, 2e-3, 0.1, 0.5):
+            for _ in range(40):
+                d = rng.standard_normal(G.n)
+                d /= np.linalg.norm(d)
+                x = margin_boundary(G, d, r)
+                if x is None:
+                    x = rng.uniform(-1.0, 1.0, G.n)
+                assert G.contains(x, r)
+                u = rng.standard_normal(G.n)
+                u /= np.linalg.norm(u)
+                for y in (x - (r * shrink) * d, x + (r * shrink) * u, x + (r * rng.uniform()) * u):
+                    assert np.linalg.norm(y - x) <= r + 1e-15 * (np.linalg.norm(x) + r)
+                    assert G.contains(y), (x, y, r)
+                    assert G.contains(y[None])[0]
+
 
 class TestEllipticity:
     def test_flat_graph(self):
@@ -562,3 +615,62 @@ class TestPolynomialGraphs:
         x = np.array([0.7, -0.3])
         assert G.hess(x)[0, 0, 1] == G.hess(x)[0, 1, 0] == 0.1 * 3 * 0.7**2
         assert G.hess(x)[0, 1, 1] == 4.0
+
+
+# a (3, 2) spec with quadratic, cubic and linear terms, not minimal
+KERNEL_SPEC = {
+    "n": 3,
+    "m": 2,
+    "components": [
+        {"monomials": [
+            {"exponents": [2, 0, 0], "coeff": 1.0},
+            {"exponents": [0, 2, 0], "coeff": -1.0},
+            {"exponents": [1, 0, 2], "coeff": 0.3},
+        ]},
+        {"monomials": [
+            {"exponents": [1, 1, 0], "coeff": 2.0},
+            {"exponents": [0, 3, 0], "coeff": -0.2},
+            {"exponents": [0, 0, 1], "coeff": 0.5},
+        ]},
+    ],
+}
+
+
+def kernel_points(G, rng, count):
+    if G.name == "lawson_osserman":
+        x = rng.standard_normal((count, 4))
+        return x * (rng.uniform(0.5, 2.0, count) / np.linalg.norm(x, axis=1))[:, None]
+    return rng.uniform(-0.8, 0.8, (count, G.n))
+
+
+def kernel_digest(count=50):
+    """sha256 over seeded points of each builtin and KERNEL_SPEC: jac and hess of one point and
+    of the stack, every `point_geometry` field, `graph_v`, both Laplacians at the base plane
+    and at a tilted P0, and the FD at two steps."""
+    digest = hashlib.sha256()
+
+    def put(*values):
+        for value in values:
+            digest.update(np.ascontiguousarray(value, dtype=float).tobytes())
+
+    graphs = [gg.builtin(name) for name in BUILTINS] + [gg.graph_from_spec(KERNEL_SPEC)]
+    for k, G in enumerate(graphs):
+        P0 = gr.from_chart(np.full((G.n, G.m), 0.07), gr.standard_plane(G.n, G.m))
+        put(P0.frame, P0.normal_frame)
+        pts = kernel_points(G, substream(26, k), count)
+        put(G.jac(pts), G.hess(pts), gg.graph_v(G, pts), gg.graph_v(G, pts, P0))
+        for x in pts:
+            pg = gg.point_geometry(G, x)
+            put(G.jac(x), G.hess(x), pg.slope, pg.jac, pg.lambdas, pg.h, pg.norm_b2, pg.mean_h, pg.g,
+                pg.gauss.frame)
+            for Q in (None, P0):
+                put(gg.laplacian_v_closed_form(G, x, Q))
+                for step in (1e-3, 2e-3):
+                    put(gg.laplacian_v_finite_difference(G, x, Q, step=step))
+    return digest.hexdigest()
+
+
+class TestKernelBits:
+    def test_kernel_digest(self):
+        # taken before the per-call trims of the kernels: any moved bit of their outputs fails here
+        assert kernel_digest() == "3c97d49d742df05cb70c75b5af3226102f4dc4576d74fc6ee4e84bb9f1caa811"

@@ -103,6 +103,15 @@ class TestContainment:
         # the infimum over the full sublevel set is a - b; samples approach it from above
         assert params.a - params.b - 1e-12 <= margin <= params.a - params.b + 0.01
 
+    def test_sample_reaches_the_sublevel_boundary(self):
+        # with P2 = P1 the margin is a - max v over the sample, so it reads how close the sample
+        # comes to v = b: 2.6e-4 above a - b at this size, where a sample of {v <= 0.999 b}
+        # could come no closer than 2.8e-3
+        P1 = gr.standard_plane(2, 2)
+        params = sh.ShrinkParameters(a=3.0, b=2.8, beta0=2.9)
+        margin = sh.containment_check(P1, P1, params, samples=2_000, seed=0)
+        assert params.a - params.b - 1e-12 <= margin <= params.a - params.b + 1e-3
+
     def test_case_two_containment(self):
         rng = substream(32, 0)
         P1 = gr.standard_plane(2, 2)
