@@ -120,9 +120,9 @@ def laplacian_v_batch(lams: np.ndarray, hs: np.ndarray) -> np.ndarray:
     p = min(n, m)
     lam = lams[..., :p]
     flat = hs.reshape(*lead, -1)
-    trace = _row_dot(hs.diagonal(axis1=-3, axis2=-2), lam[..., None, :])     # (..., n): sum_c lambda_c h_{c,cj}
+    trace = _row_dot(np.diagonal(hs, axis1=-3, axis2=-2), lam[..., None, :])  # (..., n): sum_c lambda_c h_{c,cj}
     y = lam[..., :, None, None] * hs[..., :p, :p, :]                          # lambda_a h_{a,bj}
-    cross = _row_dot(y.reshape(*lead, -1), y.swapaxes(-3, -2).reshape(*lead, -1))
+    cross = _row_dot(y.reshape(*lead, -1), np.swapaxes(y, -3, -2).reshape(*lead, -1))
     quad = _row_dot(flat, flat) + _row_dot(trace, trace) + cross
     return profile_v(lams) * quad
 
@@ -283,12 +283,8 @@ def _fold_last(ufunc, x: np.ndarray) -> np.ndarray:
 
 def profile_v(lams: np.ndarray) -> np.ndarray:
     """v = prod sqrt(1 + lambda^2) of profiles (..., m), shape (...): the one v of a profile, a
-    left-to-right fold, so bitwise np.prod and math.prod over the last axis.  One profile (m,)
-    folds in `math.prod`, which costs less than the ufunc loop on a scalar."""
-    factors = np.sqrt(1.0 + lams**2)
-    if factors.ndim == 1:
-        return np.float64(math.prod(factors.tolist()))
-    return _fold_last(np.multiply, factors)
+    left-to-right fold, so bitwise np.prod and math.prod over the last axis."""
+    return _fold_last(np.multiply, np.sqrt(1.0 + lams**2))
 
 
 def _clears(B: np.ndarray, shift: np.ndarray) -> np.ndarray:

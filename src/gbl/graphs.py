@@ -43,7 +43,9 @@ class GraphImmersion:
     eval_fn: Callable[[np.ndarray], np.ndarray]
     jac_fn: Callable[[np.ndarray], np.ndarray]
     hess_fn: Callable[[np.ndarray], np.ndarray]
-    excluded: Callable[[np.ndarray, float], np.ndarray] | None = None  # (x, margin) -> bool (...)
+    # (x, margin) -> bool (...), keeping the margin contract: the FD Laplacian does not check its
+    # stencil against it, so an `excluded` that ignores margin lets the FD evaluate excluded points
+    excluded: Callable[[np.ndarray, float], np.ndarray] | None = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -68,13 +70,10 @@ class GraphImmersion:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.n:
             return False
-        if x.ndim == 1:         # one point: Python's isfinite on n floats costs less than a reduction
-            return all(map(math.isfinite, x.tolist())) and not (
-                self.excluded is not None and self.excluded(x, margin))
-        inside = np.isfinite(x).all(axis=-1)
+        inside = np.isfinite(x).all(axis=-1)         # a numpy bool for one point
         if self.excluded is not None:
             inside &= np.logical_not(self.excluded(x, margin))
-        return inside
+        return bool(inside) if x.ndim == 1 else inside
 
     def require(self, x, margin: float = 0.0) -> np.ndarray:
         """x as a float array, or OutOfDomain naming its first point outside the domain."""
@@ -408,7 +407,7 @@ def _adapted_second_form(J: np.ndarray, Hf: np.ndarray, P0: grassmann.GrassmannP
 
 def _metric(J: np.ndarray) -> np.ndarray:
     """Induced metric g = I + Df^T Df of an (..., m, n) stack of Jacobians."""
-    return np.eye(J.shape[-1]) + J.swapaxes(-1, -2) @ J
+    return np.eye(J.shape[-1]) + np.swapaxes(J, -1, -2) @ J
 
 
 def _flux_coefficients(g: np.ndarray, vol: np.ndarray) -> np.ndarray:
@@ -421,7 +420,7 @@ def _tangent_rows(J: np.ndarray) -> np.ndarray:
     """(I | Df^T), shape (..., n, n+m): rows spanning each Gauss plane of the stack."""
     n = J.shape[-1]
     eye = np.broadcast_to(np.eye(n), J.shape[:-2] + (n, n))
-    return np.concatenate([eye, J.swapaxes(-1, -2)], axis=-1)
+    return np.concatenate([eye, np.swapaxes(J, -1, -2)], axis=-1)
 
 
 def graph_v(G: GraphImmersion, x, P0: grassmann.GrassmannPoint | None = None) -> np.ndarray:

@@ -446,6 +446,20 @@ class TestFiniteDifference:
         with pytest.raises(OutOfDomain):
             gg.laplacian_v_finite_difference(G, np.array([1e-4, 0, 0, 0]), step=1e-3)
 
+    def test_stencil_is_not_checked_against_excluded(self):
+        # the FD checks x at margin 2 step and its stencil only for finiteness: an `excluded` that
+        # keeps the margin contract refuses x, one that ignores margin lets the FD evaluate Delta v
+        # at excluded stencil points, unrefused
+        pair = gg.builtin("holomorphic_pair")
+        broken = gg.GraphImmersion(3, 2, pair.f, pair.jac, pair.hess, name="broken_half_pair",
+                                   excluded=lambda x, margin: x[..., 0] < 0.0)
+        x, step = np.array([1e-4, 0.3, 0.2]), 1e-3
+        with pytest.raises(OutOfDomain):
+            gg.laplacian_v_finite_difference(HALF_PAIR, x, step=step)
+        assert not broken.contains(x + step * gg._fd_stencil(3)[0]).all()
+        fd = gg.laplacian_v_finite_difference(broken, x, step=step)
+        assert fd == gg.laplacian_v_finite_difference(pair, x, step=step)
+
     @pytest.mark.parametrize("name", ["affine", "holomorphic_pair"])
     @pytest.mark.parametrize("x0,step", [(1.7e308, 1e307), (-1.7e308, 1e307), (0.5, math.inf)])
     def test_overflowing_stencil_is_out_of_domain(self, name, x0, step):
@@ -458,43 +472,77 @@ class TestFiniteDifference:
                 gg.laplacian_v_finite_difference(G, x, Q, step=step)
 
 
-def margin_boundary(G, d, r):
-    """The point of the ray R+ d nearest the origin that G contains at margin r (bisection), or
-    None when the origin itself is contained (no exclusion near the origin)."""
-    if G.contains(np.zeros(G.n), r):
-        return None
-    lo, hi = 0.0, 2.0 + r
+# holomorphic_pair on the half space x_0 >= margin and on the ball of radius 0.05 - margin about
+# (0.45, 0.45, 0.45), as test_rng and test_cli build them
+_PAIR = gg.builtin("holomorphic_pair")
+HALF_PAIR = gg.GraphImmersion(_PAIR.n, _PAIR.m, _PAIR.f, _PAIR.jac, _PAIR.hess,
+                              excluded=lambda x, margin: x[..., 0] < margin, name="half_pair")
+BALL_PAIR = gg.GraphImmersion(_PAIR.n, _PAIR.m, _PAIR.f, _PAIR.jac, _PAIR.hess, name="ball_pair",
+                              excluded=lambda x, margin: np.linalg.norm(x - 0.45, axis=-1) > 0.05 - margin)
+
+
+def unit(rng, n):
+    u = rng.standard_normal(n)
+    return u / np.linalg.norm(u)
+
+
+def lawson_ends(rng):
+    return unit(rng, 4) * rng.uniform(0.5, 2.0), np.zeros(4)
+
+
+def half_ends(rng):
+    c, o = rng.uniform(-1.0, 1.0, (2, 3))
+    c[0], o[0] = rng.uniform(0.5, 1.0), rng.uniform(-1.0, -0.5)
+    return c, o
+
+
+def ball_ends(rng):
+    return 0.45 + 0.005 * unit(rng, 3), 0.45 + 0.2 * unit(rng, 3)
+
+
+# each immersion with an excluded set, and a seeded draw of (a point inside at every margin
+# up to 0.04, a point outside at margin 0)
+EXCLUDING = {
+    "lawson_osserman": (gg.builtin("lawson_osserman"), lawson_ends),
+    "half_pair": (HALF_PAIR, half_ends),
+    "ball_pair": (BALL_PAIR, ball_ends),
+}
+
+
+def margin_boundary(G, c, o, r):
+    """The last point of the segment from c (contained at margin r) to o (not) that G contains
+    at margin r, by bisection."""
+    lo, hi = 0.0, 1.0
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
-            return hi * d
-        if G.contains(mid * d, r):
-            hi = mid
-        else:
+            return c + lo * (o - c)
+        if G.contains(c + mid * (o - c), r):
             lo = mid
+        else:
+            hi = mid
 
 
 class TestMarginContract:
-    @pytest.mark.parametrize("name", BUILTINS)
-    def test_builtins_keep_the_margin_contract(self, name):
+    @pytest.mark.parametrize("name", sorted(EXCLUDING))
+    def test_excluded_keeps_the_margin_contract(self, name):
         # x contained at margin r: every point within distance r of x is contained at margin 0.
-        # Points sit on the margin where G excludes any (lawson_osserman: radius 1e-6 + r), and
-        # are tried at distance up to r (1 - 1e-12), rounding being of order eps (|x| + r)
-        G = gg.builtin(name)
+        # Points sit on the margin, between a seeded inside and outside point, and are tried at
+        # distance up to r - 1e-12 (|x| + r) toward the outside point and in seeded directions,
+        # rounding being of order eps (|x| + r)
+        G, ends = EXCLUDING[name]
         rng = substream(27, len(name))
-        shrink = 1.0 - 1e-12
-        for r in (1e-7, 1e-3, 2e-3, 0.1, 0.5):
+        for r in (1e-7, 1e-3, 2e-3, 0.01, 0.04):
             for _ in range(40):
-                d = rng.standard_normal(G.n)
-                d /= np.linalg.norm(d)
-                x = margin_boundary(G, d, r)
-                if x is None:
-                    x = rng.uniform(-1.0, 1.0, G.n)
+                c, o = ends(rng)
+                assert G.contains(c, r) and not G.contains(o)
+                x = margin_boundary(G, c, o, r)
                 assert G.contains(x, r)
-                u = rng.standard_normal(G.n)
-                u /= np.linalg.norm(u)
-                for y in (x - (r * shrink) * d, x + (r * shrink) * u, x + (r * rng.uniform()) * u):
-                    assert np.linalg.norm(y - x) <= r + 1e-15 * (np.linalg.norm(x) + r)
+                dist = r - 1e-12 * (np.linalg.norm(x) + r)
+                u = unit(rng, G.n)
+                for y in (x + dist * (o - c) / np.linalg.norm(o - c), x + dist * u,
+                          x + (dist * rng.uniform()) * u):
+                    assert np.linalg.norm(y - x) <= r
                     assert G.contains(y), (x, y, r)
                     assert G.contains(y[None])[0]
 
