@@ -87,12 +87,6 @@ def flatten_h(h: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # direct evaluation
 
-def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum(x * y, axis=-1) as one BLAS dot per row, so that each row of a stack gives the bits it
-    gives alone (an einsum or a reduction over a stack may order its sums by the stack's shape)."""
-    return np.vecdot(x, y)
-
-
 def laplacian_v_batch(lams: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Delta v = v sum_j X_j^T (Hess v / v) X_j of profiles lams (K, m) with symmetric hs (K, m, n, n).
 
@@ -110,7 +104,10 @@ def laplacian_v_batch(lams: np.ndarray, hs: np.ndarray) -> np.ndarray:
         Delta v / v = |h|^2 + sum_j [ (sum_{c<p} lambda_c h_{c,cj})^2
                                       + sum_{a,b<p} lambda_a lambda_b h_{a,bj} h_{b,aj} ].
 
-    Each sum is a `_row_dot`; no (nm) x (nm) matrix is built.
+    Each sum is an `np.vecdot`, one BLAS dot per row, so that each row of a
+    stack gives the bits it gives alone (an einsum or a reduction over a
+    stack may order its sums by the stack's shape); no (nm) x (nm) matrix is
+    built.
     """
     lams = np.asarray(lams, dtype=float)
     hs = np.asarray(hs, dtype=float)
@@ -120,10 +117,10 @@ def laplacian_v_batch(lams: np.ndarray, hs: np.ndarray) -> np.ndarray:
     p = min(n, m)
     lam = lams[..., :p]
     flat = hs.reshape(*lead, -1)
-    trace = _row_dot(np.diagonal(hs, axis1=-3, axis2=-2), lam[..., None, :])  # (..., n): sum_c lambda_c h_{c,cj}
-    y = lam[..., :, None, None] * hs[..., :p, :p, :]                          # lambda_a h_{a,bj}
-    cross = _row_dot(y.reshape(*lead, -1), np.swapaxes(y, -3, -2).reshape(*lead, -1))
-    quad = _row_dot(flat, flat) + _row_dot(trace, trace) + cross
+    trace = np.vecdot(np.diagonal(hs, axis1=-3, axis2=-2), lam[..., None, :])  # (..., n): sum_c lambda_c h_{c,cj}
+    y = lam[..., :, None, None] * hs[..., :p, :p, :]                           # lambda_a h_{a,bj}
+    cross = np.vecdot(y.reshape(*lead, -1), np.swapaxes(y, -3, -2).reshape(*lead, -1))
+    quad = np.vecdot(flat, flat) + np.vecdot(trace, trace) + cross
     return profile_v(lams) * quad
 
 

@@ -36,10 +36,9 @@ _SHRINK_MAX_A = 1000.0
 
 
 def _apply_thread_cap() -> None:
-    """Set each BLAS thread variable that is unset to GBL_THREADS (default 1); a set one wins."""
-    cap = os.environ.get("GBL_THREADS", "1")
+    """Set each BLAS thread variable that is unset to 1; a set one wins."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+        os.environ.setdefault(var, "1")
 
 
 # argparse keywords of every flag a subcommand may declare

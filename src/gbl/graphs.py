@@ -23,6 +23,10 @@ from .rng import rejection_sample, substream
 class GraphImmersion:
     """Explicit map f: R^n -> R^m with exact first and second derivatives.
 
+    Nothing checks at construction that jac_fn and hess_fn differentiate
+    eval_fn: the caller supplies exact derivatives, as the builtins and
+    `polynomial_graph` do.
+
     Every callable works on stacks of points: for x of shape (..., n),
     eval_fn returns (..., m), jac_fn (..., m, n), hess_fn (..., m, n, n) and
     excluded(x, margin) a boolean array of shape (...).  One point is the
@@ -85,31 +89,6 @@ class GraphImmersion:
         raise OutOfDomain(f"{self.name}: point {bad} outside domain (margin {margin})")
 
 
-def _validate_derivatives(G: GraphImmersion, points) -> None:
-    """Central-difference sanity check that jac/hess really differentiate eval, to 1e-6 (hess: 50
-    times that) times the largest derivative entry or 1.
-
-    The 2n displaced copies of a point go through G as one stack, so this
-    also checks that the immersion broadcasts.
-    """
-    h = 1e-5
-    steps = h * np.eye(G.n)
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        J = G.jac(x)
-        Hf = G.hess(x)
-        scale = max(1.0, np.abs(J).max(), np.abs(Hf).max())
-        dj = (G.f(x + steps) - G.f(x - steps)) / (2 * h)            # (n, m): row i is d/dx_i
-        dh = (G.jac(x + steps) - G.jac(x - steps)) / (2 * h)        # (n, m, n)
-        jac_err = np.abs(dj - J.T).max(axis=1)
-        hess_err = np.abs(dh - np.moveaxis(Hf, -1, 0)).max(axis=(1, 2))
-        for i in range(G.n):
-            if jac_err[i] > 1e-6 * scale:
-                raise DimensionMismatch(f"{G.name}: jac mismatch at {x} axis {i}")
-            if hess_err[i] > 50 * 1e-6 * scale:
-                raise DimensionMismatch(f"{G.name}: hess mismatch at {x} axis {i}")
-
-
 def _constant(value: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A derivative that does not depend on x: the read-only `value` itself for one point, and a
     read-only broadcast of it over a stack."""
@@ -162,13 +141,18 @@ _HOPF_Q[2, 0, 2] = _HOPF_Q[2, 2, 0] = 1.0
 _HOPF_Q[2, 1, 3] = _HOPF_Q[2, 3, 1] = 1.0
 _HOPF_2Q = 2.0 * _HOPF_Q
 _EYE4 = np.eye(4)
+# the largest radius of the cone's domain: hess divides by r**5, which overflows near r = 1e62,
+# after which |B|^2 is wrong and then NaN; the cone is homogeneous, so a point past the bound
+# has the geometry of its rescaling inside
+_LAWSON_MAX_RADIUS = 1e60
 
 
 def lawson_osserman() -> GraphImmersion:
     """The minimal cone graph (sqrt(5)/2) |x| eta(x/|x|), eta the Hopf map.
 
     eta is quadratic, so f = (sqrt(5)/2) eta(x)/|x| away from the origin,
-    with analytic first and second derivatives.
+    with analytic first and second derivatives.  The domain is the shell
+    1e-6 <= |x| <= `_LAWSON_MAX_RADIUS`, where every derivative is finite.
     """
     c = math.sqrt(5.0) / 2.0
 
@@ -203,32 +187,26 @@ def lawson_osserman() -> GraphImmersion:
         out *= c
         return out
 
-    return GraphImmersion(
-        4, 3, f, jac, hess,
-        excluded=lambda x, margin: radius(x) < 1e-6 + margin,
-        name="lawson_osserman",
-    )
+    def excluded(x, margin):
+        r = radius(x)
+        return (r < 1e-6 + margin) | (r > _LAWSON_MAX_RADIUS - margin)
+
+    return GraphImmersion(4, 3, f, jac, hess, excluded=excluded, name="lawson_osserman")
 
 
 def builtin(name: str) -> GraphImmersion:
-    """Named test immersions: affine, holomorphic_pair, lawson_osserman."""
+    """Named test immersions: affine, holomorphic_pair, lawson_osserman.
+
+    Their derivatives are written out by hand; the test suite compares them
+    with central differences of f and jac.
+    """
     if name == "affine":
-        G = affine_graph(np.array([[0.5, -0.25, 0.0], [0.1, 0.3, -0.2]]))
-    elif name == "holomorphic_pair":
-        G = holomorphic_pair()
-    elif name == "lawson_osserman":
-        G = lawson_osserman()
-    else:
-        raise UnknownName(f"no builtin immersion named {name!r}")
-    pts = _probe_points(G)
-    _validate_derivatives(G, pts)
-    return G
-
-
-def _probe_points(G: GraphImmersion):
-    base = np.linspace(0.3, 0.9, G.n)
-    alt = np.array([(-1.0) ** i * (0.4 + 0.1 * i) for i in range(G.n)])
-    return [base, alt]
+        return affine_graph(np.array([[0.5, -0.25, 0.0], [0.1, 0.3, -0.2]]))
+    if name == "holomorphic_pair":
+        return holomorphic_pair()
+    if name == "lawson_osserman":
+        return lawson_osserman()
+    raise UnknownName(f"no builtin immersion named {name!r}")
 
 
 def _derivative(rows, i: int) -> list:
@@ -262,8 +240,10 @@ def polynomial_graph(n: int, m: int, components) -> GraphImmersion:
 
     `components` is a length-m list; each entry is a list of (coeff, exponents)
     with a finite coeff and exponents a length-n tuple of nonnegative integers.
-    The tables of f, Df and D^2 f are built once by `_derivative`, and
-    `_evaluate` reads each of them.
+    The tables of Df and D^2 f are built once from the table of f by the one
+    rule `_derivative`, so they are exact and need no numerical check; a
+    constant row drops out of both, so a translated spec has the same
+    derivatives.  `_evaluate` reads each table.
     """
     comps = []
     for comp in components:
@@ -282,15 +262,13 @@ def polynomial_graph(n: int, m: int, components) -> GraphImmersion:
     first = [_derivative(rows, i) for rows in comps for i in range(n)]
     second = [_derivative(rows, j) for rows in first for j in range(n)]
 
-    G = GraphImmersion(
+    return GraphImmersion(
         n, m,
         functools.partial(_evaluate, comps, (m,)),
         functools.partial(_evaluate, first, (m, n)),
         functools.partial(_evaluate, second, (m, n, n)),
         name="polynomial",
     )
-    _validate_derivatives(G, _probe_points(G))
-    return G
 
 
 def graph_from_spec(spec: dict) -> GraphImmersion:
@@ -320,8 +298,8 @@ def graph_from_spec(spec: dict) -> GraphImmersion:
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """The pointwise geometry of a graph at x; the mean curvature is read off `h`, and the metric
-    and the Gauss plane are built from `jac`, when first read."""
+    """The pointwise geometry of a graph at x; the mean curvature is read off `h`, and the Gauss
+    plane is built from `jac`, when first read."""
     slope: float
     jac: np.ndarray                # (m, n) Df
     lambdas: np.ndarray            # (m,) singular values of Df, descending
@@ -332,11 +310,6 @@ class PointGeometry:
     def mean_h(self) -> np.ndarray:
         """The mean curvature vector in the adapted normal frame, the traces h_{a,ii}, shape (m,)."""
         return np.einsum("aii->a", self.h)
-
-    @functools.cached_property
-    def g(self) -> np.ndarray:
-        """The induced metric I + Df^T Df."""
-        return _metric(self.jac)
 
     @functools.cached_property
     def gauss(self) -> grassmann.GrassmannPoint:

@@ -115,6 +115,14 @@ class TestExitCodes:
         assert cli.main(["graph", "--example", example, "--point", point]) == 2
         assert "OutOfDomain" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("point", ["1e62,0,0,0", "0,1e80,0,0", "0,0,1e103,0"])
+    def test_graph_past_the_cone_bound_exits_two(self, capsys, point):
+        # the cone's hess overflows past its bound: refused by the domain check, not reported with
+        # a wrong |B|^2 (1e62), a NaN (1e80) or an SVD traceback (1e103)
+        assert cli.main(["graph", "--example", "lawson_osserman", "--point", point]) == 2
+        assert "OutOfDomain: lawson_osserman: point" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["graph", "--example", "holomorphic_pair", "--point", "a,b,c"],
         ["graph", "--graph-spec", "{missing}", "--point", "0.2,0.1"],
@@ -199,7 +207,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["graph", "cross-validate"])
     def test_graph_spec_past_the_dimension_bound_exits_two(self, tmp_path, monkeypatch, capsys, command):
-        # refused before polynomial_graph builds the graph and checks its derivatives
+        # refused before polynomial_graph builds the graph
         built = []
 
         def stop(n, m, components):
@@ -520,6 +528,21 @@ class TestCommands:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["payload"]["geometry"]["example"] == "polynomial"
+
+    def test_translated_spec_has_the_same_payload(self, tmp_path, capsys):
+        # a constant term moves f alone: Df and D^2 f, and so every reported quantity, are bitwise
+        # those of the spec without it, however large |f| becomes
+        payloads = []
+        for offset in ([], [{"exponents": [0, 0], "coeff": 1e6}]):
+            spec = {"n": 2, "m": 2, "components": [
+                {"monomials": [{"exponents": [2, 0], "coeff": 1.0}, {"exponents": [0, 2], "coeff": -1.0}, *offset]},
+                {"monomials": [{"exponents": [1, 1], "coeff": 2.0}]},
+            ]}
+            path = tmp_path / f"graph{len(offset)}.json"
+            path.write_text(json.dumps(spec))
+            assert cli.main(["graph", "--graph-spec", str(path), "--point", "0.2,0.1"]) == 0
+            payloads.append(json.loads(capsys.readouterr().out)["payload"])
+        assert payloads[0] == payloads[1]
 
     def test_shrink_suite(self):
         proc = run_cli(

@@ -164,6 +164,53 @@ def chart_frames_second_form(J, Hf):
 BUILTINS = ["affine", "holomorphic_pair", "lawson_osserman"]
 
 
+def random_spec(rng):
+    """A seeded polynomial spec: n <= 5, 1 <= m <= n, one to four monomials per component, each of
+    degree at most 4 (a repeated axis raises its exponent, degree 0 a constant term)."""
+    n = int(rng.integers(1, 6))
+    m = int(rng.integers(1, n + 1))
+    components = []
+    for _ in range(m):
+        monomials = []
+        for _ in range(int(rng.integers(1, 5))):
+            exponents = np.bincount(rng.integers(0, n, int(rng.integers(0, 5))), minlength=n)
+            monomials.append({"exponents": exponents.tolist(), "coeff": float(rng.uniform(-2.0, 2.0))})
+        components.append({"monomials": monomials})
+    return {"n": n, "m": m, "components": components}
+
+
+def assert_derivatives_match_differences(G, points, h=1e-5):
+    """jac and hess of G at each point against central differences of f and jac: within 1e-7 of
+    the largest entry of what they approximate, or of 1.  At step 1e-5 the truncation error is
+    of order 1e-10 |D^3 f| and the rounding about 1e-11 |f|, far below; a wrong multiplier or
+    sign is of the order of the entry itself."""
+    steps = h * np.eye(G.n)
+    for x in points:
+        J, Hf = G.jac(x), G.hess(x)
+        dj = (G.f(x + steps) - G.f(x - steps)) / (2 * h)          # (n, m): row i is d/dx_i
+        dh = (G.jac(x + steps) - G.jac(x - steps)) / (2 * h)      # (n, m, n)
+        assert np.abs(dj - J.T).max() <= 1e-7 * max(1.0, np.abs(J).max()), (G.name, x)
+        assert np.abs(dh - np.moveaxis(Hf, -1, 0)).max() <= 1e-7 * max(1.0, np.abs(Hf).max()), (G.name, x)
+
+
+class TestDerivatives:
+    # building a graph checks nothing numerically, so these tests are what shows that jac and hess
+    # differentiate f: for the builtins, written out by hand, and for specs, through `_derivative`
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_builtin(self, name):
+        G = gg.builtin(name)
+        assert_derivatives_match_differences(G, domain_points(G, 40, 30 + len(name)))
+
+    def test_poly_spec(self):
+        G = gg.graph_from_spec(POLY_SPEC)
+        assert_derivatives_match_differences(G, domain_points(G, 40, 30))
+
+    @pytest.mark.parametrize("k", range(24))
+    def test_random_spec(self, k):
+        G = gg.graph_from_spec(random_spec(substream(28, k)))
+        assert_derivatives_match_differences(G, substream(29, k).uniform(-1.0, 1.0, (8, G.n)))
+
+
 class TestPointGeometry:
     @pytest.mark.parametrize("name", ["affine", "holomorphic_pair", "lawson_osserman"])
     def test_gauss_is_the_qr_frame(self, name):
@@ -209,15 +256,8 @@ class TestPointGeometry:
         G = gg.builtin(name)
         for x in domain_points(G, 300, 10 + len(name)):
             pg = gg.point_geometry(G, x)
-            vol = math.sqrt(np.linalg.det(pg.g))
+            vol = math.sqrt(np.linalg.det(gg._metric(pg.jac)))
             assert abs(pg.slope - vol) <= 1e-14 * vol
-
-    def test_metric_only_when_read(self):
-        G = gg.builtin("lawson_osserman")
-        pg = gg.point_geometry(G, np.array([0.5, -0.3, 0.4, 0.6]))
-        assert "g" not in vars(pg)
-        g = pg.g
-        assert "g" in vars(pg) and pg.g is g
 
     def test_mean_curvature_only_when_read(self):
         G = gg.builtin("lawson_osserman")
@@ -240,7 +280,7 @@ class TestPointGeometry:
         for _ in range(50):
             x = rng.uniform(-1, 1, 3)
             J = G.jac(x)
-            assert np.abs(gg.point_geometry(G, x).g - np.eye(3) - J.T @ J).max() < 1e-12
+            assert np.abs(gg._metric(gg.point_geometry(G, x).jac) - np.eye(3) - J.T @ J).max() < 1e-12
 
     def test_slope_equals_v_of_gauss(self):
         G = gg.builtin("holomorphic_pair")
@@ -284,6 +324,27 @@ class TestPointGeometry:
         a, b = gg.point_geometry(G, d), gg.point_geometry(G, 2.0 * d)
         assert np.abs(a.lambdas - b.lambdas).max() < 1e-10
         assert a.slope == pytest.approx(b.slope, abs=1e-10)
+
+    def test_cone_homogeneous_up_to_the_bound(self):
+        # |B|^2 scales as 1/t^2 along rays, and the slope is 9, at every radius the domain keeps
+        G = gg.builtin("lawson_osserman")
+        x = np.array([0.5, -0.3, 0.4, 0.6])
+        norm_b2 = gg.point_geometry(G, x).norm_b2
+        top = 0.999 * gg._LAWSON_MAX_RADIUS / np.linalg.norm(x)
+        for t in (1e-5, 1e-3, 1e5, 1e20, 1e40, 1e55, 1e59, top):
+            pg = gg.point_geometry(G, t * x)
+            assert abs(pg.norm_b2 * t * t - norm_b2) <= 1e-14 * norm_b2, t
+            assert pg.slope == pytest.approx(9.0, abs=1e-14)
+
+    @pytest.mark.parametrize("x", [[1.001e60, 0.0, 0.0, 0.0], [1e62, 0.0, 0.0, 0.0],
+                                   [0.0, 1e80, 0.0, 0.0], [0.0, 0.0, 1e103, -1e103]])
+    def test_cone_refuses_points_past_the_bound(self, x):
+        # past the bound hess's r**5 overflows (near 1e62), |B|^2 turns NaN (1e80) and the SVD
+        # fails (1e103): each is refused first, with no RuntimeWarning
+        G = gg.builtin("lawson_osserman")
+        assert G.contains(x) is False
+        with pytest.raises(OutOfDomain):
+            gg.point_geometry(G, x)
 
 
 class TestClosedForm:
@@ -490,6 +551,11 @@ def lawson_ends(rng):
     return unit(rng, 4) * rng.uniform(0.5, 2.0), np.zeros(4)
 
 
+def lawson_outer_ends(rng):
+    u = unit(rng, 4)
+    return u * rng.uniform(0.5e60, 0.9e60), u * rng.uniform(1.1e60, 2e60)
+
+
 def half_ends(rng):
     c, o = rng.uniform(-1.0, 1.0, (2, 3))
     c[0], o[0] = rng.uniform(0.5, 1.0), rng.uniform(-1.0, -0.5)
@@ -500,12 +566,15 @@ def ball_ends(rng):
     return 0.45 + 0.005 * unit(rng, 3), 0.45 + 0.2 * unit(rng, 3)
 
 
-# each immersion with an excluded set, and a seeded draw of (a point inside at every margin
-# up to 0.04, a point outside at margin 0)
+# each boundary of an excluded set: its immersion, a seeded draw of (a point inside at every
+# margin up to 0.04 scale, a point outside at margin 0), and the length scale of its margins,
+# which at the cone's outer radius must exceed the rounding of order eps 1e60
+_LAWSON = gg.builtin("lawson_osserman")
 EXCLUDING = {
-    "lawson_osserman": (gg.builtin("lawson_osserman"), lawson_ends),
-    "half_pair": (HALF_PAIR, half_ends),
-    "ball_pair": (BALL_PAIR, ball_ends),
+    "lawson_osserman": (_LAWSON, lawson_ends, 1.0),
+    "lawson_osserman_outer": (_LAWSON, lawson_outer_ends, 1e58),
+    "half_pair": (HALF_PAIR, half_ends, 1.0),
+    "ball_pair": (BALL_PAIR, ball_ends, 1.0),
 }
 
 
@@ -530,9 +599,9 @@ class TestMarginContract:
         # Points sit on the margin, between a seeded inside and outside point, and are tried at
         # distance up to r - 1e-12 (|x| + r) toward the outside point and in seeded directions,
         # rounding being of order eps (|x| + r)
-        G, ends = EXCLUDING[name]
+        G, ends, scale = EXCLUDING[name]
         rng = substream(27, len(name))
-        for r in (1e-7, 1e-3, 2e-3, 0.01, 0.04):
+        for r in (1e-7 * scale, 1e-3 * scale, 2e-3 * scale, 0.01 * scale, 0.04 * scale):
             for _ in range(40):
                 c, o = ends(rng)
                 assert G.contains(c, r) and not G.contains(o)
@@ -624,6 +693,16 @@ class TestPolynomialGraphs:
         G = gg.graph_from_spec({"name": "lawson_osserman"})
         assert G.name == "lawson_osserman"
 
+    def test_building_evaluates_nothing(self, monkeypatch):
+        # the tables are exact by construction: a spec is built without evaluating f, Df or D^2 f
+        def evaluate(*args):
+            raise AssertionError("a table was evaluated")
+
+        monkeypatch.setattr(gg, "_evaluate", evaluate)
+        G = gg.graph_from_spec(POLY_SPEC)
+        with pytest.raises(AssertionError, match="evaluated"):
+            G.f(np.zeros(3))
+
     @pytest.mark.parametrize("spec", [None, 5, "abc", [1, 2], {"n": "x", "m": 1, "components": []}])
     def test_malformed_spec(self, spec):
         with pytest.raises(DimensionMismatch):
@@ -631,7 +710,7 @@ class TestPolynomialGraphs:
 
     @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficient_is_malformed(self, coeff):
-        # NaN passes every comparison of the derivative check, and the graph then fails in linalg
+        # a non-finite coefficient gives a graph whose geometry fails in linalg
         comps = [[(1.0, (2, 0)), (coeff, (0, 2))]]
         with pytest.raises(DimensionMismatch, match="malformed graph spec"):
             gg.polynomial_graph(2, 1, comps)
@@ -709,8 +788,8 @@ def kernel_digest(count=50):
         put(G.jac(pts), G.hess(pts), gg.graph_v(G, pts), gg.graph_v(G, pts, P0))
         for x in pts:
             pg = gg.point_geometry(G, x)
-            put(G.jac(x), G.hess(x), pg.slope, pg.jac, pg.lambdas, pg.h, pg.norm_b2, pg.mean_h, pg.g,
-                pg.gauss.frame)
+            put(G.jac(x), G.hess(x), pg.slope, pg.jac, pg.lambdas, pg.h, pg.norm_b2, pg.mean_h,
+                gg._metric(pg.jac), pg.gauss.frame)
             for Q in (None, P0):
                 put(gg.laplacian_v_closed_form(G, x, Q))
                 for step in (1e-3, 2e-3):
