@@ -288,10 +288,16 @@ def _load_graph(args):
 
 
 def _fd_agreement(G, x, step: float):
-    """point_geometry, closed-form and FD Delta v on the base plane at x, and their relative difference."""
+    """point_geometry, closed-form and FD Delta v on the base plane at x, and their relative difference.
+
+    Raises UsageError where the step does not resolve x (some x_i +- step rounds back to x_i): the
+    stencil there differences equal values, so the FD reads 0 whatever the geometry.
+    """
     from . import certifier, graphs
 
     pg = graphs.point_geometry(G, x)
+    if any(xi + step == xi or xi - step == xi for xi in x):
+        raise UsageError(f"--fd-step {step:g} does not resolve the point: some x_i +- step rounds back to x_i")
     closed = float(certifier.laplacian_v_batch(pg.lambdas, pg.h))
     fd = graphs.laplacian_v_finite_difference(G, x, step=step)
     # the floor keeps the comparison meaningful when both sides vanish (flat graphs)

@@ -563,8 +563,10 @@ def mean_gauss_image(G: GraphImmersion, center, radius: float, order: int = 8) -
     volume element sqrt(det g); the embedded mean is pulled back through the
     inverse embedding.  Convexity of balls under
     the embedding guarantees v(mean, P0) <= sup v over the nodes.  All nodes
-    go through one batched Jacobian and one `grassmann.chart_stack` of the
-    rows R = (I | Df^T), whose volume element is sqrt(det(R R^T)) = sqrt(det g).
+    go through one batched Jacobian.  P0's normal frame is (0 | I), so the
+    chart of the rows R = (I | Df^T) around P0 is Df^T itself, with pairing
+    w = 1 / sqrt(det(R R^T)) = 1 / sqrt(det g): no chart matrix is solved for,
+    and OutOfChart is raised as `grassmann.chart_stack` would raise it.
     """
     center = np.asarray(center, dtype=float)
     P0 = grassmann.standard_plane(G.n, G.m)
@@ -576,7 +578,8 @@ def mean_gauss_image(G: GraphImmersion, center, radius: float, order: int = 8) -
     ys, wts = ys[in_domain], wts[inside][in_domain]
     J = G.jac(ys)
     vol = np.sqrt(np.linalg.det(_metric(J)))
-    Z = grassmann.chart_stack(_tangent_rows(J), P0, vol)[0]
+    grassmann._require_in_chart(1.0 / vol)
+    Z = np.swapaxes(J, -1, -2)
     wv = wts * vol
     # the weights ride as one more column so that both totals add the nodes
     # in the same order (a 1-D sum would pair its terms instead)

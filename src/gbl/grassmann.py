@@ -17,7 +17,9 @@ Conventions
   and the represented plane is spanned by rows of (I | Z) in that basis.
   `chart_stack` is the one routine that charts planes (any stack of
   spanning rows); its pairing step `_chart_pairing`, which callers that
-  need only w take alone, decides when a plane is out of chart.
+  need only w take alone, decides when a plane is out of chart
+  (`_require_in_chart`).  Around the coordinate plane a graph's rows
+  (I | Df^T) chart to Df^T with w = 1 / vol, which needs no solve.
 * Frames adapted to the principal angles towards P0 come from one SVD of
   the chart matrix (`chart_svd`; `chart_frames` assembles the rows from its
   factors).  Jordan data (`jordan_decompose`, by descending angle,
@@ -117,8 +119,13 @@ def make_point(rows: np.ndarray) -> GrassmannPoint:
     return GrassmannPoint(_orthonormalize_rows(rows))
 
 
+@lru_cache(maxsize=None)
 def standard_plane(n: int, m: int) -> GrassmannPoint:
-    """The coordinate plane spanned by the first n basis vectors."""
+    """The coordinate plane spanned by the first n basis vectors, built once per (n, m).
+
+    Every caller shares the one plane: its frame (I | 0) and its lazily built
+    normal frame, which the QR makes exactly (0 | I), are read-only.
+    """
     return GrassmannPoint(np.hstack([np.eye(n), np.zeros((n, m))]))
 
 
@@ -204,10 +211,15 @@ def _chart_pairing(R: np.ndarray, P0: GrassmannPoint, vol) -> tuple[np.ndarray, 
     """
     A = R @ P0.frame.T
     w = np.linalg.det(A) / vol
+    _require_in_chart(w)
+    return A, w
+
+
+def _require_in_chart(w: np.ndarray) -> None:
+    """Raises OutOfChart, naming how many planes fail, unless every pairing w > CHART_TOL."""
     out = w <= CHART_TOL
     if np.any(out):
         raise OutOfChart(f"{int(np.sum(out))} plane(s) outside the chart of P0 (w <= 0)")
-    return A, w
 
 
 def chart_stack(R: np.ndarray, P0: GrassmannPoint, vol) -> tuple[np.ndarray, np.ndarray]:
@@ -401,8 +413,9 @@ def _rising_newton(residual, x: np.ndarray, active: np.ndarray) -> np.ndarray:
         if not np.any(active):
             return x
         f, df = residual(x)
-        # rows with F = F' = 0 step to NaN, which never counts as a rise
-        with np.errstate(invalid="ignore"):
+        # rows with F = F' = 0 step to NaN, which never counts as a rise, and rows with F' = 0 < -F
+        # (a zero angle of `geodesic_fraction`, where F' = -0.0) to -inf
+        with np.errstate(divide="ignore", invalid="ignore"):
             step = x - f / df
         active = active & (step > x)
         x = np.where(active, step, x)
@@ -414,11 +427,14 @@ def _rising_newton(residual, x: np.ndarray, active: np.ndarray) -> np.ndarray:
 def t_embedding_inverse(y: np.ndarray, n: int, m: int) -> np.ndarray:
     """Inverse of `t_embedding` on a stack: (..., nm) -> (..., n, m).
 
-    With D = y / |y| and sigma the singular values of D, v(t D)^2 =
-    prod(1 + t^2 sigma_i^2), so u = t^2 solves
+    With D = y / |y| and sigma the p = min(n, m) singular values of D,
+    v(t D)^2 = prod(1 + t^2 sigma_i^2), so u = t^2 solves
     F(u) = sum log1p(u sigma_i^2) - 2 log1p(|y|) = 0.  F is concave and
-    increasing with F(0) <= 0, so Newton from u = 0 (`_rising_newton`)
-    rises monotonically to the root; zero rows map to 0.
+    increasing.  D has unit Frobenius norm, so sum sigma_i^2 = 1 and, by
+    AM-GM, sum log1p(u sigma_i^2) <= p log1p(u / p): F <= 0 at
+    u0 = p expm1(2 log1p(|y|) / p), the root itself when p = 1 or every
+    sigma_i is equal.  Newton from u0 (`_rising_newton`) rises monotonically
+    to the root; zero rows map to 0.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[-1:] != (n * m,):
@@ -428,28 +444,35 @@ def t_embedding_inverse(y: np.ndarray, n: int, m: int) -> np.ndarray:
     direction = (y / np.where(ny > 0.0, ny, 1.0)[..., None]).reshape(y.shape[:-1] + (n, m))
     s2 = np.linalg.svd(direction, compute_uv=False) ** 2
     target = 2.0 * np.log1p(ny)
+    p = s2.shape[-1]
 
     def residual(u):
         us2 = u[..., None] * s2
         return np.sum(np.log1p(us2), axis=-1) - target, np.sum(s2 / (1.0 + us2), axis=-1)
 
-    u = _rising_newton(residual, np.zeros_like(ny), ny > 0.0)
+    u = _rising_newton(residual, p * np.expm1(target / p), ny > 0.0)
     return np.sqrt(u)[..., None, None] * direction
 
 
 def geodesic_fraction(thetas: np.ndarray, log_v: float) -> np.ndarray:
-    """Fraction s in [0, 1) of the normal geodesic Q -> P1 where log v(., P1) falls to `log_v`.
+    """Fraction s in [0, 1] of the normal geodesic Q -> P1 where log v(., P1) falls to `log_v`.
 
     `thetas` (..., p) are the angles from Q to P1, so log v = log_volume(tan^2(theta (1 - s))) is
-    convex and decreasing in s; Newton rises from s = 0, and a row already at or below stays at 0.
+    convex and decreasing in s.  log sec x >= x^2 / 2 gives log v >= (1 - s)^2 |theta|^2 / 2, so
+    Newton rises from s0 = max(0, 1 - sqrt(2 log_v) / |theta|), below the root (from 0 where
+    |theta| = 0 or log_v <= 0), and a row already at or below `log_v` stays at 0.
     """
     thetas = np.asarray(thetas, dtype=float)
+    s = np.zeros(thetas.shape[:-1])
+    if log_v > 0.0:
+        reach = np.sqrt(2.0 * log_v)
+        # 0 where |theta| <= reach, |theta| = 0 included
+        s = 1.0 - reach / np.maximum(np.sqrt(np.sum(thetas * thetas, axis=-1)), reach)
 
     def residual(s):
         t = np.tan(thetas * (1.0 - s)[..., None])
         return log_volume(t * t) - log_v, -np.sum(thetas * t, axis=-1)
 
-    s = np.zeros(thetas.shape[:-1])
     return _rising_newton(residual, s, np.ones(s.shape, dtype=bool))
 
 
@@ -504,14 +527,15 @@ def log_ball_envelope(p: int, excess: int, r2: float) -> float:
     maximisers u_i(mu), the roots of phi_i'(u) = mu, spend the budget: sum u_i(mu) = r2.  phi_i'
     and sum u_i(mu) are convex and decreasing, so both roots are monotone Newton solves
     (`_rising_newton`).  A term with e_i = 0 (the smallest angle when n = m) has phi' <= 3/4 < mu,
-    so its maximum is phi(0+) = 0.  With p = 1 the bound is phi_1(r2).  1e-9 covers rounding.
+    so its maximum is phi(0+) = 0.  With at most one term of e_i > 0 (p = 1, or p = 2 with n = m)
+    no root is solved: phi_1 is increasing, so the bound is phi_1(r2).  1e-9 covers rounding.
     """
     e = np.arange(p - 1, -1, -1) + 0.5 * excess
 
     def phi(u, e):
         return (e - 0.5) * np.log(np.expm1(u)) + 0.5 * np.log(u) + u
 
-    if p == 1:
+    if np.count_nonzero(e) <= 1:
         return float(phi(r2, e[0])) + 1e-9
     e = e[e > 0.0]
 

@@ -123,6 +123,18 @@ class TestExitCodes:
         assert cli.main(["graph", "--example", "lawson_osserman", "--point", point]) == 2
         assert "OutOfDomain: lawson_osserman: point" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,step", [
+        (["graph", "--example", "lawson_osserman", "--point", "1e59,0,0,0"], "0.001"),
+        (["graph", "--example", "holomorphic_pair", "--point", "0.3,0.2,0.1", "--fd-step", "1e-17"], "1e-17"),
+        (["cross-validate", "--example", "holomorphic_pair", "--samples", "5", "--fd-step", "1e-17"], "1e-17"),
+    ])
+    def test_fd_step_that_does_not_resolve_the_point_exits_two(self, capsys, argv, step):
+        # x_i +- step rounds back to x_i: the FD would read 0 whatever the geometry (at 1e59 the
+        # cone's closed form is -2e-133, and the relative difference passed)
+        assert cli.main(argv) == 2
+        assert f"--fd-step {step} does not resolve the point" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["graph", "--example", "holomorphic_pair", "--point", "a,b,c"],
         ["graph", "--graph-spec", "{missing}", "--point", "0.2,0.1"],

@@ -656,6 +656,34 @@ class TestMeanGaussImage:
             sup_v = 1.0 + 4.0 * (np.linalg.norm(center[:2]) + radius) ** 2
             assert gr.v_value(mean, P0) <= sup_v + 1e-9
 
+    @pytest.mark.parametrize("make", [
+        lambda: gg.builtin("affine"),
+        lambda: gg.builtin("holomorphic_pair"),
+        lambda: gg.builtin("lawson_osserman"),
+        lambda: gg.graph_from_spec(POLY_SPEC),
+    ])
+    def test_base_plane_chart_is_the_transposed_jacobian(self, make):
+        # mean_gauss_image takes the chart around the base plane as Df^T and w = 1 / vol without
+        # solving: pinned to chart_stack bitwise, at ball nodes and at points with zero coordinates,
+        # save that the solve turns a -0.0 of Df into +0.0 (adding 0.0 does the same); the mean's
+        # rows P0.frame + Zbar N0 drop the sign of every zero again
+        G = make()
+        nodes = gg._cube_rule(G.n, 4)[0]
+        pts = np.concatenate([0.3 * nodes + 0.9, substream(27, G.n).uniform(0.3, 1.2, (40, G.n))])
+        pts[-20:, : G.n - 1] = 0.0
+        pts = pts[G.contains(pts)]
+        J = G.jac(pts)
+        vol = np.sqrt(np.linalg.det(gg._metric(J)))
+        Z, w = gr.chart_stack(gg._tangent_rows(J), gr.standard_plane(G.n, G.m), vol)
+        assert Z.tobytes() == (np.swapaxes(J, -1, -2) + 0.0).tobytes()
+        assert w.tobytes() == (1.0 / vol).tobytes()
+
+    def test_steep_graph_is_out_of_chart(self):
+        # |Df| = 1e13 gives w = 1e-13 <= CHART_TOL: refused as chart_stack refuses it
+        G = gg.affine_graph(np.array([[1e13, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(OutOfChart, match="outside the chart"):
+            gg.mean_gauss_image(G, np.zeros(3), 0.1, order=2)
+
     def test_shrinks_to_center(self):
         # the deviation is O(R^2): quartering under halving, below 1e-4 by R = 5e-3
         G = gg.builtin("holomorphic_pair")

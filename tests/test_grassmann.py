@@ -91,6 +91,19 @@ class TestPairing:
             gr.w_pairing(gr.standard_plane(2, 2), gr.standard_plane(3, 2))
 
 
+class TestStandardPlane:
+    @pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (4, 3), (6, 4)])
+    def test_built_once_with_read_only_frames(self, n, m):
+        P = gr.standard_plane(n, m)
+        assert gr.standard_plane(n, m) is P
+        assert P.frame.tobytes() == np.hstack([np.eye(n), np.zeros((n, m))]).tobytes()
+        # graphs.mean_gauss_image reads the chart around this plane as Df^T: it needs (0 | I) exactly
+        assert P.normal_frame.tobytes() == np.hstack([np.zeros((m, n)), np.eye(m)]).tobytes()
+        for frame in (P.frame, P.normal_frame):
+            with pytest.raises(ValueError):
+                frame[0, 0] = 2.0
+
+
 class TestJordan:
     def test_equal_planes_zero_angles(self):
         P = gr.make_point(substream(2, 0).standard_normal((4, 7)))
@@ -435,6 +448,108 @@ class TestTEmbedding:
         assert np.all(gr.t_embedding_inverse(np.zeros(4), 2, 2) == 0.0)
 
 
+def newton_runs(monkeypatch):
+    """Record each `_rising_newton` call as (start, F(start), root, residual calls from the start,
+    residual calls from 0 on the same rows); the caller gets the roots from the start."""
+    real, runs = gr._rising_newton, []
+
+    def spy(residual, x, active):
+        calls = [0, 0]
+
+        def counted(k):
+            def call(u):
+                calls[k] += 1
+                return residual(u)
+
+            return call
+
+        root = real(counted(0), x, active)
+        real(counted(1), np.zeros_like(x), active)
+        runs.append((x, residual(x)[0], root, *calls))
+        return root
+
+    monkeypatch.setattr(gr, "_rising_newton", spy)
+    return runs
+
+
+def haar(rng, k):
+    return np.linalg.qr(rng.standard_normal((k, k)))[0]
+
+
+EPS = np.finfo(float).eps
+T_KINDS = ["general", "equal", "rank1"]
+GEODESIC_KINDS = ["general", "zero_angles", "log_c_zero", "near_right_angle"]
+
+
+class TestNewtonStarts:
+    """Each rising Newton root starts at a closed-form lower bracket: F(start) has the sign the
+    rising Newton needs, up to a few ulps, and a seeded stack takes no more residual calls from
+    it than from 0."""
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 2), (4, 3), (3, 1), (1, 3), (2, 4)])
+    @pytest.mark.parametrize("kind", T_KINDS)
+    def test_t_inverse_starts_below_the_root(self, monkeypatch, n, m, kind):
+        rng = substream(16, 100 * n + 10 * m + T_KINDS.index(kind))
+        count, p = 100, min(n, m)
+        scale = 10.0 ** rng.uniform(-3.0, 1.5, (count, 1, 1))
+        if kind == "general":
+            Zs = rng.uniform(-1.0, 1.0, (count, n, m))
+        elif kind == "equal":
+            # p equal singular values: the AM-GM start is the root itself
+            Zs = np.stack([haar(rng, max(n, m))[:, :p] @ haar(rng, p) for _ in range(count)])
+            Zs = Zs if n >= m else np.swapaxes(Zs, 1, 2)
+        else:
+            # one nonzero singular value: the start lies farthest below the root
+            Zs = rng.standard_normal((count, n, 1)) * rng.standard_normal((count, 1, m))
+        Zs = Zs * scale
+        Zs[::10] = 0.0
+        ys = gr.t_embedding(Zs)
+        runs = newton_runs(monkeypatch)
+        back = gr.t_embedding_inverse(ys, n, m)
+        (u0, f, u, calls, zero_calls), = runs
+        # a few ulps of the target 2 log1p(|y|)
+        tol = 8.0 * EPS * 2.0 * np.log1p(np.linalg.norm(ys, axis=1))
+        assert np.all(f <= tol)
+        assert calls <= zero_calls
+        assert np.all(u0[::10] == 0.0) and np.all(back[::10] == 0.0)
+        if p == 1 or kind == "equal":
+            assert np.all(np.abs(f) <= tol)
+        # and row by row
+        for y in ys:
+            gr.t_embedding_inverse(y, n, m)
+        assert all(run[3] <= run[4] for run in runs[1:])
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", GEODESIC_KINDS)
+    def test_geodesic_fraction_starts_below_the_root(self, monkeypatch, p, kind):
+        rng = substream(17, 10 * p + GEODESIC_KINDS.index(kind))
+        count = 100
+        if kind == "near_right_angle":
+            thetas = np.pi / 2 - 10.0 ** rng.uniform(-5.0, -2.0, (count, p))
+        else:
+            # v up to sec(1.23)^p, about 3^p
+            thetas = rng.uniform(0.0, 1.23, (count, p))
+        if kind == "zero_angles":
+            thetas[::2] = 0.0
+        full = gr.log_volume(np.tan(thetas) ** 2)
+        log_v = 0.0 if kind == "log_c_zero" else float(rng.uniform(0.05, 0.95) * np.median(full))
+        runs = newton_runs(monkeypatch)
+        s = gr.geodesic_fraction(thetas, log_v)
+        (s0, f, root, calls, zero_calls), = runs
+        assert s.tobytes() == root.tobytes()
+        # a row starts where F >= 0 (up to rounding), or is at or below log_v already and stays at 0
+        below = full <= log_v
+        assert np.all(f[~below] >= -8.0 * EPS * log_v)
+        assert np.all(s0[below] == 0.0) and np.all(s[below] == 0.0)
+        assert np.all((s0 <= s) & (s <= 1.0))
+        assert calls <= zero_calls
+        if kind == "log_c_zero":
+            # v falls to 1 only at P1 itself, s = 1
+            assert np.all(s0 == 0.0) and np.all(s[~below] == 1.0)
+        if kind == "zero_angles":
+            assert np.all(s[::2] == 0.0)
+
+
 def chart_v_only_sampler(n, m, v_bound, count, rng):
     """Uniform chart matrices with v(Z) <= v_bound by rejection from the box |Z_ij| <= sqrt(v_bound^2 - 1)."""
     half = math.sqrt(v_bound * v_bound - 1.0)
@@ -448,6 +563,13 @@ def chart_v_only_sampler(n, m, v_bound, count, rng):
         out.append(keep[:take])
         filled += take
     return np.concatenate(out)
+
+
+def sampled_max_log_density(p, excess, r2, rng):
+    """Largest `log_ball_density` over 1e5 proposals uniform on the ball orthant |w|^2 <= r2."""
+    x = rng.standard_normal((100_000, p + 2))
+    u = r2 * x[:, :p] ** 2 / np.sum(x**2, axis=1)[:, None]
+    return np.max(gr.log_ball_density(u.T, excess))
 
 
 def slsqp_max_log_density(p, excess, r2, rng, starts=20):
@@ -492,11 +614,21 @@ class TestChartSampler:
         r2 = 2.0 * math.log(v_bound)
         envelope = gr.log_ball_envelope(p, excess, r2)
         rng = substream(13, 10 * p + excess)
-        # 1e5 proposals, uniform on the ball orthant |w|^2 <= r2
-        x = rng.standard_normal((100_000, p + 2))
-        u = r2 * x[:, :p] ** 2 / np.sum(x**2, axis=1)[:, None]
-        assert np.max(gr.log_ball_density(u.T, excess)) <= envelope
+        assert sampled_max_log_density(p, excess, r2, rng) <= envelope
         assert slsqp_max_log_density(p, excess, r2, rng) <= envelope
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("v_bound", [1.1, 2.9, 20.0])
+    def test_one_term_envelope_is_phi_one(self, monkeypatch, n, m, v_bound):
+        # at most one term with e_i > 0: the bound is phi_1(r2), with no root solved
+        p, excess = min(n, m), n - m
+        r2 = 2.0 * math.log(v_bound)
+        e = p - 1 + 0.5 * excess
+        phi = (e - 0.5) * math.log(math.expm1(r2)) + 0.5 * math.log(r2) + r2
+        monkeypatch.setattr(gr, "_rising_newton", lambda *args: pytest.fail("a root was solved"))
+        envelope = gr.log_ball_envelope(p, excess, r2)
+        assert abs(envelope - (phi + 1e-9)) <= 1e-14 * max(1.0, abs(phi))
+        assert sampled_max_log_density(p, excess, r2, substream(13, 100 + 10 * n + m)) <= envelope
 
     @pytest.mark.parametrize("p,excess", [(1, 0), (1, 1), (1, 3), (2, 0)])
     def test_envelope_is_the_maximum_up_to_two_angles(self, p, excess):
