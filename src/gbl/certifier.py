@@ -168,7 +168,8 @@ def block_catalogue(n: int, m: int) -> tuple[FormBlock, ...]:
     III_abc  h_{a,bc}, h_{b,ca}, h_{c,ab} for a < b < c
     IV_a     h_{a,aa}; h_{a,bb} for b != a; h_{b,ba} for b != a
 
-    Within a kind the blocks follow the index order of `TermDecomposition`.
+    Within a kind the blocks run in lexicographic order of their subscripts as
+    written above (a, i, j for pure); `decompose_terms` keeps this order.
     """
     _, slot, _ = _pair_table(n)
     T = n * (n + 1) // 2
@@ -366,50 +367,20 @@ def _batch_minimum(stacks, lams: np.ndarray, weights, offsets, starts=None):
 # ---------------------------------------------------------------------------
 # grouped decomposition
 
-@dataclass(frozen=True)
-class TermDecomposition:
-    """v^{-1} Delta v regrouped by the index types of the h coefficients."""
-    pure_high: float                 # both tangent indices beyond m
-    I_terms: np.ndarray              # (n - m,), one per high index j
-    II_terms: np.ndarray             # (n - m, #pairs a<b)
-    III_terms: np.ndarray            # (#triples a<b<c,)
-    IV_terms: np.ndarray             # (m,)
-
-    def total(self) -> float:
-        return float(
-            self.pure_high
-            + self.I_terms.sum()
-            + self.II_terms.sum()
-            + self.III_terms.sum()
-            + self.IV_terms.sum()
-        )
-
-
-def decompose_terms(lams: np.ndarray, h: np.ndarray) -> TermDecomposition:
-    """Evaluate each named group at the profile lams (m,) and symmetric h (m, n, n) exactly
-    as u_B^T B(lambda) u_B; their sum is v^{-1} Delta v."""
+def decompose_terms(lams: np.ndarray, h: np.ndarray) -> dict:
+    """v^{-1} Delta v at the profile lams (m,) and symmetric h (m, n, n), grouped by the index types
+    of h: kind -> the values u_B^T B(lambda) u_B of its blocks, kinds and blocks in `block_catalogue`
+    order and a kind with no block at (n, m) absent.  All the values sum to v^{-1} Delta v."""
     lams = np.asarray(lams, dtype=float)
     h = np.asarray(h, dtype=float)
     if h.ndim != 3 or h.shape[1] != h.shape[2] or lams.shape != h.shape[:1]:
         raise DimensionMismatch(f"profile {lams.shape} vs tensor {h.shape}")
     m, n = h.shape[:2]
-    u = flatten_h(h)
-    stacks = _kind_stacks(n, m)
-
-    def values(kind: str) -> np.ndarray:
-        if kind not in stacks:
-            return np.zeros(0)
-        slots, stack, _ = stacks[kind]
-        x = u[slots]
-        return np.einsum("bi,bij,bj->b", x, _contract(_features(lams), stack), x)
-
-    return TermDecomposition(
-        float(values("pure").sum()),
-        values("I"),
-        values("II").reshape(n - m, m * (m - 1) // 2),
-        values("III"),
-        values("IV"),
-    )
+    u, features = flatten_h(h), _features(lams)
+    return {
+        kind: np.einsum("bi,bij,bj->b", u[slots], _contract(features, stack), u[slots])
+        for kind, (slots, stack, _) in _kind_stacks(n, m).items()
+    }
 
 
 # ---------------------------------------------------------------------------

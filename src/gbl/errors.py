@@ -37,10 +37,6 @@ class PreconditionViolated(GBLError):
     """Caller-side contract violated (admissibility, bounds ordering, ...)."""
 
 
-class RootBracketFailure(GBLError):
-    """Monotone root expected a bracket that is numerically absent."""
-
-
 class Stalled(GBLError):
     """A shrinking step failed to decrement its certified bound."""
 

@@ -488,20 +488,21 @@ def laplacian_v_finite_difference(
     element that divides the divergence.
 
     x is checked at margin 2 step, which by the margin contract of
-    `GraphImmersion` keeps every stencil point in the domain; the stencil is
-    checked only for finiteness, which a huge x or step can break.
+    `GraphImmersion` keeps every stencil point in the domain; the stencil and
+    its volume elements are checked only for finiteness, which a huge x or
+    step can break (holomorphic_pair's det g overflows from step 5e76).
     """
     x = G.require(x, margin=2.0 * step)
     n = G.n
     offsets, (a, b, c, d), diag, halves = _fd_stencil(n)
     with np.errstate(over="ignore", invalid="ignore"):
         pts = np.concatenate([x + step * offsets, x + (0.5 * step) * halves])
-    if not np.isfinite(pts).all():
+        J = G.jac(pts)
+        g = _metric(J)
+        vol = np.sqrt(np.linalg.det(g))
+    if not (np.isfinite(pts).all() and np.isfinite(vol).all()):
         raise OutOfDomain(f"{G.name}: the stencil of {x} at step {step} leaves the finite range")
     size = len(offsets)
-    J = G.jac(pts)
-    g = _metric(J)
-    vol = np.sqrt(np.linalg.det(g))
     u = _v_from_jacobians(J[:size], vol[:size], P0)
     first = u[a] - u[b]
     grad = np.where(diag, first / step, (first + u[c] - u[d]) / (4.0 * step))   # (2, n, n)

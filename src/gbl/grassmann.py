@@ -24,8 +24,8 @@ Conventions
   the chart matrix (`chart_svd`; `chart_frames` assembles the rows from its
   factors).  Jordan data (`jordan_decompose`, by descending angle,
   left_i . right_j = cos(theta_i) delta_ij, the left basis positively
-  oriented) serves only the geodesics, `distance` and
-  `shrinking.shrink_center`.
+  oriented) serves only `distance` and the geodesics: one
+  `_geodesic_directions` per case-II step of `shrinking.shrink_center`.
 * Repeated angles make principal bases non-unique; whichever gauge the
   SVD returns is kept, and only gauge-invariant quantities should be
   consumed downstream.
@@ -185,11 +185,10 @@ def distance(P: GrassmannPoint, Q: GrassmannPoint) -> float:
 
 
 def v_value(P: GrassmannPoint, P0: GrassmannPoint) -> float:
-    """v(P, P0) = 1 / w(P, P0) = prod sec(theta_a); requires w > 0."""
-    w = w_pairing(P, P0)
-    if w <= CHART_TOL:
-        raise OutOfChart(f"w(P, P0) = {w:.3e} <= 0; v undefined")
-    return 1.0 / w
+    """v(P, P0) = 1 / w(P, P0) = prod sec(theta_a), w the `_chart_pairing` of P's frame clipped
+    to 1 as `w_pairing` clips it; OutOfChart (`_require_in_chart`) unless w > CHART_TOL."""
+    _check_same(P, P0)
+    return float(1.0 / min(_chart_pairing(P.frame, P0, 1.0)[1], 1.0))
 
 
 def from_chart(Z: np.ndarray, P0: GrassmannPoint) -> GrassmannPoint:
@@ -244,17 +243,20 @@ def to_chart(P: GrassmannPoint, P0: GrassmannPoint) -> np.ndarray:
 def geodesic(Q: GrassmannPoint, P1: GrassmannPoint, t: float) -> GrassmannPoint:
     """Point at arc length t on the normal geodesic from Q towards P1.
 
-    Each principal pair is rotated by theta_a * t / L, L = distance(Q, P1);
-    the standard parameter range is t in [0, L] but any real t evaluates the
-    same rotation formula. Raises CutLocus when an angle reaches pi/2 or the
-    target orientation is reversed (no minimal in-chart geodesic).
+    Each principal pair is rotated by theta_a * t / L, L = distance(Q, P1)
+    (`_geodesic_point`); the standard parameter range is t in [0, L] but any
+    real t evaluates the same rotation formula. Raises CutLocus when an angle
+    reaches pi/2 or the target orientation is reversed (`_geodesic_directions`).
     """
-    left, u, angles, L = _geodesic_directions(Q, P1)
+    return _geodesic_point(*_geodesic_directions(Q, P1), t)
+
+
+def _geodesic_point(left, u, angles, L: float, t: float) -> GrassmannPoint:
+    """The plane at arc length t on the geodesic of `_geodesic_directions` (left, u, angles, L)."""
     if L == 0.0:
         return GrassmannPoint(left)
     s = angles * (t / L)
-    rows = np.cos(s)[:, None] * left + np.sin(s)[:, None] * u
-    return GrassmannPoint(rows)
+    return GrassmannPoint(np.cos(s)[:, None] * left + np.sin(s)[:, None] * u)
 
 
 def _geodesic_directions(Q: GrassmannPoint, P1: GrassmannPoint):

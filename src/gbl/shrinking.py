@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grassmann
-from .errors import DimensionMismatch, PreconditionViolated, RootBracketFailure, Stalled
+from .errors import DimensionMismatch, PreconditionViolated, Stalled
 from .rng import substream
 
 
@@ -72,7 +72,8 @@ def shrink_center(
     b below the threshold, or v(Q, P1) < c, allow P2 = Q outright; otherwise
     P2 = gamma(t0) on the geodesic from Q to P1 where v(., P1) first drops
     to c, t0 = s L with s the `grassmann.geodesic_fraction` of the
-    strictly decreasing log-sec profile.
+    strictly decreasing log-sec profile; the angles, L and gamma come from
+    one `grassmann._geodesic_directions` of (Q, P1).
     """
     vq = grassmann.v_value(Q, P1)
     if vq > params.b * (1.0 + 1e-9):
@@ -83,12 +84,10 @@ def shrink_center(
     if vq < c:
         return ShrinkResult(Q, "CaseI", None, 1.0)
 
-    angles = grassmann.jordan_decompose(Q, P1).pair_angles
-    if float(grassmann.log_volume(np.tan(angles) ** 2)) - math.log(c) < -1e-9:
-        raise RootBracketFailure("v(Q, P1) < c inside case II")
+    left, u, angles, L = grassmann._geodesic_directions(Q, P1)
     s, new_bound = _case_two(angles, c)
-    t0 = float(s) * float(np.linalg.norm(angles))
-    return ShrinkResult(grassmann.geodesic(Q, P1, t0), "CaseII", t0, float(new_bound))
+    t0 = float(s) * L
+    return ShrinkResult(grassmann._geodesic_point(left, u, angles, L, t0), "CaseII", t0, float(new_bound))
 
 
 def _case_two(thetas: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,14 @@
 """Every op of the benchmark's workloads, run in-process at seed 0: each oracle check passes.
 
 A report key the ops read, or a gbl name they call, that goes missing fails here
-rather than in a benchmark run.  Each op's calls of the lap points are pinned too.
+rather than in a benchmark run.  The values the ops record and each op's calls of
+the lap points are pinned too.
 """
 import collections
 import functools
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -32,12 +35,23 @@ def builtins():
     return {name: graphs.builtin(name) for name in ("affine", "holomorphic_pair", "lawson_osserman")}
 
 
+# sha256 of json.dumps([record["values"] for record in records], sort_keys=True) at seed 0: the
+# certificate values every op records (iterate bounds, mean-Gauss margins, the FD ops' worst
+# relative differences, ...), so a change that moves any of their bits has to say so
+VALUE_DIGESTS = {
+    "geometry-loop": "740ecedc7cd5e9ca24004f8f183bb60995bd0ef63766ee4bd30302dfc458ec39",
+    "k0-sweep": "43e91b3a2e5eb79fa72d67dedba01d821e5cc0f8263459c537d9e1399653edbf",
+}
+
+
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_every_op_passes_its_checks(workload, builtins):
     _, records = workloads.run_campaign(workload, 0, builtins)
     assert records
     for record in records:
         assert record["ok"], (record["op"], record["checks"], record.get("error"))
+    values = json.dumps([record["values"] for record in records], sort_keys=True)
+    assert hashlib.sha256(values.encode()).hexdigest() == VALUE_DIGESTS[workload]
 
 
 # calls of each laps.LAP_POINTS function per op at seed 0, once the process's caches are warm (the

@@ -27,6 +27,11 @@ def random_h(n, m, rng):
     return 0.5 * (h + h.transpose(0, 2, 1))
 
 
+def grouped_total(terms):
+    """The sum of every group value of `decompose_terms`, in catalogue order, as `gbl lemmas` sums it."""
+    return sum(values.sum() for values in terms.values())
+
+
 def unflatten_h(u, n, m):
     """Inverse of `flatten_h` for one vector."""
     pairs, _, weights = ct._pair_table(n)
@@ -72,7 +77,7 @@ class TestLaplacian:
             lams = rng.uniform(0, 1.3, 3)
             h = random_h(3, 3, rng)
             dv = ct.laplacian_v_batch(lams, h)
-            assert ct.decompose_terms(lams, h).total() * v_of(lams) == pytest.approx(
+            assert grouped_total(ct.decompose_terms(lams, h)) * v_of(lams) == pytest.approx(
                 dv, rel=1e-10, abs=1e-10
             )
 
@@ -200,10 +205,20 @@ class TestDecomposition:
         lams = np.array([0.8])
         h = random_h(3, 1, rng)
         td = ct.decompose_terms(lams, h)
-        assert td.II_terms.size == 0
-        assert td.III_terms.size == 0
-        assert td.IV_terms.shape == (1,)
-        assert td.total() * v_of(lams) == pytest.approx(ct.laplacian_v_batch(lams, h), rel=1e-12)
+        # with one normal direction no II or III block exists, so neither kind has a key
+        assert "II" not in td
+        assert "III" not in td
+        assert td["IV"].shape == (1,)
+        assert grouped_total(td) * v_of(lams) == pytest.approx(ct.laplacian_v_batch(lams, h), rel=1e-12)
+
+    @pytest.mark.parametrize("n,m", [(3, 1), (3, 3), (4, 3)])
+    def test_kinds_are_the_catalogue_kinds(self, n, m):
+        # one group per kind the block catalogue names at (n, m), in its order, one value per block
+        rng = substream(12, 10 + 4 * n + m)
+        td = ct.decompose_terms(rng.uniform(0, 1.3, m), random_h(n, m, rng))
+        stacks = ct._kind_stacks(n, m)
+        assert list(td) == list(stacks)
+        assert [values.shape for values in td.values()] == [(slots.shape[0],) for slots, _, _ in stacks.values()]
 
     def test_high_index_group_bound(self):
         # I_j - 2 sum_a h_{a,aj}^2 is a perfect square plus positive terms
@@ -223,7 +238,7 @@ class TestDecomposition:
         lams = rng.uniform(0, 1.5, m)
         h = random_h(n, m, rng)
         dv = ct.laplacian_v_batch(lams, h)
-        assert ct.decompose_terms(lams, h).total() * v_of(lams) == pytest.approx(
+        assert grouped_total(ct.decompose_terms(lams, h)) * v_of(lams) == pytest.approx(
             dv, rel=1e-10, abs=1e-10
         )
 

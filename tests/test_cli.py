@@ -135,6 +135,13 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert f"--fd-step {step} does not resolve the point" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("step", ["1e80", "1e150"])
+    def test_fd_step_that_overflows_the_metric_exits_two(self, capsys, step):
+        # det g overflows at the far stencil points: a usage error, not a NaN FD that fails the check
+        assert cli.main(["graph", "--example", "holomorphic_pair", "--fd-step", step]) == 2
+        assert "OutOfDomain: holomorphic_pair: the stencil of" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["graph", "--example", "holomorphic_pair", "--point", "a,b,c"],
         ["graph", "--graph-spec", "{missing}", "--point", "0.2,0.1"],

@@ -532,6 +532,18 @@ class TestFiniteDifference:
             with pytest.raises(OutOfDomain, match="finite range"):
                 gg.laplacian_v_finite_difference(G, x, Q, step=step)
 
+    @pytest.mark.parametrize("step", [1e80, 1e150])
+    def test_overflowing_metric_is_out_of_domain(self, step):
+        # the stencil is finite but det g of its far points overflows (the affine metric never
+        # does): refused on the base-plane path, which read NaN, and on the P0 path, which read
+        # the infinite volumes as planes outside the chart, with no RuntimeWarning on the way
+        G = gg.builtin("holomorphic_pair")
+        x = np.array([0.4, 0.4, 0.4])
+        P = gr.standard_plane(3, 2)
+        for Q in (None, P, gr.from_chart(np.full((3, 2), 0.05), P)):
+            with pytest.raises(OutOfDomain, match="finite range"):
+                gg.laplacian_v_finite_difference(G, x, Q, step=step)
+
 
 # holomorphic_pair on the half space x_0 >= margin and on the ball of radius 0.05 - margin about
 # (0.45, 0.45, 0.45), as test_rng and test_cli build them

@@ -159,8 +159,15 @@ class TestDistance:
 
 class TestV:
     def test_center_value(self):
-        P0 = gr.standard_plane(3, 2)
-        assert gr.v_value(P0, P0) == pytest.approx(1.0, abs=1e-14)
+        # w is clipped to 1, so v(P, P) is exactly 1 where det(P P^T) rounds to 1 or above, and
+        # never below 1 where it rounds below
+        for n, m in [(1, 1), (2, 2), (3, 2), (4, 3), (6, 4)]:
+            P0 = gr.standard_plane(n, m)
+            assert gr.v_value(P0, P0) == 1.0
+        rng = substream(4, 3)
+        vs = [gr.v_value(P, P) for P in (gr.make_point(rng.standard_normal((3, 5))) for _ in range(200))]
+        assert 1.0 in vs
+        assert 1.0 <= min(vs) <= max(vs) <= 1.0 + 1e-14
 
     def test_two_unit_slopes(self):
         # lambda = (1, 1) means v = sqrt(2) * sqrt(2) = 2
@@ -176,6 +183,8 @@ class TestV:
         for Z, v in zip(Zs[:200], vs[:200]):
             P = gr.from_chart(Z, P0)
             assert gr.v_value(P, P0) * gr.w_pairing(P, P0) == pytest.approx(1.0, abs=1e-10)
+            # bitwise the reciprocal of the reference pairing
+            assert gr.v_value(P, P0) == 1.0 / gr.w_pairing(P, P0)
             assert gr.v_value(P, P0) == pytest.approx(v, abs=1e-9 * v)
 
     def test_product_of_secants(self):
@@ -186,10 +195,19 @@ class TestV:
         assert gr.v_value(P, P0) == pytest.approx(float(np.prod(1.0 / np.cos(dec.pair_angles))), rel=1e-10)
 
     def test_out_of_chart(self):
-        P0 = gr.standard_plane(1, 1)
-        flipped = gr.GrassmannPoint(np.array([[-1.0, 0.0]]))
-        with pytest.raises(OutOfChart):
-            gr.v_value(flipped, P0)
+        # an orientation-reversed plane (w = -1) and one at a right angle to P0 (w = 0) are refused
+        # by `_require_in_chart`, with the message `chart_stack` gives on the same frame
+        for n, m in [(1, 1), (2, 2), (3, 2)]:
+            P0 = gr.standard_plane(n, m)
+            flipped = P0.frame.copy()
+            flipped[0] *= -1.0
+            turned = P0.frame.copy()
+            turned[0, [0, n]] = turned[0, [n, 0]]
+            for frame in (flipped, turned):
+                with pytest.raises(OutOfChart, match=r"^1 plane\(s\) outside the chart of P0 \(w <= 0\)$"):
+                    gr.v_value(gr.GrassmannPoint(frame), P0)
+                with pytest.raises(OutOfChart, match=r"^1 plane\(s\) outside the chart of P0 \(w <= 0\)$"):
+                    gr.chart_stack(frame, P0, 1.0)
 
 
 class TestChart:

@@ -439,6 +439,27 @@ class TestCaseTwoRoot:
                         assert abs(res.new_bound_on_q - bound) < 1e-12
         assert cases == {"CaseI", "CaseII"}
 
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 3)])
+    def test_case_two_decomposes_the_pair_once(self, n, m, monkeypatch):
+        # the angles of the log-sec profile and the geodesic to P2 come from one Jordan decomposition
+        P1 = gr.standard_plane(n, m)
+        params = sh.ShrinkParameters(a=3.0, b=2.8, beta0=2.9)
+        Q = point_at_v(P1, 2.7, substream(38, 20 + n))
+        expected = bisection_shrink_center(P1, Q, params)
+        calls = []
+        decompose = gr.jordan_decompose
+
+        def spy(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(gr, "jordan_decompose", spy)
+        res = sh.shrink_center(P1, Q, params)
+        assert calls == [(Q, P1)]
+        assert (res.case, expected[0]) == ("CaseII", "CaseII")
+        assert abs(res.t0 - expected[1]) <= 1e-12 * gr.distance(Q, P1)
+        assert abs(res.new_bound_on_q - expected[2]) < 1e-12
+
     def test_newton_cap(self, monkeypatch):
         P1 = gr.standard_plane(2, 2)
         params = sh.ShrinkParameters(a=3.0, b=2.9, beta0=2.9)

@@ -23,6 +23,8 @@ LIBRARY_ONLY = {
     "geodesic_velocity": "test_grassmann.py::TestHessian::test_geodesic_second_difference",
     "ellipticity_check": "test_graphs.py::TestEllipticity::test_universal_window_for_slope_three",
     "to_ball": "test_grassmann.py::TestChartSampler::test_ball_coordinates_round_trip",
+    "geodesic": "test_grassmann.py::TestGeodesic::test_endpoints",
+    "w_pairing": "test_grassmann.py::TestPairing::test_single_rotation_gives_cosine",
 }
 
 
