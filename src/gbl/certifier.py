@@ -25,10 +25,12 @@ diagonal-block bound, unclipped, so a negative value shows on the report.
 K0, eps0 and the block-lemma margins are batch minima.  `_batch_minimum`
 takes one group of profiles or several contiguous ones (`compute_K0` puts
 every beta0's search profiles and audit in one call, one group each),
-reads a 1 x 1 block off its Gershgorin bound, drops the blocks that the
-bound and then an LDL^T test place above their group's running minimum,
-eigensolves the rest, and returns bitwise each group's argmin and minimum
-of the exhaustive per-profile values.
+reads a 1 x 1 block off its Gershgorin bound, drops the blocks that a
+lower bound and then an LDL^T test place above their group's running
+minimum, eigensolves the rest, and returns bitwise each group's argmin and
+minimum of the exhaustive per-profile values.  The lower bound is
+Gershgorin's on the block minus a part the catalogue records as PSD
+(`FormBlock.psd`): all of I but the identity, the rank-one part of IV.
 """
 from __future__ import annotations
 
@@ -49,9 +51,10 @@ PSD_TOL = 1e-9
 # profiles per chunk of a batch minimum, which bounds the memory of one chunk's blocks; a
 # chunk of 20,000 (4, 3) profiles cost more per profile than two of 10,000 (2-core Xeon)
 CHUNK = 10_000
-# a block whose Gershgorin bound exceeds the running minimum by more than this,
-# or whose LDL^T test clears it by this, is not eigensolved; the slack absorbs
-# the rounding of bound, LDL^T and eigensolve
+# a block whose bound (Gershgorin's on the block minus its PSD part, `_stack`)
+# exceeds the running minimum by more than this, or whose LDL^T test clears it
+# by this, is not eigensolved; the slack absorbs the rounding of bound, LDL^T
+# and eigensolve
 PRUNE_SLACK = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
@@ -137,11 +140,25 @@ _SQRT_HALF = 1.0 / _SQRT2
 
 @dataclass(frozen=True)
 class FormBlock:
-    """One index-typed block of the Delta-v form in flattened coordinates."""
+    """One index-typed block of the Delta-v form in flattened coordinates.
+
+    psd holds the coefficients of a part P(lambda) of B(lambda) that is PSD at every lambda, so
+    lambda_min(B) >= lambda_min(B - P) by Weyl's inequality (Horn and Johnson, Matrix Analysis,
+    Thm 4.3.1), and `_stack` bounds B - P instead of B:
+      I_j   everything but the identity, 1/2 diag(lambda^2) + 1/2 lambda lambda^T, so B - P = I
+      IV_a  rho rho^T with rho = lambda_a on h_{a,aa} and lambda_b / sqrt(2) on h_{b,ba}, which
+            leaves 1 + lambda_a^2 on h_{a,aa} and, for each b != a, the 2 x 2 block
+            [[1, lambda_a lambda_b / sqrt(2)], [lambda_a lambda_b / sqrt(2), 1 + lambda_b^2 / 2]]
+            on (h_{a,bb}, h_{b,ba})
+    and zero for the pure, II and III kinds and for every 1 x 1 block, whose bound
+    `_batch_minimum` reads as its eigenvalue.  Each entry of psd is 0, the entry of coeffs it
+    sits on, or half of it (2 - 1, 1 - 1/2), so coeffs - psd is exact.
+    """
     kind: str                # "pure", "I", "II", "III" or "IV"
     key: tuple               # (a, i, j), (j,), (j, a, b), (a, b, c) or (a,)
     slots: tuple             # positions in flatten_h coordinates
     coeffs: np.ndarray       # (F, s, s), one matrix per feature
+    psd: np.ndarray          # (F, s, s), the coefficients of the PSD part P
 
 
 @lru_cache(maxsize=None)
@@ -180,11 +197,12 @@ def block_catalogue(n: int, m: int) -> tuple[FormBlock, ...]:
     def flat(a: int, i: int, j: int) -> int:
         return a * T + slot[(i, j)]
 
-    def block(kind, key, slots, squares=(), couplings=()):
-        """squares: (a, p, w) adds w lambda_a^2 at (p, p); couplings: (a, b, p, q, w)
-        adds w lambda_a lambda_b at (p, q) and (q, p)."""
-        C = np.zeros((1 + m + len(duos), len(slots), len(slots)))
-        C[0] = np.eye(len(slots))
+    def coefficients(s, eye, squares, couplings):
+        """eye: the identity; squares: (a, p, w) adds w lambda_a^2 at (p, p); couplings:
+        (a, b, p, q, w) adds w lambda_a lambda_b at (p, q) and (q, p)."""
+        C = np.zeros((1 + m + len(duos), s, s))
+        if eye:
+            C[0] = np.eye(s)
         for a, p, w in squares:
             C[1 + a, p, p] += w
         for a, b, p, q, w in couplings:
@@ -192,18 +210,24 @@ def block_catalogue(n: int, m: int) -> tuple[FormBlock, ...]:
             C[f, p, q] += w
             C[f, q, p] += w
         C.flags.writeable = False
-        return FormBlock(kind, key, tuple(slots), C)
+        return C
+
+    def block(kind, key, slots, squares=(), couplings=(), psd=((), ())):
+        """The identity plus squares and couplings; psd: the squares and couplings of its PSD
+        part, dropped on a 1 x 1 block, whose bound is its eigenvalue."""
+        s = len(slots)
+        if s == 1:
+            psd = ((), ())
+        return FormBlock(kind, key, tuple(slots), coefficients(s, True, squares, couplings),
+                         coefficients(s, False, *psd))
 
     out = [
         block("pure", (a, i, j), [flat(a, i, j)])
         for a in range(m) for i in high for j in range(i, n)
     ]
     for j in high:
-        out.append(block(
-            "I", (j,), [flat(a, a, j) for a in range(m)],
-            squares=[(a, a, 1.0) for a in range(m)],
-            couplings=[(a, b, a, b, 0.5) for a, b in duos],
-        ))
+        squares, couplings = [(a, a, 1.0) for a in range(m)], [(a, b, a, b, 0.5) for a, b in duos]
+        out.append(block("I", (j,), [flat(a, a, j) for a in range(m)], squares, couplings, (squares, couplings)))
     for j in high:
         for a, b in duos:
             out.append(block("II", (j, a, b), [flat(a, b, j), flat(b, a, j)], couplings=[(a, b, 0, 1, 0.5)]))
@@ -217,25 +241,30 @@ def block_catalogue(n: int, m: int) -> tuple[FormBlock, ...]:
         y = {b: 1 + k for k, b in enumerate(others)}      # h_{a,bb}
         z = {b: m + k for k, b in enumerate(others)}      # h_{b,ba}
         z[a] = 0                                          # h_{a,aa} closes the z family
+        # rho rho^T, rho = lambda_a on z_a = 0 and lambda_b / sqrt(2) on z_b
+        rho_rho = [(b, c, z[b], z[c], _SQRT_HALF if a in (b, c) else 0.5) for b, c in duos]
         out.append(block(
             "IV", (a,),
             [flat(a, a, a)] + [flat(a, b, b) for b in others] + [flat(b, b, a) for b in others],
             squares=[(a, 0, 2.0)] + [(b, z[b], 1.0) for b in others],
-            couplings=[(a, b, y[b], z[b], _SQRT_HALF) for b in others]
-            + [(b, c, z[b], z[c], _SQRT_HALF if a in (b, c) else 0.5) for b, c in duos],
+            couplings=[(a, b, y[b], z[b], _SQRT_HALF) for b in others] + rho_rho,
+            psd=([(b, z[b], 1.0 if b == a else 0.5) for b in range(m)], rho_rho),
         ))
     return tuple(out)
 
 
 def _stack(blocks) -> tuple:
-    """(C, G): the coefficients of same-size blocks as one (F, nb, s, s) stack C and its rows
-    G = 2 diag(C) - rowsum(C), shape (F, nb, s).
+    """(C, G): the coefficients of same-size blocks as one (F, nb, s, s) stack C and the rows
+    G = 2 diag(M) - rowsum(M) of M = C - psd, shape (F, nb, s).
 
-    No off-diagonal coefficient of the catalogue is negative, nor any feature at lambda >= 0, so
-    row i of features . G is Gershgorin's bound B_ii - sum_{j != i} |B_ij| <= lambda_min(B).
+    No off-diagonal coefficient of M is negative, nor any feature at lambda >= 0, so row i of
+    features . G is Gershgorin's bound M_ii - sum_{j != i} |M_ij| <= lambda_min(M), and
+    lambda_min(M) <= lambda_min(B) since B - M is PSD (`FormBlock`).  A 1 x 1 block has no PSD
+    part, so its row is 2C - C = C, bitwise its `eigvalsh`.
     """
     C = np.stack([blk.coeffs for blk in blocks], axis=1)
-    return C, 2.0 * np.diagonal(C, axis1=-2, axis2=-1) - C.sum(axis=-1)
+    M = C - np.stack([blk.psd for blk in blocks], axis=1)
+    return C, 2.0 * np.diagonal(M, axis1=-2, axis2=-1) - M.sum(axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -405,7 +434,9 @@ def min_form_eigenvalue(n: int, m: int, lams: np.ndarray, starts=None):
     v times the smallest eigenvalue over the distinct blocks (`_batch_minimum`); with `starts`,
     one per contiguous group of rows."""
     lams = np.asarray(lams, dtype=float)
-    return _batch_minimum(_distinct_stacks(n, m), lams, profile_v(lams), 0.0, starts)
+    # the distinct blocks do not depend on n beyond m + 1 (ROADMAP item 1's FOUND), so every
+    # n > m shares the one build at m + 1
+    return _batch_minimum(_distinct_stacks(min(n, m + 1), m), lams, profile_v(lams), 0.0, starts)
 
 
 # ---------------------------------------------------------------------------

@@ -292,7 +292,9 @@ def _fd_agreement(G, x, step: float):
     """point_geometry, closed-form and FD Delta v on the base plane at x, and their relative difference.
 
     Raises UsageError where the step does not resolve x (some x_i +- step rounds back to x_i): the
-    stencil there differences equal values, so the FD reads 0 whatever the geometry.
+    stencil there differences equal values, so the FD reads 0 whatever the geometry.  It raises
+    too where the FD is exactly 0 but the closed form is not, as where every stencil value of v
+    is the same double: the FD measured nothing.
     """
     from . import certifier, graphs
 
@@ -301,6 +303,9 @@ def _fd_agreement(G, x, step: float):
         raise UsageError(f"--fd-step {step:g} does not resolve the point: some x_i +- step rounds back to x_i")
     closed = float(certifier.laplacian_v_batch(pg.lambdas, pg.h))
     fd = graphs.laplacian_v_finite_difference(G, x, step=step)
+    if fd == 0.0 and closed != 0.0:
+        raise UsageError(f"--fd-step {step:g} does not move v at the point: the FD reads exactly 0 "
+                         f"against a closed form of {closed:.3g}")
     # the floor keeps the comparison meaningful when both sides vanish (flat graphs)
     scale = max(abs(closed), abs(fd), pg.slope * pg.norm_b2, 1e-6)
     return pg, closed, fd, abs(closed - fd) / scale

@@ -287,6 +287,31 @@ class TestBlockCatalogue:
         assert np.array_equal(exhaustive_form_eigenvalues(m + 1, m, lams), exhaustive_form_eigenvalues(m + 4, m, lams))
         assert ct.min_form_eigenvalue(m + 1, m, lams) == ct.min_form_eigenvalue(m + 4, m, lams)
 
+    def test_every_n_past_m_reuses_the_build_at_m_plus_one(self, monkeypatch):
+        # min_form_eigenvalue reads the distinct stacks of (m + 1, m) at every n > m: bitwise a
+        # fresh build at n, and a (5, 3) call after a (4, 3) call builds no block
+        for m in range(1, 9):
+            reused = ct._distinct_stacks(m + 1, m)
+            for n in range(m + 2, 17):
+                fresh = ct._distinct_stacks.__wrapped__(n, m)
+                assert len(fresh) == len(reused), (n, m)
+                for (C, G), (C_n, G_n) in zip(reused, fresh):
+                    assert C.shape == C_n.shape and C.tobytes() == C_n.tobytes(), (n, m)
+                    assert G.shape == G_n.shape and G.tobytes() == G_n.tobytes(), (n, m)
+        lams = ct.sample_admissible_lambdas(3, 2.9, 200, substream(17, 103))
+        ct._distinct_stacks.cache_clear()
+        low = ct.min_form_eigenvalue(4, 3, lams)
+        built = []
+        catalogue = ct.block_catalogue
+
+        def spy(n, m):
+            built.append((n, m))
+            return catalogue(n, m)
+
+        monkeypatch.setattr(ct, "block_catalogue", spy)
+        assert ct.min_form_eigenvalue(5, 3, lams) == low
+        assert built == []
+
     def test_chunks_do_not_change_values(self):
         lams = ct.sample_admissible_lambdas(3, 3.0, ct.CHUNK + 7, substream(17, 200))
         half = lams.shape[0] // 2
@@ -364,10 +389,46 @@ class TestPrunedMinimum:
                             terms.tolist() == [0, terms[1]] and entry[0] == 1.0 and entry[terms[1]] in (1.0, 2.0)
                         ), (n, m, blk.kind, blk.key)
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_psd_part_is_psd_and_leaves_nonnegative_couplings(self, m):
+        for n in (m, m + 1):
+            features = ct._features(probe_profiles(n, m))
+            for blk in ct.block_catalogue(n, m):
+                off = ~np.eye(len(blk.slots), dtype=bool)
+                assert np.all((blk.coeffs - blk.psd)[:, off] >= 0.0), (n, m, blk.kind, blk.key)
+                low = np.linalg.eigvalsh(ct._contract(features, blk.psd))[:, 0]
+                assert low.min() >= -1e-12, (n, m, blk.kind, blk.key)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_psd_part_follows_the_kind_rules(self, m):
+        # I: everything but the identity; IV_a: rho rho^T with rho = lambda_a on h_{a,aa} and
+        # lambda_b / sqrt(2) on h_{b,ba}; zero for pure, II, III and every 1 x 1 block
+        duos = list(itertools.combinations(range(m), 2))
+        for n in (m, m + 1):
+            _, slot, _ = ct._pair_table(n)
+            T = n * (n + 1) // 2
+            for blk in ct.block_catalogue(n, m):
+                expected = np.zeros_like(blk.coeffs)
+                if len(blk.slots) > 1 and blk.kind == "I":
+                    expected[1:] = blk.coeffs[1:]
+                elif len(blk.slots) > 1 and blk.kind == "IV":
+                    (a,) = blk.key
+                    z = {b: blk.slots.index(b * T + slot[(b, a)]) for b in range(m)}
+                    assert z[a] == 0
+                    for b in range(m):
+                        expected[1 + b, z[b], z[b]] = 1.0 if b == a else 0.5
+                    for k, (b, c) in enumerate(duos):
+                        w = 1.0 / math.sqrt(2.0) if a in (b, c) else 0.5
+                        expected[1 + m + k, z[b], z[c]] = expected[1 + m + k, z[c], z[b]] = w
+                assert blk.psd.shape == blk.coeffs.shape
+                assert np.array_equal(blk.psd, expected), (n, m, blk.kind, blk.key)
+
     @pytest.mark.parametrize("n,m", [(3, 1), (2, 2), (4, 3), (6, 4), (9, 8)])
     def test_bound_is_below_lambda_min(self, n, m):
+        # the distinct stacks of the K0 search, and the kind stacks eps0 and the lemmas read
         features = ct._features(probe_profiles(n, m))
-        for stack, G in ct._distinct_stacks(n, m):
+        kinds = [*ct._kind_stacks(n, m).values(), *ct._kind_stacks(m + 1, m).values()]
+        for stack, G in [*ct._distinct_stacks(n, m), *((C, G) for _, C, G in kinds)]:
             bound = np.tensordot(features, G, axes=1).min(axis=-1)
             assert np.all(bound <= np.linalg.eigvalsh(np.tensordot(features, stack, axes=1))[..., 0] + 1e-12)
 
@@ -458,6 +519,26 @@ class TestPrunedMinimum:
         ct.compute_K0(4, 3, (2.9,), audit_samples=2_000, seed=8)
         assert [C.shape[-1] for C, _ in ct._distinct_stacks(4, 3)] == [1, 2, 3, 5]
         assert set(solved) == {2, 3} and set(tested) == {2, 3, 5}
+
+    def test_psd_split_halves_the_ldlt_tests(self, monkeypatch):
+        # Gershgorin on IV minus its rank-one part keeps about half the 5 x 5 blocks that
+        # Gershgorin on IV kept (1,253), and eigensolves exactly the same blocks
+        solved, tested = {}, {}
+        eigvalsh, clears = np.linalg.eigvalsh, ct._clears
+
+        def counting_eigvalsh(a):
+            solved[np.shape(a)[-1]] = solved.get(np.shape(a)[-1], 0) + int(np.prod(np.shape(a)[:-2]))
+            return eigvalsh(a)
+
+        def counting_clears(B, shift):
+            tested[B.shape[-1]] = tested.get(B.shape[-1], 0) + B.shape[0]
+            return clears(B, shift)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(ct, "_clears", counting_clears)
+        ct.compute_K0(4, 3, (2.9,), audit_samples=2_000, seed=8)
+        assert tested[5] <= 700
+        assert solved == {2: 474, 3: 2}
 
     def test_lemma_margin_prunes_its_eigensolves(self, monkeypatch):
         # the first chunk meets an infinite cut and eigensolves its CHUNK // 2 triple blocks;

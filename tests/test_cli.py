@@ -135,6 +135,13 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert f"--fd-step {step} does not resolve the point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("point", ["1e8,0,0,0", "3e12,1,1,1"])
+    def test_fd_that_does_not_move_v_exits_two(self, capsys, point):
+        # the step resolves x, but every stencil value of v is the same double: the FD reads
+        # exactly 0 against a nonzero closed form (2.2e-31 at 1e8), which passed the 1e-6 floor
+        assert cli.main(["graph", "--example", "lawson_osserman", "--point", point]) == 2
+        assert "--fd-step 0.001 does not move v at the point" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("step", ["1e80", "1e150"])
     def test_fd_step_that_overflows_the_metric_exits_two(self, capsys, step):
