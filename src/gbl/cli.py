@@ -51,7 +51,7 @@ _FLAGS = {
     "--samples": dict(type=int),
     "--seed": dict(type=int, default=0),
     "--fd-step": dict(type=float, default=1e-3),
-    "--example": dict(default="holomorphic_pair"),
+    "--example": {},
     "--point": {},
     "--graph-spec": {},
     "--which": dict(choices=("aux", "grouping", "es1", "pair", "iii", "iv", "all"), default="all"),
@@ -96,6 +96,12 @@ def _validate(args) -> dict:
     describes into `args.graph` (`_spec_graph`; for shrink, `_cloud_graph`).
     """
     _, flags, samples = _COMMANDS[args.command]
+    if "--example" in flags:
+        # one graph runs, and the config names it: a spec, or an example (holomorphic_pair by default)
+        if args.graph_spec and args.example is not None:
+            raise UsageError("--example and --graph-spec exclude each other")
+        if not args.graph_spec and args.example is None:
+            args.example = "holomorphic_pair"
     dests = [f[2:].replace("-", "_") for f in flags + _OUTPUT_FLAGS if f != "--out"]
     cfg = {dest: getattr(args, dest) for dest in dests}
     if "m" in cfg:
@@ -272,52 +278,59 @@ def _cmd_lemmas(args, report) -> None:
         )
 
 
-def _parse_point(args, n: int):
-    import numpy as np
-
-    if args.coords is None:
-        return np.full(n, 0.4)
-    if len(args.coords) != n:
-        raise UsageError(f"--point needs {n} coordinates, got {len(args.coords)}")
-    return np.asarray(args.coords)
-
-
 def _load_graph(args):
     from . import graphs
 
     return args.graph if args.graph_spec else graphs.builtin(args.example)
 
 
-def _fd_agreement(G, x, step: float):
+def _fd_step(args, x) -> float:
+    """The FD step at x: --fd-step relative to the point's length scale max(1, max_i |x_i|)."""
+    return args.fd_step * max(1.0, float(abs(x).max()))
+
+
+def _fd_rounding(n: int, v: float, h: float) -> float:
+    """rho = 4 n (n + 1) eps v / h^2 bounds the rounding in an FD Laplacian at step h of a function of size v.
+
+    Each stencil value lies within 2 eps v, so a central difference over h lies within 4 eps v / h
+    and a cross one (four values over 4h) within 2 eps v / h.  As g >= I each entry of the flux
+    coefficients vol g^{-1} is at most vol: each of the 2n half-step fluxes (n terms) lies within
+    2 (n + 1) eps v vol / h, and the divergence divides their sum by h and by the centre's vol.  On
+    lawson_osserman, where v = 9 and the FD reads pure rounding, |FD| h^2 / (9 eps) stayed below 16 (n = 4).
+    """
+    return 4.0 * n * (n + 1) * sys.float_info.epsilon * v / h / h
+
+
+def _fd_agreement(G, x, args, tol: float):
     """point_geometry, closed-form and FD Delta v on the base plane at x, and their relative difference.
 
-    Raises UsageError where the step does not resolve x (some x_i +- step rounds back to x_i): the
-    stencil there differences equal values, so the FD reads 0 whatever the geometry.  It raises
-    too where the FD is exactly 0 but the closed form is not, as where every stencil value of v
-    is the same double: the FD measured nothing.
+    The FD takes the step `_fd_step`; the difference is read against scale = max(|closed|, |FD|,
+    slope |B|^2), and is 0 at a flat point (scale 0, both sides exactly 0).  Raises UsageError where
+    rho (`_fd_rounding`, the slope for v) exceeds tol times scale: there the FD cannot resolve the check.
     """
     from . import certifier, graphs
 
     pg = graphs.point_geometry(G, x)
-    if any(xi + step == xi or xi - step == xi for xi in x):
-        raise UsageError(f"--fd-step {step:g} does not resolve the point: some x_i +- step rounds back to x_i")
+    h = _fd_step(args, x)
     closed = float(certifier.laplacian_v_batch(pg.lambdas, pg.h))
-    fd = graphs.laplacian_v_finite_difference(G, x, step=step)
-    if fd == 0.0 and closed != 0.0:
-        raise UsageError(f"--fd-step {step:g} does not move v at the point: the FD reads exactly 0 "
-                         f"against a closed form of {closed:.3g}")
-    # the floor keeps the comparison meaningful when both sides vanish (flat graphs)
-    scale = max(abs(closed), abs(fd), pg.slope * pg.norm_b2, 1e-6)
-    return pg, closed, fd, abs(closed - fd) / scale
+    fd = graphs.laplacian_v_finite_difference(G, x, step=h)
+    scale = max(abs(closed), abs(fd), pg.slope * pg.norm_b2)
+    rho = _fd_rounding(G.n, pg.slope, h)
+    if scale and rho > tol * scale:
+        raise UsageError(f"--fd-step {args.fd_step:g} does not resolve the point: the FD's rounding bound "
+                         f"{rho:.3g} exceeds tolerance {tol:g} times its scale {scale:.3g}")
+    return pg, closed, fd, abs(closed - fd) / scale if scale else 0.0
 
 
 def _cmd_graph(args, report) -> None:
     import numpy as np
 
     G = _load_graph(args)
-    x = _parse_point(args, G.n)
-    pg, closed, fd, rel = _fd_agreement(G, x, args.fd_step)
+    if args.coords is not None and len(args.coords) != G.n:
+        raise UsageError(f"--point needs {G.n} coordinates, got {len(args.coords)}")
+    x = np.full(G.n, 0.4) if args.coords is None else np.asarray(args.coords)
     tol = _tolerance(args, 1e-3)
+    pg, closed, fd, rel = _fd_agreement(G, x, args, tol)
     report.payload["geometry"] = {
         "example": G.name,
         "point": [float(v) for v in x],
@@ -346,22 +359,19 @@ def _cmd_cross_validate(args, report) -> None:
     G = _load_graph(args)
     rng = substream(args.seed, 41)
     tol = _tolerance(args, 1e-3)
-    worst_rel = 0.0
-    checked = 0
+    rels = []
     for _ in range(args.samples):
         if G.name == "lawson_osserman":
             x = rng.standard_normal(G.n)
             x *= rng.uniform(0.5, 2.0) / np.linalg.norm(x)
         else:
             x = rng.uniform(-0.6, 0.6, G.n)
-        if not G.contains(x, margin=2 * args.fd_step):
-            continue
-        checked += 1
-        worst_rel = max(worst_rel, _fd_agreement(G, x, args.fd_step)[3])
-    report.payload["points_checked"] = checked
+        if G.contains(x, margin=2 * _fd_step(args, x)):
+            rels.append(_fd_agreement(G, x, args, tol)[3])
+    report.payload["points_checked"] = len(rels)
     report.add_margin(
         "fd_agreement",
-        tol - worst_rel if checked else -math.inf,
+        tol - max(rels) if rels else -math.inf,
         0.0,
         "closed-form Delta v agrees with the FD Laplacian at every sampled point in the domain, and one lies there",
     )
@@ -370,13 +380,11 @@ def _cmd_cross_validate(args, report) -> None:
     # exact for these examples, leaving no truncation error to measure)
     P0 = grassmann.from_chart(np.full((G.n, G.m), 0.05), grassmann.standard_plane(G.n, G.m))
     x = np.full(G.n, 0.45) if G.name != "lawson_osserman" else np.array([1.0, -0.2, 0.4, 0.3])
+    h = _fd_step(args, x)
     closed = graphs.laplacian_v_closed_form(G, x, P0)
-    e1 = abs(graphs.laplacian_v_finite_difference(G, x, P0, step=2 * args.fd_step) - closed)
-    e2 = abs(graphs.laplacian_v_finite_difference(G, x, P0, step=args.fd_step) - closed)
-    if e2 < 1e-11:
-        order = 2.0  # below the roundoff floor; treat as converged
-    else:
-        order = math.log2(e1 / e2)
+    e1, e2 = (abs(graphs.laplacian_v_finite_difference(G, x, P0, step=s) - closed) for s in (2 * h, h))
+    # an error within the FD's rounding bound measures no order: treat it as converged
+    order = 2.0 if e2 <= _fd_rounding(G.n, float(graphs.graph_v(G, x, P0)), h) else math.log2(e1 / e2)
     report.payload["richardson"] = {"error_2h": e1, "error_h": e2, "order": order}
     report.add_margin(
         "richardson_order",
@@ -561,17 +569,11 @@ def main(argv=None) -> int:
     _apply_thread_cap()
     args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     start = time.monotonic()
-    try:
-        config = _validate(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-
     from . import __version__
     from .reporting import Report
 
-    report = Report(command=args.command, config=config, version=__version__)
     try:
+        report = Report(command=args.command, config=_validate(args), version=__version__)
         _COMMANDS[args.command][0](args, report)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -125,22 +125,15 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv,step", [
-        (["graph", "--example", "lawson_osserman", "--point", "1e59,0,0,0"], "0.001"),
+        (["graph", "--example", "lawson_osserman", "--point", "1,0,0,0", "--tolerance", "1e-12"], "0.001"),
         (["graph", "--example", "holomorphic_pair", "--point", "0.3,0.2,0.1", "--fd-step", "1e-17"], "1e-17"),
         (["cross-validate", "--example", "holomorphic_pair", "--samples", "5", "--fd-step", "1e-17"], "1e-17"),
     ])
     def test_fd_step_that_does_not_resolve_the_point_exits_two(self, capsys, argv, step):
-        # x_i +- step rounds back to x_i: the FD would read 0 whatever the geometry (at 1e59 the
-        # cone's closed form is -2e-133, and the relative difference passed)
+        # the FD's rounding bound exceeds the tolerance times its scale: at 1e-17 every x_i +- step
+        # rounds back to x_i, and at 1e-3 the cone's FD rounding (about 1e-9) dwarfs a 1e-12 tolerance
         assert cli.main(argv) == 2
         assert f"--fd-step {step} does not resolve the point" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("point", ["1e8,0,0,0", "3e12,1,1,1"])
-    def test_fd_that_does_not_move_v_exits_two(self, capsys, point):
-        # the step resolves x, but every stencil value of v is the same double: the FD reads
-        # exactly 0 against a nonzero closed form (2.2e-31 at 1e8), which passed the 1e-6 floor
-        assert cli.main(["graph", "--example", "lawson_osserman", "--point", point]) == 2
-        assert "--fd-step 0.001 does not move v at the point" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("step", ["1e80", "1e150"])
@@ -462,6 +455,79 @@ class TestChecksCanFail:
         assert report["payload"]["eps0"]["eps0"] == check["margin"]
 
 
+class TestFdAgreement:
+    """One rule for the FD check: a step relative to the point, and one rounding bound rho."""
+
+    @staticmethod
+    def _geometry(capsys, argv, code=0):
+        assert cli.main(argv) == code
+        return json.loads(capsys.readouterr().out)["payload"]["geometry"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("point", ["1,0,0,0", "1e2,0,0,0", "1e4,0,0,0", "1e8,0,0,0", "1e12,0,0,0",
+                                       "1e59,0,0,0", "3e12,1,1,1"])
+    def test_cone_agreement_does_not_depend_on_the_radius(self, capsys, point):
+        # the cone is homogeneous of degree 1, v(tx) = v(x) and Delta v(tx) = Delta v(x) / t^2: with
+        # the step scaled to x the FD's rounding falls as |B|^2 does, and rel_diff keeps its t = 1 size
+        # (an absolute step failed 1e4 and read 0 against the closed form at 1e8 and 3e12,1,1,1)
+        geometry = self._geometry(capsys, ["graph", "--example", "lawson_osserman", "--point", point])
+        assert geometry["rel_diff"] <= 1e-8
+
+    @pytest.mark.parametrize("t", [1e4, 1e6, 1e8, 1e10, 1e12])
+    def test_cone_fd_reads_rounding_below_rho(self, t):
+        # v = 9 on the cone, so the FD reads pure rounding, and rho must bound it
+        G = graphs.builtin("lawson_osserman")
+        args = cli.build_parser().parse_args(["graph"])
+        for x in t * substream(36, 1).standard_normal((20, 4)):
+            h = cli._fd_step(args, x)
+            fd = graphs.laplacian_v_finite_difference(G, x, step=h)
+            assert h == 1e-3 * np.abs(x).max()
+            assert abs(fd) <= cli._fd_rounding(G.n, 9.0, h)
+
+    def test_a_step_below_rounding_exceeds_the_tolerance(self):
+        # at 1e-17 the stencil of (0.3, 0.2, 0.1) collapses onto x: the FD reads 0, and rho exceeds
+        # the tolerance times the closed form, which alone sets the scale
+        G = graphs.builtin("holomorphic_pair")
+        x = np.array([0.3, 0.2, 0.1])
+        args = cli.build_parser().parse_args(["graph", "--fd-step", "1e-17"])
+        pg = graphs.point_geometry(G, x)
+        assert graphs.laplacian_v_finite_difference(G, x, step=cli._fd_step(args, x)) == 0.0
+        scale = max(abs(float(certifier.laplacian_v_batch(pg.lambdas, pg.h))), pg.slope * pg.norm_b2)
+        assert cli._fd_rounding(G.n, pg.slope, 1e-17) > 1e-3 * scale > 0.0
+
+    def test_flat_graph_agrees_exactly(self, capsys):
+        # |B|^2 = 0 and both sides read exactly 0: a scale of 0, no refusal, rel_diff 0
+        geometry = self._geometry(capsys, ["graph", "--example", "affine", "--fd-step", "1e-17"])
+        assert (geometry["norm_b2"], geometry["laplacian_v_closed"], geometry["rel_diff"]) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("components,point,rel_diff", [
+        # 0.3 x^3 - 0.2 x y^2 + 0.1 y z, 0.25 y^3 + 0.4 x y z - 0.15 x^2 z at the default point
+        ([[(0.3, [3, 0, 0]), (-0.2, [1, 2, 0]), (0.1, [0, 1, 1])],
+          [(0.25, [0, 3, 0]), (0.4, [1, 1, 1]), (-0.15, [2, 0, 1])]], None, 0.2417),
+        # x^3 / 2 + x y + 0.7 y z^2, -0.4 y^2 z + 0.9 x z
+        ([[(0.5, [3, 0, 0]), (1.0, [1, 1, 0]), (0.7, [0, 1, 2])],
+          [(-0.4, [0, 2, 1]), (0.9, [1, 0, 1])]], "0.2,0.3,0.1", 0.077),
+    ])
+    def test_specs_without_parallel_mean_curvature_still_fail(self, tmp_path, capsys, components, point, rel_diff):
+        # the closed form lacks the grad H term: a failed check (exit 1), not a refused step (exit 2)
+        spec = {"n": 3, "m": 2, "components": [
+            {"monomials": [{"exponents": e, "coeff": c} for c, e in comp]} for comp in components]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["graph", "--graph-spec", str(path)] + (["--point", point] if point else [])
+        assert self._geometry(capsys, argv, code=1)["rel_diff"] == pytest.approx(rel_diff, abs=5e-4)
+
+    @pytest.mark.parametrize("argv", [["graph", "--example", "holomorphic_pair"],
+                                      ["cross-validate", "--example", "holomorphic_pair", "--samples", "20"]])
+    def test_a_closed_form_off_by_2e_3_fails(self, monkeypatch, capsys, argv):
+        # the check is no looser where it could already see: a wrong closed form fails it (exit 1)
+        batch = certifier.laplacian_v_batch
+        monkeypatch.setattr(certifier, "laplacian_v_batch", lambda *a, **k: batch(*a, **k) * (1.0 + 2e-3))
+        assert cli.main(argv) == 1
+        checks = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks.get("fd_cross_validation", checks.get("fd_agreement")) == "FAIL"
+
+
 class TestK0CallShape:
     """A K0 command makes one batch minimum, every beta0's search rows and audit in one call;
     at n = m = 2 each face evaluation is one more call of one row."""
@@ -716,6 +782,30 @@ class TestConfigEcho:
             assert samples == expected
             if bounds is not None:
                 assert next(a for a in actions if a.dest == "samples").default == bounds[0]
+
+    @pytest.mark.parametrize("command", ["graph", "cross-validate"])
+    def test_example_and_graph_spec_exclude_each_other(self, tmp_path, capsys, command):
+        # refused before any work: the spec file is never opened
+        argv = [command, "--example", "lawson_osserman", "--graph-spec", str(tmp_path / "missing.json")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "usage error: --example and --graph-spec exclude each other\n"
+
+    @pytest.mark.parametrize("argv,example", [
+        (["graph"], "holomorphic_pair"),
+        (["graph", "--example", "lawson_osserman", "--point", "1,0,0,0"], "lawson_osserman"),
+        (["graph", "--graph-spec", "{spec}", "--point", "1,0,0,0"], None),
+        (["cross-validate", "--samples", "3"], "holomorphic_pair"),
+        (["cross-validate", "--graph-spec", "{spec}", "--samples", "3"], None),
+    ])
+    def test_config_names_only_the_example_that_ran(self, tmp_path, capsys, argv, example):
+        # a spec run records no example; the one without either flag records the default
+        path = tmp_path / "graph.json"
+        path.write_text('{"name": "lawson_osserman"}')
+        assert cli.main([str(path) if a == "{spec}" else a for a in argv]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["example"] == example
+        if argv[0] == "graph":
+            assert report["payload"]["geometry"]["example"] == (example or "lawson_osserman")
 
     @pytest.mark.parametrize("command", FLAGS_READ)
     def test_config_echoes_the_declared_flags(self, command):

@@ -53,8 +53,10 @@ PINS = {
     # before)
     "shrink --n 2 --m 2 --samples 2000":
         "2dff72b3b7a381f5dea87d62cf459a1ae858384a79847b7e7d320bd73a4c8a4b",
+    # the FD step relative to max(1, max_i |x_i|) moved the fd_agreement margin, the worst rel_diff
+    # falling from 3.7e-9 to 2.7e-9 (0.0009999962670082729 before)
     "cross-validate --example lawson_osserman --samples 50":
-        "16d6724befcb9471b6c62bc1265d13bfdab272af43172399a9e31b851203ef2f",
+        "0d46eb332be6d5b2ea02ffa1f14d9a79b8353de32c138e5f7184c9856e62e7a6",
     "cross-validate --example holomorphic_pair --samples 200":
         "a7b12a6ec3fbd83ed1f40e2aab90f55884b83b4d03a94ff13f32ebccde9443db",
     "graph --example lawson_osserman --point 1,0,0,0":
