@@ -35,12 +35,25 @@ def builtins():
     return {name: graphs.builtin(name) for name in ("affine", "holomorphic_pair", "lawson_osserman")}
 
 
-# sha256 of json.dumps([record["values"] for record in records], sort_keys=True) at seed 0: the
-# certificate values every op records (iterate bounds, mean-Gauss margins, the FD ops' worst
-# relative differences, ...), so a change that moves any of their bits has to say so
+# sha256 of json.dumps(record["values"], sort_keys=True) of each op at seed 0: the certificate
+# values the op records (iterate bounds, mean-Gauss margins, the FD ops' worst relative
+# differences, ...), so a change that moves any of their bits has to say which op moved
 VALUE_DIGESTS = {
-    "geometry-loop": "740ecedc7cd5e9ca24004f8f183bb60995bd0ef63766ee4bd30302dfc458ec39",
-    "k0-sweep": "43e91b3a2e5eb79fa72d67dedba01d821e5cc0f8263459c537d9e1399653edbf",
+    "geometry-loop": {
+        "fd holomorphic_pair": "8cc461a03cc0e197b6d1354c914426fa6bae49eb7a02f25e589f3fe56d261673",
+        "fd lawson_osserman": "37476e984f712210e90fa34216553721e0a67697757dabb2ab14c7317d52393d",
+        "richardson holomorphic_pair": "ca6116302fba43d6821adcb384f74ba4866deaf57131c781f931a22a2baec2f1",
+        "richardson lawson_osserman": "de5465cbf66ceb027f45fd13817c4254efb18e554490279bd3a9c72458fe7e81",
+        "mean_gauss_image 20 balls": "c7c867e344c004db60c5d3a89410caebfff596a00bad7a6bbedef06815d754b4",
+        "iterate n=2 m=2 points=100": "1386dbb3e85a52fb64919d6556f65d4076bc2772b8dc08a037ae813ed32cc2f1",
+        "iterate n=3 m=2 points=100": "0b8d20575158b31572986cc8621250ad619001ba087b6f033ebc020d0c422274",
+        "iterate n=4 m=3 points=8": "cb051132f094ae806eae26655781134b6fde917724fc9ba1ba6d5729014d6966",
+    },
+    "k0-sweep": {
+        "sweep-k0 n=4 m=3": "67b200effa114cf08633334e62b2f6699af6c07cc4bdb583c477c3b57c8f0dca",
+        "certify n=5 m=3": "6a170575dc98d31d5d7539fced87d7c8c42ff001c51a54dbb10d0d1f4d0e91b8",
+        "certify n=6 m=4": "e76f90294010b68d435a6355b2c51704da739780a3048a73d6f4311011b55a66",
+    },
 }
 
 
@@ -50,8 +63,9 @@ def test_every_op_passes_its_checks(workload, builtins):
     assert records
     for record in records:
         assert record["ok"], (record["op"], record["checks"], record.get("error"))
-    values = json.dumps([record["values"] for record in records], sort_keys=True)
-    assert hashlib.sha256(values.encode()).hexdigest() == VALUE_DIGESTS[workload]
+    digests = {record["op"]: hashlib.sha256(json.dumps(record["values"], sort_keys=True).encode()).hexdigest()
+               for record in records}
+    assert digests == VALUE_DIGESTS[workload]
 
 
 # calls of each laps.LAP_POINTS function per op at seed 0, once the process's caches are warm (the

@@ -810,18 +810,19 @@ def kernel_points(G, rng, count):
     return rng.uniform(-0.8, 0.8, (count, G.n))
 
 
-def kernel_digest(count=50):
-    """sha256 over seeded points of each builtin and KERNEL_SPEC: jac and hess of one point and
-    of the stack, every `point_geometry` field, `graph_v`, both Laplacians at the base plane
-    and at a tilted P0, and the FD at two steps."""
-    digest = hashlib.sha256()
-
-    def put(*values):
-        for value in values:
-            digest.update(np.ascontiguousarray(value, dtype=float).tobytes())
-
+def kernel_digests(count=50):
+    """One sha256 per graph (each builtin and KERNEL_SPEC) over its seeded points: jac and hess of
+    one point and of the stack, every `point_geometry` field, `graph_v`, both Laplacians at the
+    base plane and at a tilted P0, and the FD at two steps."""
     graphs = [gg.builtin(name) for name in BUILTINS] + [gg.graph_from_spec(KERNEL_SPEC)]
+    digests = {}
     for k, G in enumerate(graphs):
+        digest = hashlib.sha256()
+
+        def put(*values):
+            for value in values:
+                digest.update(np.ascontiguousarray(value, dtype=float).tobytes())
+
         P0 = gr.from_chart(np.full((G.n, G.m), 0.07), gr.standard_plane(G.n, G.m))
         put(P0.frame, P0.normal_frame)
         pts = kernel_points(G, substream(26, k), count)
@@ -834,10 +835,21 @@ def kernel_digest(count=50):
                 put(gg.laplacian_v_closed_form(G, x, Q))
                 for step in (1e-3, 2e-3):
                     put(gg.laplacian_v_finite_difference(G, x, Q, step=step))
-    return digest.hexdigest()
+        digests[G.name if k < len(BUILTINS) else "KERNEL_SPEC"] = digest.hexdigest()
+    return digests
+
+
+# sha256 per graph of `kernel_digests`, each taken on the code before the change that last moved
+# that graph's bits; an entry moves only with a change that says which of its values moved
+KERNEL_DIGESTS = {
+    "affine": "f01007f48c726d5b38099a650662ba10d4400977cb72462ee01cb0805803b5d0",
+    "holomorphic_pair": "94c0f630cb898e371746c8670d615c2c64d26e9a82d1800cea160e7538724fd2",
+    "lawson_osserman": "cd7d85279be186cfc0b5a812cfc797631452ba3b0f2a9131850535b0e479746f",
+    "KERNEL_SPEC": "901399cd617379ec4e0c69dabf3611e38ede6e6b49ad253309cbf10442b306ef",
+}
 
 
 class TestKernelBits:
     def test_kernel_digest(self):
-        # taken before the per-call trims of the kernels: any moved bit of their outputs fails here
-        assert kernel_digest() == "3c97d49d742df05cb70c75b5af3226102f4dc4576d74fc6ee4e84bb9f1caa811"
+        # one digest per graph, so a moved bit names the graph it moved in
+        assert kernel_digests() == KERNEL_DIGESTS
