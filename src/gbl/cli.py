@@ -383,8 +383,12 @@ def _cmd_cross_validate(args, report) -> None:
     h = _fd_step(args, x)
     closed = graphs.laplacian_v_closed_form(G, x, P0)
     e1, e2 = (abs(graphs.laplacian_v_finite_difference(G, x, P0, step=s) - closed) for s in (2 * h, h))
-    # an error within the FD's rounding bound measures no order: treat it as converged
-    order = 2.0 if e2 <= _fd_rounding(G.n, float(graphs.graph_v(G, x, P0)), h) else math.log2(e1 / e2)
+    # an error within the FD's rounding bound measures no order: refused, as `_fd_agreement` refuses
+    rho = _fd_rounding(G.n, float(graphs.graph_v(G, x, P0)), h)
+    if e2 <= rho:
+        raise UsageError(f"--fd-step {args.fd_step:g} does not resolve the Richardson pair: its error at "
+                         f"step h {e2:.3g} lies within the FD's rounding bound {rho:.3g}")
+    order = math.log2(e1 / e2)
     report.payload["richardson"] = {"error_2h": e1, "error_h": e2, "order": order}
     report.add_margin(
         "richardson_order",

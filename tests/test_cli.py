@@ -135,6 +135,16 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert f"--fd-step {step} does not resolve the point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step,shown", [("2e-4", "0.0002"), ("5e-4", "0.0005")])
+    def test_richardson_pair_within_the_rounding_exits_two(self, capsys, step, shown):
+        # at these steps the cone's FD error at h lies within its rounding bound rho(h), so the
+        # pair measures no order: refused, not passed as order 2
+        argv = ["cross-validate", "--example", "lawson_osserman", "--samples", "5", "--fd-step", step]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"--fd-step {shown} does not resolve the Richardson pair" in out.err
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("step", ["1e80", "1e150"])
     def test_fd_step_that_overflows_the_metric_exits_two(self, capsys, step):
