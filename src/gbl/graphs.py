@@ -140,19 +140,22 @@ _HOPF_Q[1, 0, 3] = _HOPF_Q[1, 3, 0] = -1.0
 _HOPF_Q[2, 0, 2] = _HOPF_Q[2, 2, 0] = 1.0
 _HOPF_Q[2, 1, 3] = _HOPF_Q[2, 3, 1] = 1.0
 _HOPF_2Q = 2.0 * _HOPF_Q
+# (4, 12): u @ it is D eta(u) = 2 Q u, row-major over (a, i)
+_HOPF_DETA = _HOPF_2Q.reshape(12, 4).T.copy()
 _EYE4 = np.eye(4)
-# the largest radius of the cone's domain: hess divides by r**5, which overflows near r = 1e62,
-# after which |B|^2 is wrong and then NaN; the cone is homogeneous, so a point past the bound
-# has the geometry of its rescaling inside
+# the largest radius of the cone's domain.  jac and hess read only the unit direction and 1/|x|, so
+# they stay finite until |x|^2 overflows at |x| = 1.34e154 (where both read 0); the bound keeps the
+# domain that the reports were checked on, and as the cone is homogeneous a point past it has the
+# geometry of its rescaling inside
 _LAWSON_MAX_RADIUS = 1e60
 
 
 def lawson_osserman() -> GraphImmersion:
     """The minimal cone graph (sqrt(5)/2) |x| eta(x/|x|), eta the Hopf map.
 
-    eta is quadratic, so f = (sqrt(5)/2) eta(x)/|x| away from the origin,
-    with analytic first and second derivatives.  The domain is the shell
-    1e-6 <= |x| <= `_LAWSON_MAX_RADIUS`, where every derivative is finite.
+    Each derivative is read in the unit direction u = x/|x|: as eta is quadratic, D eta(x) =
+    |x| D eta(u) and eta(x) = |x|^2 eta(u), so jac is of degree 0 and hess of degree -1 in x.  The
+    domain is the shell 1e-6 <= |x| <= `_LAWSON_MAX_RADIUS`.
     """
     c = math.sqrt(5.0) / 2.0
 
@@ -160,31 +163,32 @@ def lawson_osserman() -> GraphImmersion:
         # what np.linalg.norm(x, axis=-1) computes, bit for bit, without its dispatch
         return np.sqrt(np.add.reduce(x * x, axis=-1))
 
-    def eta(x):
-        return np.einsum("aij,...i,...j->...a", _HOPF_Q, x, x)
-
-    def deta(x):
-        # bitwise 2 einsum(Q, x): doubling is exact, and both sums run in the same order
-        return np.einsum("aij,...j->...ai", _HOPF_2Q, x)
+    def unit_jet(x):
+        """|x| (..., 1), u = x/|x|, D eta(u) = 2 Q u (..., 3, 4) and eta(u) = D eta(u) u / 2 (..., 3, 1)."""
+        r = radius(x)[..., None]
+        u = x / r
+        de = (u @ _HOPF_DETA).reshape(u.shape[:-1] + (3, 4))
+        return r, u, de, 0.5 * (de @ u[..., None])
 
     def f(x):
-        return c * eta(x) / radius(x)[..., None]
+        r, _, _, e = unit_jet(x)
+        return c * r * e[..., 0]
 
     def jac(x):
-        r = radius(x)[..., None, None]
-        return c * (deta(x) / r - eta(x)[..., :, None] * x[..., None, :] / r**3)
+        _, u, de, e = unit_jet(x)
+        out = de - e * u[..., None, :]
+        out *= c
+        return out
 
     def hess(x):
-        r = radius(x)[..., None, None, None]
-        r3 = r**3
-        e = eta(x)[..., :, None, None]
-        de = deta(x)
-        xi, xj = x[..., None, :, None], x[..., None, None, :]
-        out = _HOPF_2Q / r
-        out -= (de[..., :, :, None] * xj + de[..., :, None, :] * xi) / r3
-        out -= e * _EYE4 / r3
-        out += 3.0 * (e * xi * xj) / r**5
-        out *= c
+        # (c/|x|) (2Q - (A + A^T) + eta(u) (3 u u^T - I)), A_{a,ij} = D eta(u)_{a,i} u_j
+        r, u, de, e = unit_jet(x)
+        A = de[..., :, :, None] * u[..., None, None, :]
+        out = (3.0 * u[..., :, None] * u[..., None, :] - _EYE4)[..., None, :, :] * e[..., None]
+        out += _HOPF_2Q
+        out -= A
+        out -= np.swapaxes(A, -1, -2)
+        out *= (c / r)[..., None, None]
         return out
 
     def excluded(x, margin):

@@ -118,8 +118,7 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("point", ["1e62,0,0,0", "0,1e80,0,0", "0,0,1e103,0"])
     def test_graph_past_the_cone_bound_exits_two(self, capsys, point):
-        # the cone's hess overflows past its bound: refused by the domain check, not reported with
-        # a wrong |B|^2 (1e62), a NaN (1e80) or an SVD traceback (1e103)
+        # past the cone's bound every point is refused by the domain check, before any geometry
         assert cli.main(["graph", "--example", "lawson_osserman", "--point", point]) == 2
         assert "OutOfDomain: lawson_osserman: point" in capsys.readouterr().err
 

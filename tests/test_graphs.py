@@ -211,6 +211,56 @@ class TestDerivatives:
         assert_derivatives_match_differences(G, substream(29, k).uniform(-1.0, 1.0, (8, G.n)))
 
 
+def cone_jac_in_x(x):
+    """The cone's jac written in x, as f = c eta(x) / r: c (D eta(x) / r - eta(x) x^T / r^3)."""
+    c = math.sqrt(5.0) / 2.0
+    r = np.linalg.norm(x, axis=-1)[..., None, None]
+    eta = np.einsum("aij,...i,...j->...a", gg._HOPF_Q, x, x)
+    deta = np.einsum("aij,...j->...ai", gg._HOPF_2Q, x)
+    return c * (deta / r - eta[..., :, None] * x[..., None, :] / r**3)
+
+
+def cone_hess_in_x(x):
+    """The cone's hess written in x: c (2Q / r - (D eta x^T + x D eta^T) / r^3 - eta I / r^3
+    + 3 eta x x^T / r^5)."""
+    c = math.sqrt(5.0) / 2.0
+    r = np.linalg.norm(x, axis=-1)[..., None, None, None]
+    eta = np.einsum("aij,...i,...j->...a", gg._HOPF_Q, x, x)[..., :, None, None]
+    deta = np.einsum("aij,...j->...ai", gg._HOPF_2Q, x)
+    xi, xj = x[..., None, :, None], x[..., None, None, :]
+    return c * (gg._HOPF_2Q / r - (deta[..., :, :, None] * xj + deta[..., :, None, :] * xi) / r**3
+                - eta * np.eye(4) / r**3 + 3.0 * eta * xi * xj / r**5)
+
+
+def cone_points(count, seed):
+    """Seeded points of the cone's domain, their radii log-uniform in [1e-3, 1e3]."""
+    rng = substream(46, seed)
+    x = rng.standard_normal((count, 4))
+    return x * (10.0 ** rng.uniform(-3.0, 3.0, count) / np.linalg.norm(x, axis=1))[:, None]
+
+
+class TestConeDerivatives:
+    # jac and hess are read in the unit direction; these hold them to the form in x they replace,
+    # and to their degrees 0 and -1, at the radii where that form was exact to rounding
+    def test_equal_to_the_form_in_x(self):
+        G = gg.builtin("lawson_osserman")
+        X = cone_points(200, 0)
+        for new, old in ((G.jac(X), cone_jac_in_x(X)), (G.hess(X), cone_hess_in_x(X))):
+            axes = tuple(range(1, old.ndim))
+            rel = np.abs(new - old).max(axis=axes) / np.abs(old).max(axis=axes)
+            assert rel.max() <= 1e-14
+
+    @pytest.mark.parametrize("t", [1e-5, 1e-3, 1e3, 1e20, 1e40, 1e59])
+    def test_homogeneous(self, t):
+        # jac(t x) = jac(x) and t hess(t x) = hess(x) within a few ulps of the largest entry
+        G = gg.builtin("lawson_osserman")
+        eps = np.finfo(float).eps
+        for x in substream(46, 1).uniform(-0.9, 0.9, (20, 4)):
+            J, Hf = G.jac(x), G.hess(x)
+            assert np.abs(G.jac(t * x) - J).max() <= 4 * eps * np.abs(J).max(), x
+            assert np.abs(t * G.hess(t * x) - Hf).max() <= 4 * eps * np.abs(Hf).max(), x
+
+
 class TestPointGeometry:
     @pytest.mark.parametrize("name", ["affine", "holomorphic_pair", "lawson_osserman"])
     def test_gauss_is_the_qr_frame(self, name):
@@ -339,8 +389,9 @@ class TestPointGeometry:
     @pytest.mark.parametrize("x", [[1.001e60, 0.0, 0.0, 0.0], [1e62, 0.0, 0.0, 0.0],
                                    [0.0, 1e80, 0.0, 0.0], [0.0, 0.0, 1e103, -1e103]])
     def test_cone_refuses_points_past_the_bound(self, x):
-        # past the bound hess's r**5 overflows (near 1e62), |B|^2 turns NaN (1e80) and the SVD
-        # fails (1e103): each is refused first, with no RuntimeWarning
+        # the unit-direction jac and hess stay finite until |x|^2 overflows (1.34e154, where both
+        # read 0), yet the domain keeps its bound: each point past it is refused, with no
+        # RuntimeWarning
         G = gg.builtin("lawson_osserman")
         assert G.contains(x) is False
         with pytest.raises(OutOfDomain):
@@ -844,7 +895,9 @@ def kernel_digests(count=50):
 KERNEL_DIGESTS = {
     "affine": "f01007f48c726d5b38099a650662ba10d4400977cb72462ee01cb0805803b5d0",
     "holomorphic_pair": "94c0f630cb898e371746c8670d615c2c64d26e9a82d1800cea160e7538724fd2",
-    "lawson_osserman": "cd7d85279be186cfc0b5a812cfc797631452ba3b0f2a9131850535b0e479746f",
+    # jac and hess read in the unit direction moved every cone output by rounding
+    # (cd7d85279be186cfc0b5a812cfc797631452ba3b0f2a9131850535b0e479746f before)
+    "lawson_osserman": "f96e912818073c141fc586fdf0a584bba26093a71d725b2cdd28f6b3cb4fea30",
     "KERNEL_SPEC": "901399cd617379ec4e0c69dabf3611e38ede6e6b49ad253309cbf10442b306ef",
 }
 

@@ -53,14 +53,19 @@ PINS = {
     # before)
     "shrink --n 2 --m 2 --samples 2000":
         "2dff72b3b7a381f5dea87d62cf459a1ae858384a79847b7e7d320bd73a4c8a4b",
-    # the FD step relative to max(1, max_i |x_i|) moved the fd_agreement margin, the worst rel_diff
-    # falling from 3.7e-9 to 2.7e-9 (0.0009999962670082729 before)
+    # the cone's jac and hess read in the unit direction moved the fd_agreement margin
+    # 0.000999997321835916 -> 0.0009999974095327234 and the Richardson pair: error_2h
+    # 1.3093532865715574e-06 -> 1.3059783404711922e-06, error_h 3.4105364854486453e-07 ->
+    # 3.286996133611275e-07, order 1.9407838127803532 -> 1.990289305584547
     "cross-validate --example lawson_osserman --samples 50":
-        "0d46eb332be6d5b2ea02ffa1f14d9a79b8353de32c138e5f7184c9856e62e7a6",
+        "d33e202063d1b81f83b46583206a6b4189dea7ab61a6e7fe8f719c6cb567c3e7",
     "cross-validate --example holomorphic_pair --samples 200":
         "a7b12a6ec3fbd83ed1f40e2aab90f55884b83b4d03a94ff13f32ebccde9443db",
+    # the same rewrite moved the FD's rounding read-out (closed form 0): laplacian_v_fd
+    # 3.9425203854680424e-10 -> -8.2901581894342e-09, rel_diff 3.154016308374434e-11 ->
+    # 6.63212655154736e-10, margin 0.000999999968459837 -> 0.0009999993367873449
     "graph --example lawson_osserman --point 1,0,0,0":
-        "73766a8b930eb0e9bd4962dfae81d9da2ee36705ff8bd12356496905f2ae2365",
+        "446288a0c3fbfe09f82373682752d185fd1d44bb973e68a7f2478d9d5f561e13",
     "lemmas --which aux":
         "47189ef3ccde5c30dfab0b575b4d30beac4d3c6152b00a2ac968b187659ef2ea",
     "lemmas --which grouping --samples 200":
