@@ -383,12 +383,16 @@ def _cmd_cross_validate(args, report) -> None:
     h = _fd_step(args, x)
     closed = graphs.laplacian_v_closed_form(G, x, P0)
     e1, e2 = (abs(graphs.laplacian_v_finite_difference(G, x, P0, step=s) - closed) for s in (2 * h, h))
-    # an error within the FD's rounding bound measures no order: refused, as `_fd_agreement` refuses
+    # an FD exact at both steps (an affine graph) has converged, as `_fd_agreement` reads a flat point;
+    # otherwise an error within the FD's rounding bound measures no order, and is refused
     rho = _fd_rounding(G.n, float(graphs.graph_v(G, x, P0)), h)
-    if e2 <= rho:
+    if e1 == e2 == 0.0:
+        order = 2.0
+    elif e2 <= rho:
         raise UsageError(f"--fd-step {args.fd_step:g} does not resolve the Richardson pair: its error at "
                          f"step h {e2:.3g} lies within the FD's rounding bound {rho:.3g}")
-    order = math.log2(e1 / e2)
+    else:
+        order = math.log2(e1 / e2)
     report.payload["richardson"] = {"error_2h": e1, "error_h": e2, "order": order}
     report.add_margin(
         "richardson_order",

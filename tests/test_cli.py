@@ -144,6 +144,13 @@ class TestExitCodes:
         assert out.out == ""
         assert f"--fd-step {shown} does not resolve the Richardson pair" in out.err
 
+    def test_richardson_pair_exact_at_both_steps_passes(self, capsys):
+        # the affine graph's FD is exact (both errors 0): converged, as a flat point reads 0
+        assert cli.main(["cross-validate", "--example", "affine", "--samples", "5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["payload"]["richardson"] == {"error_2h": 0.0, "error_h": 0.0, "order": 2.0}
+        assert next(c for c in report["checks"] if c["name"] == "richardson_order")["status"] == "PASS"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("step", ["1e80", "1e150"])
     def test_fd_step_that_overflows_the_metric_exits_two(self, capsys, step):
