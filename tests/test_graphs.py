@@ -240,8 +240,8 @@ def cone_points(count, seed):
 
 
 class TestConeDerivatives:
-    # jac and hess are read in the unit direction; these hold them to the form in x they replace,
-    # and to their degrees 0 and -1, at the radii where that form was exact to rounding
+    # the cone's jac and hess against a form written in x, which shares no code with them, and
+    # against their degrees 0 and -1 at radii across the domain
     def test_equal_to_the_form_in_x(self):
         G = gg.builtin("lawson_osserman")
         X = cone_points(200, 0)
